@@ -7,6 +7,13 @@ integrals use a fixed tensor-product Gauss-Legendre rule, which keeps every
 reported scalar deterministic, and entropies are differential entropies in
 bits with the 0 * log 0 = 0 convention at density zeros.
 
+Every posterior is the prior times the register weight sum_k |c_k|^2 of
+some kept indices, and each |c_k|^2 is a product of per-qubit factors
+cos^2(theta/2) or sin^2(theta/2). Normalizers (outcome priors, average
+success probabilities) are therefore products of 1-D sums. A gain report
+evaluates each joint density once, as an n x n array on the grid, and takes
+marginals (joint @ w, w @ joint) and entropies from reductions of it.
+
 Gain conventions: the "encoding gain" compares the joint prior with the
 posterior after observing an encoding outcome; marginal gains do the same
 per qubit. Decode and failure gains fix one decoded qubit (the reported
@@ -24,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .codec import intact_block, qubit_bit
+from .codec import _check_outcome, _check_target, intact_block, qubit_bit
 
 # Scalars of a gain report must be stable under node doubling within this
 # tolerance, otherwise the quadrature has not converged.
@@ -120,66 +127,81 @@ def outcome_likelihood(outcome: int, theta1, theta2):
     Equals (1 - |c_j|^2) / 3 and lies in [0, 1/3]; broadcasting arrays of
     angles is supported.
     """
-    if outcome not in (0, 1, 2, 3):
-        raise ValueError(f"outcome must be one of 0..3, got {outcome!r}")
+    _check_outcome(outcome)
     return (1.0 - _register_weight(outcome, theta1, theta2)) / 3.0
 
 
-def _integrate_2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], quad: QuadratureSpec
-) -> float:
-    x, w = quad.nodes()
-    values = f(x[:, None], x[None, :])
-    # einsum reduces with numpy's pairwise summation in a fixed order, so
-    # the result does not depend on any parallel execution of the caller.
-    return float(np.einsum("i,j,ij->", w, w, values))
+def _survivors(outcome: int) -> tuple[int, ...]:
+    """Register indices that outcome j leaves on the qutrit."""
+    _check_outcome(outcome)
+    return tuple(k for k in range(4) if k != outcome)
 
 
-def _integrate_1d(f: Callable[[np.ndarray], np.ndarray], quad: QuadratureSpec) -> float:
+def _register_masses(quad: QuadratureSpec) -> list[float]:
+    """Prior mass of |c_k|^2 for each register index k.
+
+    |c_k|^2 is a product of per-qubit factors, so each mass is a product of
+    two 1-D sums; it equals the tensor-product rule up to rounding.
+    """
     x, w = quad.nodes()
-    return float(np.sum(w * f(x)))
+    prior = prior_theta().pdf(x)
+    bit_mass = [float(np.sum(w * (_bit_weight(bit, x) * prior))) for bit in (0, 1)]
+    return [bit_mass[qubit_bit(k, 1)] * bit_mass[qubit_bit(k, 2)] for k in range(4)]
+
+
+def _normalizers(quad: QuadratureSpec) -> tuple[tuple, tuple]:
+    """Outcome priors [j] and average success probabilities [j][target - 1].
+
+    Outcome j has likelihood (1 - |c_j|^2) / 3, the survivors' weight over
+    3, and given j decoding succeeds with the intact block's share of the
+    survivors' weight, so both are ratios of register masses.
+    """
+    masses = _register_masses(quad)
+    survivor_mass = [sum(masses[k] for k in _survivors(j)) for j in range(4)]
+    priors = tuple(mass / 3.0 for mass in survivor_mass)
+    success = tuple(
+        tuple(
+            sum(masses[k] for k in intact_block(j, a)) / survivor_mass[j]
+            for a in (1, 2)
+        )
+        for j in range(4)
+    )
+    return priors, success
 
 
 def outcome_prior(outcome: int, quad: QuadratureSpec) -> float:
     """Prior probability of encoding outcome j, integrated over preparations."""
-    prior = prior_theta().pdf
-    return _integrate_2d(
-        lambda t1, t2: outcome_likelihood(outcome, t1, t2) * prior(t1) * prior(t2),
-        quad,
-    )
-
-
-def encode_posterior(outcome: int, quad: QuadratureSpec) -> Density2D:
-    """Posterior density of the angles given an observed encoding outcome."""
-    prior = prior_theta().pdf
-    normalization = outcome_prior(outcome, quad)
-
-    def pdf(theta1, theta2):
-        return (
-            outcome_likelihood(outcome, theta1, theta2)
-            * prior(theta1)
-            * prior(theta2)
-            / normalization
-        )
-
-    return Density2D(pdf=pdf)
-
-
-def _conditional_success(outcome: int, target: int, theta1, theta2):
-    """Success probability of decoding `target` as a function of the angles."""
-    block = intact_block(outcome, target)
-    numerator = sum(_register_weight(k, theta1, theta2) for k in block)
-    return numerator / (1.0 - _register_weight(outcome, theta1, theta2))
+    return _normalizers(quad)[0][_check_outcome(outcome)]
 
 
 def average_success_probability(outcome: int, target: int, quad: QuadratureSpec) -> float:
     """Decoding success probability averaged over the encode posterior."""
-    posterior = encode_posterior(outcome, quad)
-    return _integrate_2d(
-        lambda t1, t2: _conditional_success(outcome, target, t1, t2)
-        * posterior.pdf(t1, t2),
-        quad,
-    )
+    _check_target(target)
+    return _normalizers(quad)[1][_check_outcome(outcome)][target - 1]
+
+
+def _posterior(kept, quad: QuadratureSpec) -> Density2D:
+    """The prior times the weight of the kept register indices, normalized.
+
+    Every posterior of the protocol has this form: outcome j keeps its
+    survivors, a successful decode the intact block, and a failed one the
+    single index outside that block and j. Constant factors such as the 1/3
+    of the likelihood cancel in the normalization.
+    """
+    masses = _register_masses(quad)
+    mass = sum(masses[k] for k in kept)
+    prior = prior_theta().pdf
+
+    def pdf(theta1, theta2):
+        weight = sum(_register_weight(k, theta1, theta2) for k in kept)
+        return weight * prior(theta1) * prior(theta2) / mass
+
+    return Density2D(pdf=pdf)
+
+
+def encode_posterior(outcome: int, quad: QuadratureSpec) -> Density2D:
+    """Posterior density of the angles given an observed encoding outcome."""
+    return _posterior(_survivors(outcome), quad)
 
 
 def marginal_density(density: Density2D, quad: QuadratureSpec, axis: int) -> Density1D:
@@ -199,77 +221,59 @@ def marginal_density(density: Density2D, quad: QuadratureSpec, axis: int) -> Den
     return Density1D(pdf=pdf)
 
 
-def _success_posterior_2d(
-    outcome: int, target: int, quad: QuadratureSpec
-) -> Density2D:
-    posterior = encode_posterior(outcome, quad)
-    weight = average_success_probability(outcome, target, quad)
-
-    def pdf(theta1, theta2):
-        return (
-            _conditional_success(outcome, target, theta1, theta2)
-            * posterior.pdf(theta1, theta2)
-            / weight
-        )
-
-    return Density2D(pdf=pdf)
-
-
-def _failure_posterior_2d(
-    outcome: int, target: int, quad: QuadratureSpec
-) -> Density2D:
-    posterior = encode_posterior(outcome, quad)
-    weight = 1.0 - average_success_probability(outcome, target, quad)
-
-    def pdf(theta1, theta2):
-        return (
-            (1.0 - _conditional_success(outcome, target, theta1, theta2))
-            * posterior.pdf(theta1, theta2)
-            / weight
-        )
-
-    return Density2D(pdf=pdf)
+def _posterior_with_marginals(kept, quad: QuadratureSpec) -> Posterior2D:
+    joint = _posterior(kept, quad)
+    return Posterior2D(
+        joint=joint,
+        marginal_q1=marginal_density(joint, quad, axis=1),
+        marginal_q2=marginal_density(joint, quad, axis=2),
+    )
 
 
 def decode_posterior_success(
     outcome: int, target: int, quad: QuadratureSpec
 ) -> Posterior2D:
     """Posterior after encoding outcome j and a successful decode of `target`."""
-    joint = _success_posterior_2d(outcome, target, quad)
-    return Posterior2D(
-        joint=joint,
-        marginal_q1=marginal_density(joint, quad, axis=1),
-        marginal_q2=marginal_density(joint, quad, axis=2),
-    )
+    block = intact_block(_check_outcome(outcome), _check_target(target))
+    return _posterior_with_marginals(block, quad)
 
 
 def decode_posterior_failure(
     outcome: int, target: int, quad: QuadratureSpec
 ) -> Posterior2D:
     """Posterior after encoding outcome j and a failed decode of `target`."""
-    joint = _failure_posterior_2d(outcome, target, quad)
-    return Posterior2D(
-        joint=joint,
-        marginal_q1=marginal_density(joint, quad, axis=1),
-        marginal_q2=marginal_density(joint, quad, axis=2),
-    )
+    block = intact_block(_check_outcome(outcome), _check_target(target))
+    return _posterior_with_marginals(set(_survivors(outcome)) - set(block), quad)
 
 
 def _plogp(values: np.ndarray) -> np.ndarray:
     if np.any(values < 0.0):
         raise ValueError("density is negative at a quadrature node")
-    positive = values > 0.0
-    safe = np.where(positive, values, 1.0)
-    return np.where(positive, values * np.log2(safe), 0.0)
+    out = np.zeros_like(values)
+    np.log2(values, out=out, where=values > 0.0)
+    return np.multiply(values, out, out=out)
+
+
+def _entropy(values: np.ndarray, w: np.ndarray) -> float:
+    """-sum w p log2 p over the nodes, or over the tensor grid for 2-D values."""
+    if values.ndim == 1:
+        return float(-np.sum(w * _plogp(values)))
+    # einsum reduces with numpy's pairwise summation in a fixed order, so
+    # the result does not depend on any parallel execution of the caller.
+    return float(-np.einsum("i,j,ij->", w, w, _plogp(values)))
+
+
+def _marginal_entropies(joint: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Entropies of the theta1 and theta2 marginals of a joint on the grid."""
+    return _entropy(joint @ w, w), _entropy(w @ joint, w)
 
 
 def entropy_bits(density: Density1D | Density2D, quad: QuadratureSpec) -> float:
     """Differential entropy -integral p log2 p, in bits (may be negative)."""
     x, w = quad.nodes()
     if isinstance(density, Density1D):
-        return float(-np.sum(w * _plogp(np.asarray(density.pdf(x)))))
-    values = np.asarray(density.pdf(x[:, None], x[None, :]))
-    return float(-np.einsum("i,j,ij->", w, w, _plogp(values)))
+        return _entropy(np.asarray(density.pdf(x)), w)
+    return _entropy(np.asarray(density.pdf(x[:, None], x[None, :])), w)
 
 
 def direct_measurement_gain(quad: QuadratureSpec) -> float:
@@ -278,19 +282,14 @@ def direct_measurement_gain(quad: QuadratureSpec) -> float:
     The outcome probabilities are cos^2(theta/2) and sin^2(theta/2); the
     gain is the prior entropy minus the outcome-averaged posterior entropy.
     """
-    prior = prior_theta()
-    p_zero = _integrate_1d(
-        lambda t: _bit_weight(0, t) * prior.pdf(t), quad
+    x, w = quad.nodes()
+    prior = prior_theta().pdf(x)
+    joint_zero, joint_one = (_bit_weight(bit, x) * prior for bit in (0, 1))
+    p_zero = float(np.sum(w * joint_zero))
+    h_after = p_zero * _entropy(joint_zero / p_zero, w) + (1.0 - p_zero) * _entropy(
+        joint_one / (1.0 - p_zero), w
     )
-    posterior_zero = Density1D(pdf=lambda t: _bit_weight(0, t) * prior.pdf(t) / p_zero)
-    posterior_one = Density1D(
-        pdf=lambda t: _bit_weight(1, t) * prior.pdf(t) / (1.0 - p_zero)
-    )
-    h_prior = entropy_bits(prior, quad)
-    h_after = p_zero * entropy_bits(posterior_zero, quad) + (
-        1.0 - p_zero
-    ) * entropy_bits(posterior_one, quad)
-    return h_prior - h_after
+    return _entropy(prior, w) - h_after
 
 
 @dataclass(frozen=True)
@@ -337,41 +336,29 @@ def report_scalars(report: GainReport) -> dict[str, float]:
 
 
 def _gain_report_at(quad: QuadratureSpec, outcome: int, target: int) -> GainReport:
-    prior = prior_theta()
-    prior_2d = Density2D(pdf=lambda t1, t2: prior.pdf(t1) * prior.pdf(t2))
+    x, w = quad.nodes()
+    t1, t2 = x[:, None], x[None, :]
+    prior = prior_theta().pdf
+    outcome_priors, success = _normalizers(quad)
 
-    outcome_priors = tuple(outcome_prior(j, quad) for j in range(4))
-    success = tuple(
-        tuple(average_success_probability(j, a, quad) for a in (1, 2))
-        for j in range(4)
+    # Each joint density is evaluated once on the grid and released as soon
+    # as its marginals and entropy are taken, so one n x n joint is alive
+    # at a time.
+    posterior = encode_posterior(outcome, quad).pdf(t1, t2)
+    encoding_gain = _entropy(prior(t1) * prior(t2), w) - _entropy(posterior, w)
+    h_posterior = _marginal_entropies(posterior, w)
+    del posterior
+    h_success = _marginal_entropies(
+        decode_posterior_success(outcome, target, quad).joint.pdf(t1, t2), w
+    )
+    h_failure = _marginal_entropies(
+        decode_posterior_failure(outcome, target, quad).joint.pdf(t1, t2), w
     )
 
-    posterior = encode_posterior(outcome, quad)
-    encoding_gain = entropy_bits(prior_2d, quad) - entropy_bits(posterior, quad)
-
-    h_prior_1d = entropy_bits(prior, quad)
-    posterior_marginals = {
-        a: marginal_density(posterior, quad, axis=a) for a in (1, 2)
-    }
-    h_posterior_marginal = {
-        a: entropy_bits(posterior_marginals[a], quad) for a in (1, 2)
-    }
-    marginal_encoding = tuple(h_prior_1d - h_posterior_marginal[a] for a in (1, 2))
-
-    success_post = decode_posterior_success(outcome, target, quad)
-    failure_post = decode_posterior_failure(outcome, target, quad)
-    success_marginals = {1: success_post.marginal_q1, 2: success_post.marginal_q2}
-    failure_marginals = {1: failure_post.marginal_q1, 2: failure_post.marginal_q2}
-    decode_gain = tuple(
-        h_posterior_marginal[a] - entropy_bits(success_marginals[a], quad)
-        for a in (1, 2)
-    )
-    failure_gain = tuple(
-        h_posterior_marginal[a] - entropy_bits(failure_marginals[a], quad)
-        for a in (1, 2)
-    )
-
-    direct = direct_measurement_gain(quad)
+    h_prior = _entropy(prior(x), w)
+    marginal_encoding = tuple(h_prior - h for h in h_posterior)
+    decode_gain = tuple(h - h_s for h, h_s in zip(h_posterior, h_success))
+    failure_gain = tuple(h - h_f for h, h_f in zip(h_posterior, h_failure))
     return GainReport(
         nodes_per_axis=quad.nodes_per_axis,
         outcome_prior=outcome_priors,
@@ -380,13 +367,9 @@ def _gain_report_at(quad: QuadratureSpec, outcome: int, target: int) -> GainRepo
         marginal_encoding_gain=marginal_encoding,
         decode_gain=decode_gain,
         failure_gain=failure_gain,
-        direct_gain=direct,
-        success_total=tuple(
-            marginal_encoding[a - 1] + decode_gain[a - 1] for a in (1, 2)
-        ),
-        failure_total=tuple(
-            marginal_encoding[a - 1] + failure_gain[a - 1] for a in (1, 2)
-        ),
+        direct_gain=direct_measurement_gain(quad),
+        success_total=tuple(m + d for m, d in zip(marginal_encoding, decode_gain)),
+        failure_total=tuple(m + f for m, f in zip(marginal_encoding, failure_gain)),
     )
 
 

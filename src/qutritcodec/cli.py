@@ -48,11 +48,17 @@ def _validate_theta(ctx, param, value):
     return value
 
 
+def _validate_phi(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{param.name} must be finite, got {value}")
+    return value
+
+
 def _angle_options(fn):
     for name, callback in (
-        ("--phi2", None),
+        ("--phi2", _validate_phi),
         ("--theta2", _validate_theta),
-        ("--phi1", None),
+        ("--phi1", _validate_phi),
         ("--theta1", _validate_theta),
     ):
         fn = click.option(
@@ -282,16 +288,10 @@ def _mc_rows(
                 "mc",
             )
         )
-    minimum = stats.min_success_fidelity
-    rows.append(
-        make_row(
-            "mc_min_success_fidelity",
-            minimum if minimum is not None else 0.0,
-            1.0,
-            1e-12,
-            "mc",
-        )
-    )
+    # with no successful trial there is no reconstruction to check
+    if stats.min_success_fidelity is not None:
+        rows.append(make_row("mc_min_success_fidelity", stats.min_success_fidelity,
+                             1.0, 1e-12, "mc"))
     return rows
 
 

@@ -191,10 +191,11 @@ def encode_branch(pair: QubitPair, outcome: int) -> tuple[float, PureState | Non
     """
     _check_outcome(outcome)
     c = joint_state(pair).amplitudes
-    probability = (1.0 - abs(c[outcome]) ** 2) / 3.0
-    if probability <= NULL_BRANCH_EPS:
-        return max(probability, 0.0), None
     levels = np.array([c[carried_index(i, outcome)] for i in range(QUTRIT_DIM)])
+    # the survivors' weight: near a pole 1 - |c_j|^2 would lose every digit
+    probability = float(np.vdot(levels, levels).real) / 3.0
+    if probability <= NULL_BRANCH_EPS:
+        return probability, None
     return probability, PureState(levels / math.sqrt(3.0 * probability))
 
 
@@ -286,13 +287,13 @@ def conditional_success_probability(
     """Probability that decoding `target` succeeds, given encoding outcome j.
 
     Closed form: the intact block's share of the surviving register weight,
-    sum_{k in intact block} |c_k|^2 / (1 - |c_j|^2). Raises for degenerate
+    sum_{k in intact block} |c_k|^2 / sum_{k != j} |c_k|^2. Raises for degenerate
     preparations where outcome j cannot occur at all.
     """
     _check_outcome(outcome)
     _check_target(target)
     c = joint_state(pair).amplitudes
-    denominator = 1.0 - abs(c[outcome]) ** 2
+    denominator = sum(abs(c[k]) ** 2 for k in range(REGISTER_DIM) if k != outcome)
     if denominator <= NULL_BRANCH_EPS:
         raise ValueError(
             f"outcome {outcome} cannot occur for this preparation; "

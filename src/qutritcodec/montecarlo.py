@@ -138,8 +138,11 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
 
     rows = np.arange(count)
     block = _INTACT[outcome, target - 1]  # (count, 2) register indices
-    survivor_weight = 1.0 - weights[rows, outcome]
     block_weight = weights[rows, block[:, 0]] + weights[rows, block[:, 1]]
+    # the three surviving weights, not 1 - |c_j|^2, which loses every digit
+    # near a pole; the third survivor differs from j only in the target's
+    # bit, 1 << (target - 1), which equals the target for targets 1 and 2
+    survivor_weight = block_weight + weights[rows, outcome ^ target]
     p_success = block_weight / survivor_weight
     success = u[:, 6] < p_success
 

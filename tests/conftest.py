@@ -1,10 +1,14 @@
-"""Shared helpers: random preparations and the explicit 12-dimensional
-encoding pipeline used as an oracle for the closed-form branch."""
+"""Shared helpers: random and near-pole preparations, the explicit
+12-dimensional encoding pipeline used as an oracle for the closed-form
+branch, and brute-force quadrature used as an oracle for the gain report."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qutritcodec import (
     BlochAngles,
@@ -14,10 +18,13 @@ from qutritcodec import (
     apply_permutation,
     encoding_projector,
     joint_state,
+    outcome_likelihood,
+    prior_theta,
     project,
     relabel_unitary,
     tensor_product,
 )
+from qutritcodec.codec import intact_block, qubit_bit
 
 
 def random_pair(rng: np.random.Generator) -> QubitPair:
@@ -26,6 +33,30 @@ def random_pair(rng: np.random.Generator) -> QubitPair:
     return QubitPair(
         q1=BlochAngles(theta=float(np.arccos(1 - 2 * u[0])), phi=float(2 * np.pi * u[1])),
         q2=BlochAngles(theta=float(np.arccos(1 - 2 * u[2])), phi=float(2 * np.pi * u[3])),
+    )
+
+
+unit_interval = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def near_pole_theta() -> st.SearchStrategy[float]:
+    """Polar angles 1e-9..1e-5 rad from 0 or from pi, log-uniform."""
+    offsets = st.floats(-9.0, -5.0).map(lambda exponent: 10.0**exponent)
+    return st.tuples(offsets, st.booleans()).map(
+        lambda t: math.pi - t[0] if t[1] else t[0]
+    )
+
+
+def near_pole_pairs() -> st.SearchStrategy[QubitPair]:
+    """Qubit 1 near a pole; qubit 2 near a pole, on one, or anywhere."""
+    phi = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    theta2 = st.one_of(
+        near_pole_theta(), st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)
+    )
+    return st.builds(
+        QubitPair,
+        q1=st.builds(BlochAngles, theta=near_pole_theta(), phi=phi),
+        q2=st.builds(BlochAngles, theta=theta2, phi=phi),
     )
 
 
@@ -51,6 +82,93 @@ def phase_aligned_max_diff(a: PureState, b: PureState) -> float:
     overlap = np.vdot(a.amplitudes, b.amplitudes)
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     return float(np.max(np.abs(a.amplitudes - b.amplitudes * np.conj(phase))))
+
+
+def reference_report_scalars(quad, outcome: int, target: int) -> dict[str, float]:
+    """Every scalar of `report_scalars` by brute-force tensor-product quadrature.
+
+    Builds each posterior as a closure over the public prior and likelihood
+    callables, takes every normalizer, marginal and entropy by integrating
+    those closures over the full n x n grid with einsum, and computes the
+    conditional success probability from the register weights directly.
+    """
+    x, w = quad.nodes()
+    grid = (x[:, None], x[None, :])
+    prior = prior_theta().pdf
+
+    def integrate(pdf) -> float:
+        return float(np.einsum("i,j,ij->", w, w, pdf(*grid)))
+
+    def entropy(values: np.ndarray) -> float:
+        plogp = values * np.log2(np.where(values > 0.0, values, 1.0))
+        if values.ndim == 1:
+            return -float(np.sum(w * plogp))
+        return -float(np.einsum("i,j,ij->", w, w, plogp))
+
+    def marginal_entropies(pdf) -> tuple[float, float]:
+        values = pdf(*grid)
+        return entropy(values @ w), entropy(w @ values)
+
+    def bit_weight(bit, theta):
+        return np.cos(theta / 2) ** 2 if bit == 0 else np.sin(theta / 2) ** 2
+
+    def register_weight(k, t1, t2):
+        return bit_weight(qubit_bit(k, 1), t1) * bit_weight(qubit_bit(k, 2), t2)
+
+    def posterior(j):
+        def joint(t1, t2):
+            return outcome_likelihood(j, t1, t2) * prior(t1) * prior(t2)
+
+        mass = integrate(joint)
+        return mass, lambda t1, t2: joint(t1, t2) / mass
+
+    def conditional_success(j, a, t1, t2):
+        block = sum(register_weight(k, t1, t2) for k in intact_block(j, a))
+        return block / (1.0 - register_weight(j, t1, t2))
+
+    scalars: dict[str, float] = {}
+    success = {}
+    for j in range(4):
+        scalars[f"outcome_prior_{j}"], post = posterior(j)
+        for a in (1, 2):
+            success[j, a] = integrate(
+                lambda t1, t2: conditional_success(j, a, t1, t2) * post(t1, t2)
+            )
+            scalars[f"success_probability_j{j}_target{a}"] = success[j, a]
+
+    _, post = posterior(outcome)
+    p_success = success[outcome, target]
+    h_prior = entropy(prior(x))
+    scalars["encoding_gain"] = entropy(prior(grid[0]) * prior(grid[1])) - entropy(
+        post(*grid)
+    )
+    h_post = marginal_entropies(post)
+    h_success = marginal_entropies(
+        lambda t1, t2: conditional_success(outcome, target, t1, t2)
+        * post(t1, t2) / p_success
+    )
+    h_failure = marginal_entropies(
+        lambda t1, t2: (1.0 - conditional_success(outcome, target, t1, t2))
+        * post(t1, t2) / (1.0 - p_success)
+    )
+    for a in (1, 2):
+        marginal = h_prior - h_post[a - 1]
+        decode = h_post[a - 1] - h_success[a - 1]
+        failure = h_post[a - 1] - h_failure[a - 1]
+        scalars[f"marginal_encoding_gain_q{a}"] = marginal
+        scalars[f"decode_gain_q{a}"] = decode
+        scalars[f"failure_gain_q{a}"] = failure
+        scalars[f"success_total_q{a}"] = marginal + decode
+        scalars[f"failure_total_q{a}"] = marginal + failure
+
+    joint_zero = bit_weight(0, x) * prior(x)
+    p_zero = float(np.sum(w * joint_zero))
+    joint_one = bit_weight(1, x) * prior(x)
+    scalars["direct_gain"] = h_prior - (
+        p_zero * entropy(joint_zero / p_zero)
+        + (1.0 - p_zero) * entropy(joint_one / (1.0 - p_zero))
+    )
+    return scalars
 
 
 @pytest.fixture

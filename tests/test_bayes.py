@@ -26,7 +26,7 @@ from qutritcodec import (
     prior_theta,
     report_scalars,
 )
-from conftest import random_pair
+from conftest import random_pair, reference_report_scalars
 
 QUAD = QuadratureSpec(nodes_per_axis=64)
 GRID = np.linspace(0.0, math.pi, 32)
@@ -311,3 +311,18 @@ class TestConvergenceGate:
         monkeypatch.setattr(bayes, "_gain_report_at", drifting)
         with pytest.raises(ConvergenceError, match="encoding_gain"):
             gain_report(QuadratureSpec(64))
+
+
+@pytest.mark.parametrize(
+    "nodes, outcome, target",
+    [(64, j, a) for j in range(4) for a in (1, 2)] + [(256, 0, 1)],
+)
+def test_report_matches_brute_force_quadrature(nodes, outcome, target):
+    quad = QuadratureSpec(nodes)
+    computed = report_scalars(
+        gain_report(quad, outcome, target, check_convergence=False)
+    )
+    reference = reference_report_scalars(quad, outcome, target)
+    assert computed.keys() == reference.keys()
+    for name, value in reference.items():
+        assert abs(computed[name] - value) <= 1e-13, name

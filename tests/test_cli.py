@@ -7,10 +7,13 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qutritcodec.bayes as bayes
 import qutritcodec.cli as cli_module
 from qutritcodec.cli import main
+from conftest import near_pole_pairs
 
 HALF_PI = repr(math.pi / 2)
 PI = repr(math.pi)
@@ -102,6 +105,57 @@ class TestDecode:
     def test_requires_outcome_and_target(self, runner):
         assert runner.invoke(main, ["decode", "--target", "1"]).exit_code == 2
         assert runner.invoke(main, ["decode", "--outcome", "1"]).exit_code == 2
+
+
+def _angle_args(pair) -> list[str]:
+    return [
+        "--theta1", repr(pair.q1.theta), "--phi1", repr(pair.q1.phi),
+        "--theta2", repr(pair.q2.theta), "--phi2", repr(pair.q2.phi),
+    ]
+
+
+class TestNearPolePreparations:
+    @given(pair=near_pole_pairs(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_demo_and_encode_give_documents(self, pair, seed):
+        for command in ("demo", "encode"):
+            result = CliRunner().invoke(
+                main, [command, *_angle_args(pair), "--seed", str(seed)]
+            )
+            assert result.exit_code == 0, result.output
+            trace = json.loads(result.output)["trace"]
+            assert sum(trace["outcome_probabilities"]) == pytest.approx(1, abs=1e-11)
+
+    @given(
+        pair=near_pole_pairs(),
+        outcome=st.integers(0, 3),
+        target=st.integers(1, 2),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_decode_gives_a_document_or_a_usage_error(self, pair, outcome, target, seed):
+        result = CliRunner().invoke(
+            main,
+            ["decode", *_angle_args(pair), "--outcome", str(outcome),
+             "--target", str(target), "--seed", str(seed)],
+        )
+        if result.exit_code == 2:
+            assert "cannot occur" in result.output
+            return
+        assert result.exit_code == 0, result.output
+        trace = json.loads(result.output)["trace"]
+        if trace["success"]:
+            assert trace["fidelity"] >= 1 - 1e-11
+
+
+@pytest.mark.parametrize("command", ["demo", "encode", "decode"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("option", ["--phi1", "--phi2"])
+def test_non_finite_phase_is_a_usage_error(runner, command, value, option):
+    extra = ["--outcome", "1", "--target", "1"] if command == "decode" else []
+    result = runner.invoke(main, [command, option, value, *extra])
+    assert result.exit_code == 2
+    assert "must be finite" in result.output
 
 
 class TestMc:
@@ -222,6 +276,17 @@ class TestVerify:
 
     def test_rejects_too_few_nodes(self, runner):
         assert runner.invoke(main, ["verify", "--nodes", "8"]).exit_code == 2
+
+    @pytest.mark.parametrize("command", ["mc", "verify"])
+    def test_no_fidelity_row_when_no_trial_succeeds(self, runner, command):
+        # the single trial of seed 5 fails to decode
+        result = runner.invoke(
+            main, [command, "--trials", "1", "--seed", "5", "--nodes", "64"]
+        )
+        assert result.exit_code == 0
+        rows = {row["name"]: row for row in json.loads(result.output)["rows"]}
+        assert rows["mc_success_rate"]["computed"] == 0.0
+        assert "mc_min_success_fidelity" not in rows
 
 
 class TestFormatsAndOutput:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qutritcodec import (
     BlochAngles,
@@ -28,8 +29,14 @@ from qutritcodec import (
     relabel_unitary,
     tensor_product,
 )
-from qutritcodec.states import DiagonalProjector
-from conftest import phase_aligned_max_diff, pipeline_encode, random_pair
+from qutritcodec.states import NULL_BRANCH_EPS, DiagonalProjector
+from conftest import (
+    near_pole_pairs,
+    phase_aligned_max_diff,
+    pipeline_encode,
+    random_pair,
+    unit_interval,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -313,6 +320,32 @@ def test_round_trip_reconstructs_the_chosen_qubit(rng):
         original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
         assert fidelity(reconstructed, original) >= 1 - 1e-12
         collected += 1
+
+
+@given(near_pole_pairs(), unit_interval, unit_interval)
+@settings(max_examples=200, deadline=None)
+def test_near_pole_preparations_encode_and_decode_exactly(pair, u_encode, u_decode):
+    # |c_j| is within rounding of 1 for one branch here, so its weight must
+    # come from the surviving amplitudes, not from 1 - |c_j|^2
+    for j in range(4):
+        probability, qutrit = encode_branch(pair, j)
+        expected_probability, expected = pipeline_encode(pair, j)
+        assert probability == pytest.approx(expected_probability, rel=1e-12, abs=0)
+        if qutrit is None or expected is None:
+            assert probability <= 2 * NULL_BRANCH_EPS
+            continue
+        assert phase_aligned_max_diff(qutrit, expected) <= 1e-12
+        for target in (1, 2):
+            p_success, _, _ = decode_branch(qutrit, j, target)
+            closed = conditional_success_probability(pair, j, target)
+            assert closed == pytest.approx(p_success, abs=1e-12)
+
+    record = encode(pair, u_encode)
+    for target in (1, 2):
+        result = decode(record.qutrit, record.outcome, target, u_decode)
+        if result.success:
+            original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
+            assert fidelity(result.reconstructed, original) >= 1 - 1e-12
 
 
 class TestRecords:

@@ -6,19 +6,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qutritcodec import (
     TrialConfig,
     TrialStats,
+    conditional_success_probability,
     decode,
     encode,
+    encode_branch,
     fidelity,
     make_qubit_state,
     run_trials,
     sample_bloch,
 )
 from qutritcodec.codec import QubitPair, intact_block, qubit_bit
-from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, trial_uniforms
+from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, _run_chunk, trial_uniforms
+from qutritcodec.states import NULL_BRANCH_EPS
+from conftest import near_pole_theta, unit_interval
 
 
 class TestSampleBloch:
@@ -115,6 +121,40 @@ class TestAgainstScalarPipeline:
             assert stats.min_success_fidelity == pytest.approx(min_fidelity, abs=1e-12)
 
 
+@given(
+    theta1=near_pole_theta(),
+    theta2=st.one_of(near_pole_theta(), st.floats(0.0, math.pi)),
+    phases=st.tuples(unit_interval, unit_interval),
+    # 0 selects the lowest-index outcome with nonzero weight, which near a
+    # pole is the branch whose survivors are all tiny
+    u_encode=st.one_of(st.just(0.0), unit_interval),
+    u_target=unit_interval,
+    below=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_kernel_decodes_near_pole_trials_like_the_closed_form(
+    theta1, theta2, phases, u_encode, u_target, below
+):
+    u = np.array([[
+        math.sin(theta1 / 2) ** 2, phases[0], math.sin(theta2 / 2) ** 2, phases[1],
+        u_encode, u_target, 0.0, 0.0,
+    ]])
+    (outcome,) = np.flatnonzero(_run_chunk(u, 0, "random")[0])
+    target = 1 if u_target < 0.5 else 2
+    pair = QubitPair(q1=sample_bloch(u[0, 0], u[0, 1]), q2=sample_bloch(u[0, 2], u[0, 3]))
+    # the kernel samples from 1 - |c_j|^2 and may realize a branch whose
+    # survivors sum to rounding noise; the scalar codec calls it impossible
+    assume(encode_branch(pair, int(outcome))[0] > NULL_BRANCH_EPS)
+    p_success = conditional_success_probability(pair, int(outcome), target)
+
+    # decode just below or just above the closed-form success probability
+    above = p_success * (1 + 1e-9)
+    u[0, 6] = p_success * (1 - 1e-9) if below or above >= 1.0 else above
+    _, successes, fidelities = _run_chunk(u, 0, "random")
+    assert successes == (u[0, 6] < p_success)
+    assert np.all(fidelities >= 1 - 1e-12)
+
+
 @pytest.fixture(scope="module")
 def stats() -> TrialStats:
     return run_trials(TrialConfig(trials=100_000, master_seed=0))
@@ -166,3 +206,11 @@ def test_intact_block_rows_put_the_low_target_bit_first():
             block = intact_block(outcome, target)
             assert qubit_bit(block[0], target) == 0
             assert qubit_bit(block[1], target) == 1
+
+
+def test_the_third_survivor_differs_from_the_outcome_in_the_target_bit():
+    # the kernel relies on this to find the survivor outside the intact block
+    for outcome in range(4):
+        for target in (1, 2):
+            kept = {outcome ^ target, *intact_block(outcome, target)}
+            assert kept == set(range(4)) - {outcome}
