@@ -12,9 +12,9 @@ execution reproduces the same trials bit for bit. Slot layout per trial:
     6     decode success/failure sample
     7     reserved (keeps trials aligned to whole Philox blocks)
 
-The per-trial mathematics below is a vectorized transcription of the
-scalar codec operations; the test suite checks the two paths trial by
-trial against each other.
+Statistics use only real products of the exact per-qubit weights 1 - u
+and u; fidelity goes through the decode level map, apart from the
+intact-block table that decides success.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import intact_block
+from .codec import carried_index, decode_projectors, intact_block, qubit_bit
 from .states import BlochAngles
 
 UNIFORMS_PER_TRIAL = 8
@@ -33,6 +33,9 @@ _BLOCKS_PER_TRIAL = UNIFORMS_PER_TRIAL // 4  # Philox yields 4 values per block
 TARGET_POLICIES = ("always-1", "always-2", "alternate", "random")
 
 _MAX_SEED = 2**64 - 1
+# trials per kernel call: 64 KiB float arrays, below glibc's smallest mmap
+# threshold, are reused from the heap and stay in cache, not faulted in anew
+_KERNEL_TRIALS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,11 @@ class TrialStats:
 def sample_bloch(u1: float, u2: float) -> BlochAngles:
     """Angles of a uniformly random qubit by inverse CDF.
 
-    theta = arccos(1 - 2 u1) realizes the (1/2) sin(theta) polar density
-    exactly and branch-free; phi is uniform on [0, 2 pi).
+    sin^2(theta/2) = u1 gives the (1/2) sin(theta) polar density, and the
+    half-angle arctangent keeps it to rounding at both poles; phi = 2 pi u2.
     """
-    return BlochAngles(theta=math.acos(1.0 - 2.0 * u1), phi=2.0 * math.pi * u2)
+    half = math.atan2(math.sqrt(u1), math.sqrt(1.0 - u1))
+    return BlochAngles(theta=2.0 * half, phi=2.0 * math.pi * u2)
 
 
 def trial_uniforms(master_seed: int, start: int, count: int) -> np.ndarray:
@@ -99,70 +103,68 @@ def _targets(policy: str, start: int, count: int, u_target: np.ndarray) -> np.nd
     return np.where(u_target < 0.5, 1, 2)
 
 
-# intact register-index blocks as an array lookup: [outcome, target - 1].
-# Blocks are ascending pairs whose members differ only in the target bit,
-# so the first entry always carries target bit 0 (checked by the tests).
-_INTACT = np.array(
-    [[intact_block(j, a) for a in (1, 2)] for j in range(4)], dtype=np.int64
+def _decoded_indices(outcome: int, target: int) -> list[int]:
+    """Register indices that decode_branch reads as logical |0> and |1>."""
+    levels = decode_projectors(outcome, target)[0].indices
+    carried = [carried_index(level, outcome) for level in levels]
+    return sorted(carried, key=lambda k: qubit_bit(k, target))
+
+
+# [outcome, target - 1] -> a pair of register indices: the intact block,
+# whose weight decides success, and the decode level map (logical |0>, |1>)
+_INTACT, _LEVELS = (
+    np.array([[pair(j, a) for a in (1, 2)] for j in range(4)], dtype=np.int64)
+    for pair in (intact_block, _decoded_indices)
 )
 
 
 def _run_chunk(u: np.ndarray, start: int, policy: str):
     """Vectorized encode/decode for one slab of trial uniforms."""
     count = u.shape[0]
-    theta1 = np.arccos(1.0 - 2.0 * u[:, 0])
-    phi1 = 2.0 * np.pi * u[:, 1]
-    theta2 = np.arccos(1.0 - 2.0 * u[:, 2])
-    phi2 = 2.0 * np.pi * u[:, 3]
+    factors = np.empty((2, 2, count))  # [qubit - 1, bit]: (1 - u, u)
+    factors[:, 1] = u[:, 0:3:2].T
+    np.subtract(1.0, factors[:, 1], out=factors[:, 0])
+    # |c_k|^2 for k = b1 + 2*b2, laid out [b2, b1]
+    weights = factors[1][:, None] * factors[0]
+    # each outcome's survivors as a sum of nonnegative terms: its partner in
+    # the same qubit-2 pair plus the other pair
+    survivors = (weights[:, ::-1] + weights.sum(axis=1)[::-1, None]).reshape(4, count)
 
-    qubit1 = np.stack(
-        [np.cos(theta1 / 2), np.exp(1j * phi1) * np.sin(theta1 / 2)], axis=1
-    )
-    qubit2 = np.stack(
-        [np.cos(theta2 / 2), np.exp(1j * phi2) * np.sin(theta2 / 2)], axis=1
-    )
-    register = np.empty((count, 4), dtype=np.complex128)
-    for k in range(4):
-        register[:, k] = qubit1[:, k & 1] * qubit2[:, (k >> 1) & 1]
-
-    weights = np.abs(register) ** 2
-    probabilities = (1.0 - weights) / 3.0
-    cumulative = np.cumsum(probabilities, axis=1)
-    u_encode = u[:, 4]
-    outcome = (cumulative > u_encode[:, None]).argmax(axis=1)
-    # rounding can leave the cumulative total just below u; those trials
-    # take the last outcome, mirroring the scalar sampler's fallback
-    outcome = np.where(cumulative[:, 3] > u_encode, outcome, 3)
+    cumulative = survivors[:3] / 3.0
+    cumulative[1] += cumulative[0]
+    cumulative[2] += cumulative[1]
+    # the first outcome whose cumulative weight exceeds u; an outcome with
+    # no surviving weight adds nothing to the cumulative and is never chosen
+    outcome = np.count_nonzero(cumulative <= u[:, 4], axis=0)
 
     target = _targets(policy, start, count, u[:, 5])
 
+    # a table's [outcome, target - 1] is row `key` of its (8, 2) reshape;
+    # register index k of trial t sits at k * count + t in weights and survivors
+    key = 2 * outcome + target - 1
     rows = np.arange(count)
-    block = _INTACT[outcome, target - 1]  # (count, 2) register indices
-    block_weight = weights[rows, block[:, 0]] + weights[rows, block[:, 1]]
-    # the three surviving weights, not 1 - |c_j|^2, which loses every digit
-    # near a pole; the third survivor differs from j only in the target's
-    # bit, 1 << (target - 1), which equals the target for targets 1 and 2
-    survivor_weight = block_weight + weights[rows, outcome ^ target]
-    p_success = block_weight / survivor_weight
-    success = u[:, 6] < p_success
+    flat_w = weights.ravel()
+    lo, hi = np.take(_INTACT.reshape(8, 2), key, axis=0).T * count + rows
+    block_weight = flat_w[lo] + flat_w[hi]
+    success = u[:, 6] < block_weight / survivors.ravel()[outcome * count + rows]
 
-    # Reconstructed qubit on success: the intact block's amplitudes share
-    # the other qubit's factor, so after normalization they reproduce the
-    # target qubit exactly; compute the fidelity honestly anyway.
-    amp_low = register[rows, block[:, 0]]
-    amp_high = register[rows, block[:, 1]]
-    norm = np.sqrt(np.abs(amp_low) ** 2 + np.abs(amp_high) ** 2)
-    safe_norm = np.where(norm > 0.0, norm, 1.0)
-    target_state = np.where((target == 1)[:, None], qubit1, qubit2)
-    overlap = (
-        np.conj(target_state[:, 0]) * amp_low
-        + np.conj(target_state[:, 1]) * amp_high
-    ) / safe_norm
-    fidelity = np.abs(overlap) ** 2
+    # Fidelity with the target qubit, in closed form on the amplitudes that
+    # the decode level map puts on logical |0> and |1>
+    won = np.flatnonzero(success)
+    lo, hi = np.take(_LEVELS.reshape(8, 2), key[won], axis=0).T
+    w_lo, w_hi = flat_w[lo * count + won], flat_w[hi * count + won]
+    slot = UNIFORMS_PER_TRIAL * won
+    polar_slot = slot + 2 * target[won] - 2  # the target's azimuth follows
+    polar, azimuth, turns1, turns2 = (
+        u.ravel()[at] for at in (polar_slot, polar_slot + 1, slot + 1, slot + 3)
+    )
+    # register index k = b1 + 2*b2 carries the phase turns1 * b1 + turns2 * b2
+    delta = turns1 * ((hi & 1) - (lo & 1)) + turns2 * ((hi >> 1) - (lo >> 1)) - azimuth
+    cross = np.sqrt((1.0 - polar) * polar * w_lo * w_hi) * np.cos(2.0 * np.pi * delta)
+    fidelity = ((1.0 - polar) * w_lo + polar * w_hi + 2.0 * cross) / (w_lo + w_hi)
 
     counts = np.bincount(outcome, minlength=4)
-    success_fidelities = fidelity[success]
-    return counts, int(success.sum()), success_fidelities
+    return counts, won.size, fidelity
 
 
 def run_trials(config: TrialConfig, chunk_size: int = 1 << 17) -> TrialStats:
@@ -176,27 +178,25 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 17) -> TrialStats:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     counts = np.zeros(4, dtype=np.int64)
     success_count = 0
-    min_fidelity: float | None = None
+    block_minima = []  # of the fidelities of successful trials
     for start in range(0, config.trials, chunk_size):
         count = min(chunk_size, config.trials - start)
         u = trial_uniforms(config.master_seed, start, count)
-        chunk_counts, chunk_success, success_fidelities = _run_chunk(
-            u, start, config.target_policy
-        )
-        counts += chunk_counts
-        success_count += chunk_success
-        if success_fidelities.size:
-            chunk_min = float(success_fidelities.min())
-            min_fidelity = (
-                chunk_min if min_fidelity is None else min(min_fidelity, chunk_min)
+        for offset in range(0, count, _KERNEL_TRIALS):
+            block_counts, block_success, success_fidelities = _run_chunk(
+                u[offset : offset + _KERNEL_TRIALS], start + offset, config.target_policy
             )
+            counts += block_counts
+            success_count += block_success
+            if success_fidelities.size:
+                block_minima.append(float(success_fidelities.min()))
     rate = success_count / config.trials
     return TrialStats(
         trials=config.trials,
         outcome_counts=tuple(int(c) for c in counts),
         success_count=success_count,
         failure_count=config.trials - success_count,
-        min_success_fidelity=min_fidelity,
+        min_success_fidelity=min(block_minima) if block_minima else None,
         mean_success_rate=rate,
         standard_error=math.sqrt(rate * (1.0 - rate) / config.trials),
     )

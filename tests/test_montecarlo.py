@@ -3,28 +3,28 @@
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutritcodec import (
     TrialConfig,
     TrialStats,
-    conditional_success_probability,
     decode,
     encode,
-    encode_branch,
     fidelity,
     make_qubit_state,
     run_trials,
     sample_bloch,
 )
 from qutritcodec.codec import QubitPair, intact_block, qubit_bit
+from qutritcodec import montecarlo
 from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, _run_chunk, trial_uniforms
-from qutritcodec.states import NULL_BRANCH_EPS
-from conftest import near_pole_theta, unit_interval
+from conftest import unit_interval
 
 
 class TestSampleBloch:
@@ -36,14 +36,14 @@ class TestSampleBloch:
         assert sample_bloch(0.0, 0.25).phi == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_polar_mean_on_a_stratified_grid(self):
-        grid = (np.arange(1_000_000) + 0.5) / 1_000_000
-        mean_cos = np.mean(np.cos(np.arccos(1 - 2 * grid)))
+        grid = (np.arange(10_000) + 0.5) / 10_000
+        mean_cos = np.mean([math.cos(sample_bloch(float(u), 0.0).theta) for u in grid])
         assert abs(mean_cos) <= 2e-3
-        # the vectorized formula is the scalar sampler's formula
-        for u in grid[::100_003]:
-            assert sample_bloch(float(u), 0.0).theta == pytest.approx(
-                math.acos(1 - 2 * u), abs=0
-            )
+        # the kernel weighs qubits by sin^2(theta/2) = u exactly; the sampler
+        # keeps that identity to a few ulps, also at the smallest uniforms
+        for u in [*grid[::1009], *(k * 2.0**-53 for k in range(1, 65)), 1e-13]:
+            half = sample_bloch(float(u), 0.0).theta / 2
+            assert math.sin(half) ** 2 == pytest.approx(u, rel=4 * sys.float_info.epsilon, abs=0)
 
 
 class TestTrialUniforms:
@@ -70,8 +70,11 @@ class TestDeterminism:
         assert run_trials(config) == run_trials(config)
 
     def test_chunk_size_does_not_matter(self):
-        config = TrialConfig(trials=10_000, master_seed=5, target_policy="alternate")
-        assert run_trials(config, chunk_size=999) == run_trials(config, chunk_size=4096)
+        # the default chunk spans several kernel calls and ends in a short one
+        config = TrialConfig(trials=20_000, master_seed=5, target_policy="alternate")
+        stats = run_trials(config)
+        assert run_trials(config, chunk_size=999) == stats
+        assert run_trials(config, chunk_size=4096) == stats
 
     def test_single_trial(self):
         config = TrialConfig(trials=1, master_seed=0)
@@ -121,9 +124,31 @@ class TestAgainstScalarPipeline:
             assert stats.min_success_fidelity == pytest.approx(min_fidelity, abs=1e-12)
 
 
+def exact_weights(polar1: float, polar2: float) -> list[Fraction]:
+    """|c_k|^2 as exact rationals of the kernel's two polar uniforms."""
+    qubit1 = (1 - Fraction(polar1), Fraction(polar1))
+    qubit2 = (1 - Fraction(polar2), Fraction(polar2))
+    return [qubit1[k & 1] * qubit2[k >> 1] for k in range(4)]
+
+
+# the generator's uniforms are multiples of 2**-53, so register weights
+# never fall below the normal range, where products would lose digits
+generated_uniform = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+_ULPS = st.integers(1, 64).map(lambda k: k * 2.0**-53)
+# polar uniforms at and near both poles: 0, the extreme doubles k * 2**-53
+# and 1 - k * 2**-53, and log-uniform distances from either pole
+near_pole_uniform = st.one_of(
+    st.just(0.0),
+    _ULPS,
+    _ULPS.map(lambda x: 1.0 - x),
+    st.floats(-19.0, -5.0).map(lambda e: 10.0**e),
+    st.floats(-15.0, -5.0).map(lambda e: 1.0 - 10.0**e),
+)
+
+
 @given(
-    theta1=near_pole_theta(),
-    theta2=st.one_of(near_pole_theta(), st.floats(0.0, math.pi)),
+    polar1=near_pole_uniform,
+    polar2=st.one_of(near_pole_uniform, generated_uniform),
     phases=st.tuples(unit_interval, unit_interval),
     # 0 selects the lowest-index outcome with nonzero weight, which near a
     # pole is the branch whose survivors are all tiny
@@ -133,19 +158,16 @@ class TestAgainstScalarPipeline:
 )
 @settings(max_examples=300, deadline=None)
 def test_kernel_decodes_near_pole_trials_like_the_closed_form(
-    theta1, theta2, phases, u_encode, u_target, below
+    polar1, polar2, phases, u_encode, u_target, below
 ):
-    u = np.array([[
-        math.sin(theta1 / 2) ** 2, phases[0], math.sin(theta2 / 2) ** 2, phases[1],
-        u_encode, u_target, 0.0, 0.0,
-    ]])
+    u = np.array([[polar1, phases[0], polar2, phases[1], u_encode, u_target, 0.0, 0.0]])
     (outcome,) = np.flatnonzero(_run_chunk(u, 0, "random")[0])
     target = 1 if u_target < 0.5 else 2
-    pair = QubitPair(q1=sample_bloch(u[0, 0], u[0, 1]), q2=sample_bloch(u[0, 2], u[0, 3]))
-    # the kernel samples from 1 - |c_j|^2 and may realize a branch whose
-    # survivors sum to rounding noise; the scalar codec calls it impossible
-    assume(encode_branch(pair, int(outcome))[0] > NULL_BRANCH_EPS)
-    p_success = conditional_success_probability(pair, int(outcome), target)
+    weights = exact_weights(polar1, polar2)
+    survivors = sum(weights[k] for k in range(4) if k != outcome)
+    # sampling from the survivors' weights never realizes an empty branch
+    assert survivors > 0
+    p_success = float(sum(weights[k] for k in intact_block(outcome, target)) / survivors)
 
     # decode just below or just above the closed-form success probability
     above = p_success * (1 + 1e-9)
@@ -153,6 +175,42 @@ def test_kernel_decodes_near_pole_trials_like_the_closed_form(
     _, successes, fidelities = _run_chunk(u, 0, "random")
     assert successes == (u[0, 6] < p_success)
     assert np.all(fidelities >= 1 - 1e-12)
+
+
+@pytest.mark.parametrize("outcome, target", [(j, a) for j in range(4) for a in (1, 2)])
+def test_fidelity_row_catches_a_swapped_decode_level(monkeypatch, outcome, target):
+    config = TrialConfig(20_000, 0, f"always-{target}")
+    assert run_trials(config).min_success_fidelity >= 1 - 1e-12
+    swapped = montecarlo._LEVELS.copy()
+    swapped[outcome, target - 1] = swapped[outcome, target - 1, ::-1]
+    monkeypatch.setattr(montecarlo, "_LEVELS", swapped)
+    assert run_trials(config).min_success_fidelity < 1 - 1e-12
+
+
+# run_trials(10**6) counts recorded with a complex-amplitude kernel that
+# built every trial's register state; outcome counts do not depend on the
+# target, success counts do
+PINNED_OUTCOMES = {
+    0: (249088, 251049, 249952, 249911),
+    20260: (249578, 250372, 250163, 249887),
+}
+PINNED_SUCCESSES = {
+    (0, "always-1"): 666293,
+    (0, "always-2"): 665966,
+    (0, "alternate"): 665904,
+    (0, "random"): 666271,
+    (20260, "always-1"): 666825,
+    (20260, "always-2"): 667014,
+    (20260, "alternate"): 666648,
+    (20260, "random"): 667024,
+}
+
+
+@pytest.mark.parametrize("seed, policy", sorted(PINNED_SUCCESSES))
+def test_counts_are_pinned_for_a_given_seed(seed, policy):
+    stats = run_trials(TrialConfig(10**6, seed, policy))
+    assert stats.outcome_counts == PINNED_OUTCOMES[seed]
+    assert stats.success_count == PINNED_SUCCESSES[seed, policy]
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +267,8 @@ def test_intact_block_rows_put_the_low_target_bit_first():
 
 
 def test_the_third_survivor_differs_from_the_outcome_in_the_target_bit():
-    # the kernel relies on this to find the survivor outside the intact block
+    # for target 1 this is the kernel's survivor sum: the partner j ^ 1 plus
+    # the other qubit-2 pair
     for outcome in range(4):
         for target in (1, 2):
             kept = {outcome ^ target, *intact_block(outcome, target)}
