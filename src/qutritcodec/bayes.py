@@ -9,10 +9,13 @@ bits with the 0 * log 0 = 0 convention at density zeros.
 
 Every posterior is the prior times the register weight sum_k |c_k|^2 of
 some kept indices, and each |c_k|^2 is a product of per-qubit factors
-cos^2(theta/2) or sin^2(theta/2). Normalizers (outcome priors, average
-success probabilities) are therefore products of 1-D sums. A gain report
-evaluates each joint density once, as an n x n array on the grid, and takes
-marginals (joint @ w, w @ joint) and entropies from reductions of it.
+cos^2(theta/2) or sin^2(theta/2). With the per-bit densities
+d[bit](theta) = (bit factor) * prior(theta), such a posterior is a sum of
+products d[b1(k)](theta1) d[b2(k)](theta2), so its normalizer (outcome
+priors, average success probabilities) and both of its marginals are 1-D
+sums. A gain report therefore builds a single n x n array, the encode
+posterior d.T @ K @ d for the 2 x 2 mask K of surviving indices, whose
+joint entropy is the only quantity that does not separate.
 
 Gain conventions: the "encoding gain" compares the joint prior with the
 posterior after observing an encoding outcome; marginal gains do the same
@@ -121,6 +124,38 @@ def _register_weight(index: int, theta1, theta2) -> np.ndarray:
     )
 
 
+def _bit_densities(theta) -> np.ndarray:
+    """Rows d[bit] = (squared amplitude of bit) * prior at the given angles."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    prior = prior_theta().pdf(theta)
+    return np.stack([_bit_weight(bit, theta) * prior for bit in (0, 1)])
+
+
+def _bit_masses(quad: QuadratureSpec) -> tuple[float, float]:
+    """Prior mass of cos^2(theta/2) and sin^2(theta/2), as 1-D sums."""
+    x, w = quad.nodes()
+    return tuple(float(np.sum(w * density)) for density in _bit_densities(x))
+
+
+def _kept_mass(kept, bit_mass) -> float:
+    """Prior mass of sum_{k in kept} |c_k|^2, a sum of products of bit masses."""
+    return sum(bit_mass[qubit_bit(k, 1)] * bit_mass[qubit_bit(k, 2)] for k in kept)
+
+
+def _kept_marginal(kept, qubit: int, densities: np.ndarray, bit_mass) -> np.ndarray:
+    """`qubit` marginal of the prior times the kept weight, normalized.
+
+    Integrating the other qubit out of d[b1(k)] d[b2(k)] leaves that
+    qubit's bit mass, so the marginal is sum_k d[b_qubit(k)] * mass[b_other(k)]
+    over the kept mass; `densities` may be taken at any angles.
+    """
+    other = 3 - qubit
+    marginal = sum(
+        densities[qubit_bit(k, qubit)] * bit_mass[qubit_bit(k, other)] for k in kept
+    )
+    return marginal / _kept_mass(kept, bit_mass)
+
+
 def outcome_likelihood(outcome: int, theta1, theta2):
     """Probability of encoding outcome j given the preparation angles.
 
@@ -137,31 +172,19 @@ def _survivors(outcome: int) -> tuple[int, ...]:
     return tuple(k for k in range(4) if k != outcome)
 
 
-def _register_masses(quad: QuadratureSpec) -> list[float]:
-    """Prior mass of |c_k|^2 for each register index k.
-
-    |c_k|^2 is a product of per-qubit factors, so each mass is a product of
-    two 1-D sums; it equals the tensor-product rule up to rounding.
-    """
-    x, w = quad.nodes()
-    prior = prior_theta().pdf(x)
-    bit_mass = [float(np.sum(w * (_bit_weight(bit, x) * prior))) for bit in (0, 1)]
-    return [bit_mass[qubit_bit(k, 1)] * bit_mass[qubit_bit(k, 2)] for k in range(4)]
-
-
 def _normalizers(quad: QuadratureSpec) -> tuple[tuple, tuple]:
     """Outcome priors [j] and average success probabilities [j][target - 1].
 
     Outcome j has likelihood (1 - |c_j|^2) / 3, the survivors' weight over
     3, and given j decoding succeeds with the intact block's share of the
-    survivors' weight, so both are ratios of register masses.
+    survivors' weight, so both are ratios of kept masses.
     """
-    masses = _register_masses(quad)
-    survivor_mass = [sum(masses[k] for k in _survivors(j)) for j in range(4)]
+    bit_mass = _bit_masses(quad)
+    survivor_mass = [_kept_mass(_survivors(j), bit_mass) for j in range(4)]
     priors = tuple(mass / 3.0 for mass in survivor_mass)
     success = tuple(
         tuple(
-            sum(masses[k] for k in intact_block(j, a)) / survivor_mass[j]
+            _kept_mass(intact_block(j, a), bit_mass) / survivor_mass[j]
             for a in (1, 2)
         )
         for j in range(4)
@@ -188,8 +211,7 @@ def _posterior(kept, quad: QuadratureSpec) -> Density2D:
     single index outside that block and j. Constant factors such as the 1/3
     of the likelihood cancel in the normalization.
     """
-    masses = _register_masses(quad)
-    mass = sum(masses[k] for k in kept)
+    mass = _kept_mass(kept, _bit_masses(quad))
     prior = prior_theta().pdf
 
     def pdf(theta1, theta2):
@@ -222,11 +244,16 @@ def marginal_density(density: Density2D, quad: QuadratureSpec, axis: int) -> Den
 
 
 def _posterior_with_marginals(kept, quad: QuadratureSpec) -> Posterior2D:
-    joint = _posterior(kept, quad)
+    bit_mass = _bit_masses(quad)
+
+    def marginal(qubit: int) -> Density1D:
+        def pdf(theta):
+            return _kept_marginal(kept, qubit, _bit_densities(theta), bit_mass)
+
+        return Density1D(pdf=pdf)
+
     return Posterior2D(
-        joint=joint,
-        marginal_q1=marginal_density(joint, quad, axis=1),
-        marginal_q2=marginal_density(joint, quad, axis=2),
+        joint=_posterior(kept, quad), marginal_q1=marginal(1), marginal_q2=marginal(2)
     )
 
 
@@ -263,11 +290,6 @@ def _entropy(values: np.ndarray, w: np.ndarray) -> float:
     return float(-np.einsum("i,j,ij->", w, w, _plogp(values)))
 
 
-def _marginal_entropies(joint: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Entropies of the theta1 and theta2 marginals of a joint on the grid."""
-    return _entropy(joint @ w, w), _entropy(w @ joint, w)
-
-
 def entropy_bits(density: Density1D | Density2D, quad: QuadratureSpec) -> float:
     """Differential entropy -integral p log2 p, in bits (may be negative)."""
     x, w = quad.nodes()
@@ -283,13 +305,12 @@ def direct_measurement_gain(quad: QuadratureSpec) -> float:
     gain is the prior entropy minus the outcome-averaged posterior entropy.
     """
     x, w = quad.nodes()
-    prior = prior_theta().pdf(x)
-    joint_zero, joint_one = (_bit_weight(bit, x) * prior for bit in (0, 1))
+    joint_zero, joint_one = _bit_densities(x)
     p_zero = float(np.sum(w * joint_zero))
     h_after = p_zero * _entropy(joint_zero / p_zero, w) + (1.0 - p_zero) * _entropy(
         joint_one / (1.0 - p_zero), w
     )
-    return _entropy(prior, w) - h_after
+    return _entropy(prior_theta().pdf(x), w) - h_after
 
 
 @dataclass(frozen=True)
@@ -337,25 +358,29 @@ def report_scalars(report: GainReport) -> dict[str, float]:
 
 def _gain_report_at(quad: QuadratureSpec, outcome: int, target: int) -> GainReport:
     x, w = quad.nodes()
-    t1, t2 = x[:, None], x[None, :]
-    prior = prior_theta().pdf
+    densities = _bit_densities(x)
+    bit_mass = _bit_masses(quad)
     outcome_priors, success = _normalizers(quad)
+    survivors = _survivors(outcome)
+    block = intact_block(outcome, target)
 
-    # Each joint density is evaluated once on the grid and released as soon
-    # as its marginals and entropy are taken, so one n x n joint is alive
-    # at a time.
-    posterior = encode_posterior(outcome, quad).pdf(t1, t2)
-    encoding_gain = _entropy(prior(t1) * prior(t2), w) - _entropy(posterior, w)
-    h_posterior = _marginal_entropies(posterior, w)
-    del posterior
-    h_success = _marginal_entropies(
-        decode_posterior_success(outcome, target, quad).joint.pdf(t1, t2), w
-    )
-    h_failure = _marginal_entropies(
-        decode_posterior_failure(outcome, target, quad).joint.pdf(t1, t2), w
-    )
+    def marginal_entropies(kept) -> tuple[float, float]:
+        return tuple(
+            _entropy(_kept_marginal(kept, a, densities, bit_mass), w) for a in (1, 2)
+        )
 
-    h_prior = _entropy(prior(x), w)
+    # The encode posterior's joint entropy is the one scalar that does not
+    # separate; it is the report's only n x n array.
+    mask = np.ones((2, 2))  # [b1, b2]: every index survives but the outcome
+    mask[qubit_bit(outcome, 1), qubit_bit(outcome, 2)] = 0.0
+    posterior = densities.T @ mask @ densities
+    posterior /= _kept_mass(survivors, bit_mass)
+    h_prior = _entropy(prior_theta().pdf(x), w)
+    encoding_gain = 2.0 * h_prior - _entropy(posterior, w)
+
+    h_posterior = marginal_entropies(survivors)
+    h_success = marginal_entropies(block)
+    h_failure = marginal_entropies(set(survivors) - set(block))
     marginal_encoding = tuple(h_prior - h for h in h_posterior)
     decode_gain = tuple(h - h_s for h, h_s in zip(h_posterior, h_success))
     failure_gain = tuple(h - h_f for h, h_f in zip(h_posterior, h_failure))

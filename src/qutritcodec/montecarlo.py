@@ -87,10 +87,19 @@ def trial_uniforms(master_seed: int, start: int, count: int) -> np.ndarray:
     the Philox counter, so slabs taken at different offsets tile the same
     global sequence.
     """
+    return _philox(master_seed, start).random((count, UNIFORMS_PER_TRIAL))
+
+
+def _philox(master_seed: int, start: int) -> np.random.Generator:
+    """Generator positioned at trial `start`'s first counter block.
+
+    Every trial takes whole Philox blocks, so consecutive draws continue at
+    the next trial's counter and fill consecutive slabs.
+    """
     bit_generator = np.random.Philox(
         key=master_seed, counter=[_BLOCKS_PER_TRIAL * start, 0, 0, 0]
     )
-    return np.random.Generator(bit_generator).random((count, UNIFORMS_PER_TRIAL))
+    return np.random.Generator(bit_generator)
 
 
 def _targets(policy: str, start: int, count: int, u_target: np.ndarray) -> np.ndarray:
@@ -179,9 +188,12 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 17) -> TrialStats:
     counts = np.zeros(4, dtype=np.int64)
     success_count = 0
     block_minima = []  # of the fidelities of successful trials
+    generator = _philox(config.master_seed, 0)
+    # one slab for every chunk, so its pages are faulted in once per call
+    slab = np.empty((min(chunk_size, config.trials), UNIFORMS_PER_TRIAL))
     for start in range(0, config.trials, chunk_size):
         count = min(chunk_size, config.trials - start)
-        u = trial_uniforms(config.master_seed, start, count)
+        u = generator.random(out=slab[:count])
         for offset in range(0, count, _KERNEL_TRIALS):
             block_counts, block_success, success_fidelities = _run_chunk(
                 u[offset : offset + _KERNEL_TRIALS], start + offset, config.target_policy

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,9 +316,24 @@ class TestConvergenceGate:
             gain_report(QuadratureSpec(64))
 
 
+def test_a_report_builds_one_grid_array():
+    # the encode posterior is the only n x n array; _plogp's output for its
+    # entropy is the only other one alive at the same time
+    quad = QuadratureSpec(512)
+    bayes._gain_report_at(quad, 0, 1)  # fills the node cache
+    tracemalloc.start()
+    try:
+        bayes._gain_report_at(quad, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 512**2 * np.dtype(float).itemsize
+
+
 @pytest.mark.parametrize(
     "nodes, outcome, target",
-    [(64, j, a) for j in range(4) for a in (1, 2)] + [(256, 0, 1)],
+    [(nodes, j, a) for nodes in (64, 256) for j in range(4) for a in (1, 2)]
+    + [(512, 0, 1)],
 )
 def test_report_matches_brute_force_quadrature(nodes, outcome, target):
     quad = QuadratureSpec(nodes)
@@ -326,3 +344,36 @@ def test_report_matches_brute_force_quadrature(nodes, outcome, target):
     assert computed.keys() == reference.keys()
     for name, value in reference.items():
         assert abs(computed[name] - value) <= 1e-13, name
+
+
+@pytest.mark.parametrize("outcome", range(4))
+@pytest.mark.parametrize("target", (1, 2))
+def test_posterior_marginals_match_quadrature_of_the_joint(outcome, target):
+    x, _ = QUAD.nodes()
+    for posterior in (
+        decode_posterior_success(outcome, target, QUAD),
+        decode_posterior_failure(outcome, target, QUAD),
+    ):
+        for axis, marginal in ((1, posterior.marginal_q1), (2, posterior.marginal_q2)):
+            reference = bayes.marginal_density(posterior.joint, QUAD, axis).pdf(x)
+            np.testing.assert_allclose(marginal.pdf(x), reference, rtol=0, atol=1e-13)
+
+
+def test_report_matches_the_mpmath_reference_values():
+    # tests/reference_gains.json is written by scripts/reference_gains.py
+    reference = json.loads(
+        (Path(__file__).parent / "reference_gains.json").read_text()
+    )
+    values = {name: float(value) for name, value in reference["values"].items()}
+    quad = QuadratureSpec(256)
+    # p log p of the prior has x log x ends, which Gauss-Legendre resolves
+    # only to 8e-10 at 256 nodes; that error cancels in every gain
+    assert abs(entropy_bits(prior_theta(), quad) - values.pop("h_prior")) <= 1e-9
+    computed = report_scalars(
+        gain_report(
+            quad, reference["outcome"], reference["target"], check_convergence=False
+        )
+    )
+    assert len(values) == 8
+    for name, value in values.items():
+        assert abs(computed[name] - value) <= 1e-12, name

@@ -63,6 +63,17 @@ class TestTrialUniforms:
     def test_seed_changes_the_stream(self):
         assert not np.array_equal(trial_uniforms(0, 0, 4), trial_uniforms(1, 0, 4))
 
+    def test_one_generator_fills_consecutive_slabs_into_one_buffer(self):
+        # run_trials draws every chunk from one generator into one buffer
+        for seed in (0, 123, 2**64 - 1):
+            generator = montecarlo._philox(seed, 0)
+            slab = np.empty((300, UNIFORMS_PER_TRIAL))
+            start = 0
+            for count in (300, 7, 300, 61):
+                u = generator.random(out=slab[:count])
+                np.testing.assert_array_equal(u, trial_uniforms(seed, start, count))
+                start += count
+
 
 class TestDeterminism:
     def test_reruns_are_bit_identical(self):
