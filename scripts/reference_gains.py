@@ -14,7 +14,7 @@ The prior entropy is 1/ln 2 bits and the direct measurement gain is
 forms. The joint entropy of the encode posterior comes from one 2-D
 tanh-sinh quadrature. Everything is computed with 30 significant digits and
 written, rounded to 20, to tests/reference_gains.json, which the tests
-compare with the Gauss-Legendre report.
+compare with the Gauss-Legendre report and with `bayes.exact_report`.
 
 Run from the repository root (needs mpmath, which the package does not):
 

@@ -36,7 +36,6 @@ from .codec import (
     relabel_unitary,
 )
 from .bayes import (
-    ConvergenceError,
     Density1D,
     Density2D,
     GainReport,
@@ -47,6 +46,7 @@ from .bayes import (
     direct_measurement_gain,
     encode_posterior,
     entropy_bits,
+    exact_report,
     gain_report,
     outcome_likelihood,
     outcome_prior,
@@ -82,7 +82,6 @@ __all__ = [
     "encoding_projector",
     "joint_state",
     "relabel_unitary",
-    "ConvergenceError",
     "Density1D",
     "Density2D",
     "GainReport",
@@ -93,6 +92,7 @@ __all__ = [
     "direct_measurement_gain",
     "encode_posterior",
     "entropy_bits",
+    "exact_report",
     "gain_report",
     "outcome_likelihood",
     "outcome_prior",

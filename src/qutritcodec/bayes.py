@@ -5,7 +5,8 @@ polar angle; every likelihood that appears in the protocol is independent
 of the azimuthal phases, so the whole analysis lives on [0, pi]^2. All
 integrals use a fixed tensor-product Gauss-Legendre rule, which keeps every
 reported scalar deterministic, and entropies are differential entropies in
-bits with the 0 * log 0 = 0 convention at density zeros.
+bits with the 0 * log 0 = 0 convention at density zeros. `exact_report`
+gives every scalar in closed form, which bounds the quadrature error.
 
 Every posterior is the prior times the register weight sum_k |c_k|^2 of
 some kept indices, and each |c_k|^2 is a product of per-qubit factors
@@ -36,24 +37,6 @@ import numpy as np
 
 from .codec import _check_outcome, _check_target, intact_block, qubit_bit
 
-# Scalars of a gain report must be stable under node doubling within this
-# tolerance, otherwise the quadrature has not converged.
-CONVERGENCE_ATOL = 1e-7
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when node doubling moves a reported scalar too much."""
-
-    def __init__(self, scalar_name: str, drift: float, nodes_per_axis: int):
-        self.scalar_name = scalar_name
-        self.drift = drift
-        self.nodes_per_axis = nodes_per_axis
-        super().__init__(
-            f"quadrature with {nodes_per_axis} nodes has not converged: "
-            f"{scalar_name} moves by {drift:.3e} under node doubling"
-        )
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor-product Gauss-Legendre rule on [0, pi] per axis."""
@@ -69,9 +52,6 @@ class QuadratureSpec:
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights on [0, pi]; arrays are cached and read-only."""
         return _gauss_legendre(self.nodes_per_axis)
-
-    def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(2 * self.nodes_per_axis)
 
 
 @functools.lru_cache(maxsize=None)
@@ -356,7 +336,21 @@ def report_scalars(report: GainReport) -> dict[str, float]:
     return scalars
 
 
-def _gain_report_at(quad: QuadratureSpec, outcome: int, target: int) -> GainReport:
+def gain_report(
+    quad: QuadratureSpec,
+    outcome: int = 0,
+    target: int = 1,
+    *,
+    check_convergence: bool = False,
+) -> GainReport:
+    """Compute every gain scalar at the given resolution.
+
+    The report is not checked here: `verify` compares it with
+    `exact_report`, whose closed forms bound the quadrature error.
+    """
+    # accepted only while bench/run.py passes check_convergence=False
+    if check_convergence:
+        raise TypeError("node doubling is gone; compare with exact_report()")
     x, w = quad.nodes()
     densities = _bit_densities(x)
     bit_mass = _bit_masses(quad)
@@ -398,28 +392,35 @@ def _gain_report_at(quad: QuadratureSpec, outcome: int, target: int) -> GainRepo
     )
 
 
-def gain_report(
-    quad: QuadratureSpec,
-    outcome: int = 0,
-    target: int = 1,
-    check_convergence: bool = True,
-) -> GainReport:
-    """Compute every gain scalar at the given resolution.
+def exact_report(outcome: int = 0, target: int = 1) -> dict[str, float]:
+    """The scalars of `report_scalars` in closed form, in bits.
 
-    With check_convergence the report is recomputed at doubled nodes and a
-    ConvergenceError is raised if any scalar moves by more than
-    CONVERGENCE_ATOL; the returned report is always the one at the
-    requested resolution.
+    In x = cos(theta) every posterior's ratio to the uniform prior is linear
+    in each x, so each entropy is elementary (the encode joint's needs
+    int_0^1 ln(1 - a) / a da = -pi^2 / 6). Encoding tells each qubit
+    m = (4/3) ln(4/3) - (1/3) ln(2/3) - 1/2 nats; a successful decode takes
+    it back from the target and tells the other qubit ln 2 - 1/2 - m, as a
+    failed one tells both. The outcome does not matter.
     """
-    report = _gain_report_at(quad, outcome, target)
-    if check_convergence:
-        doubled = _gain_report_at(quad.doubled(), outcome, target)
-        base_scalars = report_scalars(report)
-        doubled_scalars = report_scalars(doubled)
-        worst_name = max(
-            base_scalars, key=lambda k: abs(base_scalars[k] - doubled_scalars[k])
+    _check_outcome(outcome)
+    _check_target(target)
+    ln2 = math.log(2.0)
+    m = 4.0 / 3.0 * math.log(4.0 / 3.0) - math.log(2.0 / 3.0) / 3.0 - 0.5
+    marginal = m / ln2
+    informative = (ln2 - 0.5 - m) / ln2
+    decode = tuple(-marginal if a == target else informative for a in (1, 2))
+    direct = 1.0 - 0.5 / ln2
+    return report_scalars(
+        GainReport(
+            nodes_per_axis=0,  # no quadrature
+            outcome_prior=(0.25,) * 4,
+            success_probability=((2.0 / 3.0,) * 2,) * 4,
+            encoding_gain=(math.pi**2 / 9.0 - 4.0 / 3.0 + math.log(4.0 / 3.0)) / ln2,
+            marginal_encoding_gain=(marginal, marginal),
+            decode_gain=decode,
+            failure_gain=(informative, informative),
+            direct_gain=direct,
+            success_total=tuple(marginal + d for d in decode),
+            failure_total=(marginal + informative,) * 2,
         )
-        worst = abs(base_scalars[worst_name] - doubled_scalars[worst_name])
-        if worst > CONVERGENCE_ATOL:
-            raise ConvergenceError(worst_name, worst, quad.nodes_per_axis)
-    return report
+    )

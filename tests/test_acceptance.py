@@ -30,12 +30,12 @@ MC_SEED = 0
 
 @pytest.fixture(scope="session")
 def report_256():
-    return gain_report(QuadratureSpec(256), check_convergence=False)
+    return gain_report(QuadratureSpec(256))
 
 
 @pytest.fixture(scope="session")
 def report_512():
-    return gain_report(QuadratureSpec(512), check_convergence=False)
+    return gain_report(QuadratureSpec(512))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import pytest
 
 import qutritcodec.bayes as bayes
 from qutritcodec import (
-    ConvergenceError,
     Density1D,
     Density2D,
     QuadratureSpec,
@@ -22,6 +21,7 @@ from qutritcodec import (
     direct_measurement_gain,
     encode_posterior,
     entropy_bits,
+    exact_report,
     gain_report,
     joint_state,
     outcome_likelihood,
@@ -227,7 +227,7 @@ class TestAverageSuccess:
 
 @pytest.fixture(scope="module")
 def report():
-    return gain_report(QuadratureSpec(128), check_convergence=False)
+    return gain_report(QuadratureSpec(128))
 
 
 class TestGainReport:
@@ -266,15 +266,13 @@ class TestGainReport:
         base = report_scalars(report)
         for j in (1, 2, 3):
             other = report_scalars(
-                gain_report(QuadratureSpec(128), outcome=j, check_convergence=False)
+                gain_report(QuadratureSpec(128), outcome=j)
             )
             for name in base:
                 assert other[name] == pytest.approx(base[name], abs=1e-9), name
 
     def test_swapping_the_decode_target_swaps_the_per_qubit_gains(self, report):
-        swapped = gain_report(
-            QuadratureSpec(128), outcome=0, target=2, check_convergence=False
-        )
+        swapped = gain_report(QuadratureSpec(128), outcome=0, target=2)
         assert swapped.decode_gain[0] == pytest.approx(report.decode_gain[1], abs=1e-9)
         assert swapped.decode_gain[1] == pytest.approx(report.decode_gain[0], abs=1e-9)
         for a in (0, 1):
@@ -283,47 +281,20 @@ class TestGainReport:
             )
 
 
-class TestConvergenceGate:
+class TestQuadratureSpec:
     def test_quadrature_spec_floor(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_axis=8)
-
-    def test_passes_at_default_resolution(self):
-        gain_report(QuadratureSpec(64))  # no exception
-
-    def test_raises_when_scalars_drift(self, monkeypatch):
-        true_report_at = bayes._gain_report_at
-
-        def drifting(quad, outcome, target):
-            report = true_report_at(quad, outcome, target)
-            # inject a resolution-dependent bias well above the gate
-            bias = 1e-4 if quad.nodes_per_axis > 64 else 0.0
-            return bayes.GainReport(
-                nodes_per_axis=report.nodes_per_axis,
-                outcome_prior=report.outcome_prior,
-                success_probability=report.success_probability,
-                encoding_gain=report.encoding_gain + bias,
-                marginal_encoding_gain=report.marginal_encoding_gain,
-                decode_gain=report.decode_gain,
-                failure_gain=report.failure_gain,
-                direct_gain=report.direct_gain,
-                success_total=report.success_total,
-                failure_total=report.failure_total,
-            )
-
-        monkeypatch.setattr(bayes, "_gain_report_at", drifting)
-        with pytest.raises(ConvergenceError, match="encoding_gain"):
-            gain_report(QuadratureSpec(64))
 
 
 def test_a_report_builds_one_grid_array():
     # the encode posterior is the only n x n array; _plogp's output for its
     # entropy is the only other one alive at the same time
     quad = QuadratureSpec(512)
-    bayes._gain_report_at(quad, 0, 1)  # fills the node cache
+    gain_report(quad)  # fills the node cache
     tracemalloc.start()
     try:
-        bayes._gain_report_at(quad, 0, 1)
+        gain_report(quad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -337,9 +308,7 @@ def test_a_report_builds_one_grid_array():
 )
 def test_report_matches_brute_force_quadrature(nodes, outcome, target):
     quad = QuadratureSpec(nodes)
-    computed = report_scalars(
-        gain_report(quad, outcome, target, check_convergence=False)
-    )
+    computed = report_scalars(gain_report(quad, outcome, target))
     reference = reference_report_scalars(quad, outcome, target)
     assert computed.keys() == reference.keys()
     for name, value in reference.items():
@@ -359,21 +328,54 @@ def test_posterior_marginals_match_quadrature_of_the_joint(outcome, target):
             np.testing.assert_allclose(marginal.pdf(x), reference, rtol=0, atol=1e-13)
 
 
-def test_report_matches_the_mpmath_reference_values():
+def _mpmath_reference() -> tuple[dict, dict[str, float]]:
     # tests/reference_gains.json is written by scripts/reference_gains.py
     reference = json.loads(
         (Path(__file__).parent / "reference_gains.json").read_text()
     )
-    values = {name: float(value) for name, value in reference["values"].items()}
+    return reference, {name: float(v) for name, v in reference["values"].items()}
+
+
+def test_report_matches_the_mpmath_reference_values():
+    reference, values = _mpmath_reference()
     quad = QuadratureSpec(256)
     # p log p of the prior has x log x ends, which Gauss-Legendre resolves
     # only to 8e-10 at 256 nodes; that error cancels in every gain
     assert abs(entropy_bits(prior_theta(), quad) - values.pop("h_prior")) <= 1e-9
     computed = report_scalars(
-        gain_report(
-            quad, reference["outcome"], reference["target"], check_convergence=False
-        )
+        gain_report(quad, reference["outcome"], reference["target"])
     )
     assert len(values) == 8
     for name, value in values.items():
         assert abs(computed[name] - value) <= 1e-12, name
+
+
+def test_exact_report_matches_the_mpmath_reference_values():
+    reference, values = _mpmath_reference()
+    del values["h_prior"]  # not a report scalar
+    exact = exact_report(reference["outcome"], reference["target"])
+    assert len(values) == 8
+    for name, value in values.items():
+        assert abs(exact[name] - value) <= 1e-15, name
+
+
+@pytest.mark.parametrize("outcome", range(4))
+@pytest.mark.parametrize("target", (1, 2))
+def test_exact_report_matches_the_quadrature_report(outcome, target):
+    computed = report_scalars(gain_report(QUAD, outcome, target))
+    exact = exact_report(outcome, target)
+    assert exact.keys() == computed.keys()
+    for name, value in exact.items():
+        assert abs(computed[name] - value) <= 1e-12, name
+
+
+def test_exact_report_validates_its_arguments():
+    with pytest.raises(ValueError):
+        exact_report(outcome=4)
+    with pytest.raises(ValueError):
+        exact_report(target=3)
+
+
+def test_node_doubling_check_is_gone():
+    with pytest.raises(TypeError, match="exact_report"):
+        gain_report(QUAD, check_convergence=True)

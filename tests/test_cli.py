@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -183,6 +184,17 @@ class TestMc:
         assert result.exit_code == 0
 
 
+def skew_encoding_gain(monkeypatch, delta: float) -> None:
+    """Make the CLI's gain report return an encoding gain off by `delta`."""
+    true_gain_report = bayes.gain_report
+
+    def skewed(quad, outcome=0, target=1):
+        report = true_gain_report(quad, outcome, target)
+        return dataclasses.replace(report, encoding_gain=report.encoding_gain + delta)
+
+    monkeypatch.setattr(cli_module.bayes, "gain_report", skewed)
+
+
 @pytest.fixture(scope="module")
 def verify_result():
     return CliRunner().invoke(
@@ -218,12 +230,27 @@ class TestVerify:
             "mc_min_success_fidelity",
         ):
             assert expected in names
+        assert {n for n in names if n.startswith("exact_")} == {
+            "exact_outcome_prior_0",
+            "exact_outcome_prior_1",
+            "exact_outcome_prior_2",
+            "exact_outcome_prior_3",
+            "exact_encoding_gain",
+            "exact_marginal_encoding_gain_q1",
+            "exact_marginal_encoding_gain_q2",
+            "exact_decode_gain_q1",
+            "exact_decode_gain_q2",
+            "exact_failure_gain_q1",
+            "exact_failure_gain_q2",
+            "exact_direct_gain",
+        }
 
     def test_sources_are_tagged(self, verify_result):
         doc = json.loads(verify_result.output)
         sources = {row["name"]: row["source"] for row in doc["rows"]}
         assert sources["encoding_gain"] == "paper"
         assert sources["outcome_prior_sum"] == "identity"
+        assert sources["exact_encoding_gain"] == "identity"
         assert sources["mc_success_rate"] == "mc"
 
     def test_row_pass_flags_match_the_numbers(self, verify_result):
@@ -233,24 +260,7 @@ class TestVerify:
             )
 
     def test_failing_row_exits_one(self, runner, monkeypatch):
-        true_gain_report = bayes.gain_report
-
-        def skewed(quad, outcome=0, target=1, check_convergence=True):
-            report = true_gain_report(quad, outcome, target, check_convergence)
-            return bayes.GainReport(
-                nodes_per_axis=report.nodes_per_axis,
-                outcome_prior=report.outcome_prior,
-                success_probability=report.success_probability,
-                encoding_gain=report.encoding_gain + 0.01,
-                marginal_encoding_gain=report.marginal_encoding_gain,
-                decode_gain=report.decode_gain,
-                failure_gain=report.failure_gain,
-                direct_gain=report.direct_gain,
-                success_total=report.success_total,
-                failure_total=report.failure_total,
-            )
-
-        monkeypatch.setattr(cli_module.bayes, "gain_report", skewed)
+        skew_encoding_gain(monkeypatch, 0.01)
         result = runner.invoke(
             main, ["verify", "--nodes", "64", "--trials", "1000"]
         )
@@ -258,24 +268,40 @@ class TestVerify:
         doc = json.loads(result.output)
         assert doc["overall_pass"] is False
         failing = {row["name"] for row in doc["rows"] if not row["pass"]}
-        assert "encoding_gain" in failing
+        assert {"encoding_gain", "exact_encoding_gain"} <= failing
 
-    def test_convergence_failure_emits_a_diagnostic_row(self, runner, monkeypatch):
-        def not_converged(quad, outcome=0, target=1, check_convergence=True):
-            raise bayes.ConvergenceError("encoding_gain", 2.5e-7, quad.nodes_per_axis)
-
-        monkeypatch.setattr(cli_module.bayes, "gain_report", not_converged)
+    def test_a_skew_within_the_quoted_precision_fails_the_exact_row(
+        self, runner, monkeypatch
+    ):
+        # inside the paper row's 5e-4, outside the exact row's 1e-7
+        skew_encoding_gain(monkeypatch, 2.5e-7)
         result = runner.invoke(main, ["verify", "--nodes", "64", "--trials", "1000"])
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["overall_pass"] is False
-        (row,) = doc["rows"]
-        assert row["name"] == "quadrature_convergence_encoding_gain"
-        assert row["computed"] == pytest.approx(2.5e-7)
-        assert not row["pass"]
+        failing = [row["name"] for row in doc["rows"] if not row["pass"]]
+        assert failing == ["exact_encoding_gain"]
 
     def test_rejects_too_few_nodes(self, runner):
         assert runner.invoke(main, ["verify", "--nodes", "8"]).exit_code == 2
+
+    @pytest.mark.parametrize("command", ["mc", "verify"])
+    def test_rejects_too_many_nodes(self, runner, command):
+        # refused by the option before any array is allocated
+        result = runner.invoke(main, [command, "--nodes", "4097", "--trials", "1"])
+        assert result.exit_code == 2
+        assert "4097" in result.output
+
+    @pytest.mark.parametrize("nodes", [*range(16, 25), 32, 100, 300, 1000])
+    def test_exact_rows_pass_at_every_resolution(self, runner, nodes):
+        # the worst quadrature error, 1.2e-8 at 16 nodes, is under the 1e-7 bound
+        result = runner.invoke(main, ["verify", "--nodes", str(nodes), "--trials", "1"])
+        exact = [
+            row for row in json.loads(result.output)["rows"]
+            if row["name"].startswith("exact_")
+        ]
+        assert len(exact) == 12
+        assert all(row["pass"] for row in exact), exact
 
     @pytest.mark.parametrize("command", ["mc", "verify"])
     def test_no_fidelity_row_when_no_trial_succeeds(self, runner, command):
