@@ -1,55 +1,42 @@
 """Two non-entangled qubits encoded in one qutrit, with full gain accounting.
 
 The package splits into small layers: exact statevector primitives
-(states), the encode/decode protocol itself (codec), deterministic
+(states), the encode/decode protocol in closed form (codec), deterministic
 quadrature for the Bayesian information gains (bayes), a reproducible
 Monte Carlo harness (montecarlo), and a CLI with report emitters
-(cli, report).
+(cli, report). The explicit 12-dimensional ancilla-register pipeline of the
+paper is kept only as a test oracle, in tests/conftest.py.
 """
 
 from .states import (
     BlochAngles,
-    DiagonalProjector,
-    PermutationUnitary,
     PureState,
-    apply_permutation,
     equal_up_to_global_phase,
     fidelity,
     make_qubit_state,
     project,
     sample_complete_measurement,
-    tensor_product,
 )
 from .codec import (
     DecodeRecord,
     EncodeRecord,
     QubitPair,
-    ancilla,
     conditional_success_probability,
     decode,
     decode_branch,
-    decode_projectors,
+    decode_levels,
     encode,
     encode_branch,
-    encoding_projector,
     joint_state,
-    relabel_unitary,
+    outcome_weights,
 )
 from .bayes import (
-    Density1D,
-    Density2D,
     GainReport,
     QuadratureSpec,
-    average_success_probability,
-    decode_posterior_failure,
-    decode_posterior_success,
     direct_measurement_gain,
-    encode_posterior,
-    entropy_bits,
     exact_report,
     gain_report,
-    outcome_likelihood,
-    outcome_prior,
+    normalizers,
     prior_theta,
     report_scalars,
 )
@@ -59,43 +46,29 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochAngles",
-    "DiagonalProjector",
-    "PermutationUnitary",
     "PureState",
-    "apply_permutation",
     "equal_up_to_global_phase",
     "fidelity",
     "make_qubit_state",
     "project",
     "sample_complete_measurement",
-    "tensor_product",
     "DecodeRecord",
     "EncodeRecord",
     "QubitPair",
-    "ancilla",
     "conditional_success_probability",
     "decode",
     "decode_branch",
-    "decode_projectors",
+    "decode_levels",
     "encode",
     "encode_branch",
-    "encoding_projector",
     "joint_state",
-    "relabel_unitary",
-    "Density1D",
-    "Density2D",
+    "outcome_weights",
     "GainReport",
     "QuadratureSpec",
-    "average_success_probability",
-    "decode_posterior_failure",
-    "decode_posterior_success",
     "direct_measurement_gain",
-    "encode_posterior",
-    "entropy_bits",
     "exact_report",
     "gain_report",
-    "outcome_likelihood",
-    "outcome_prior",
+    "normalizers",
     "prior_theta",
     "report_scalars",
     "TrialConfig",

@@ -31,11 +31,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .codec import _check_outcome, _check_target, intact_block, qubit_bit
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -64,31 +64,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class Density1D:
-    """Probability density over the polar angle of one qubit."""
-
-    pdf: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Density2D:
-    """Joint probability density over both polar angles."""
-
-    pdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-class Posterior2D(NamedTuple):
-    """A joint posterior density together with its two marginals."""
-
-    joint: Density2D
-    marginal_q1: Density1D
-    marginal_q2: Density1D
-
-
-def prior_theta() -> Density1D:
+def prior_theta(theta) -> np.ndarray:
     """Polar-angle density (1/2) sin(theta) of a uniformly random qubit."""
-    return Density1D(pdf=lambda theta: 0.5 * np.sin(theta))
+    return 0.5 * np.sin(theta)
 
 
 def _bit_weight(bit: int, theta: np.ndarray) -> np.ndarray:
@@ -97,17 +75,10 @@ def _bit_weight(bit: int, theta: np.ndarray) -> np.ndarray:
     return np.cos(half) ** 2 if bit == 0 else np.sin(half) ** 2
 
 
-def _register_weight(index: int, theta1, theta2) -> np.ndarray:
-    """|c_index|^2 of the joint register state, independent of the phases."""
-    return _bit_weight(qubit_bit(index, 1), theta1) * _bit_weight(
-        qubit_bit(index, 2), theta2
-    )
-
-
 def _bit_densities(theta) -> np.ndarray:
     """Rows d[bit] = (squared amplitude of bit) * prior at the given angles."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    prior = prior_theta().pdf(theta)
+    prior = prior_theta(theta)
     return np.stack([_bit_weight(bit, theta) * prior for bit in (0, 1)])
 
 
@@ -136,23 +107,13 @@ def _kept_marginal(kept, qubit: int, densities: np.ndarray, bit_mass) -> np.ndar
     return marginal / _kept_mass(kept, bit_mass)
 
 
-def outcome_likelihood(outcome: int, theta1, theta2):
-    """Probability of encoding outcome j given the preparation angles.
-
-    Equals (1 - |c_j|^2) / 3 and lies in [0, 1/3]; broadcasting arrays of
-    angles is supported.
-    """
-    _check_outcome(outcome)
-    return (1.0 - _register_weight(outcome, theta1, theta2)) / 3.0
-
-
 def _survivors(outcome: int) -> tuple[int, ...]:
     """Register indices that outcome j leaves on the qutrit."""
     _check_outcome(outcome)
     return tuple(k for k in range(4) if k != outcome)
 
 
-def _normalizers(quad: QuadratureSpec) -> tuple[tuple, tuple]:
+def normalizers(quad: QuadratureSpec) -> tuple[tuple, tuple]:
     """Outcome priors [j] and average success probabilities [j][target - 1].
 
     Outcome j has likelihood (1 - |c_j|^2) / 3, the survivors' weight over
@@ -172,87 +133,6 @@ def _normalizers(quad: QuadratureSpec) -> tuple[tuple, tuple]:
     return priors, success
 
 
-def outcome_prior(outcome: int, quad: QuadratureSpec) -> float:
-    """Prior probability of encoding outcome j, integrated over preparations."""
-    return _normalizers(quad)[0][_check_outcome(outcome)]
-
-
-def average_success_probability(outcome: int, target: int, quad: QuadratureSpec) -> float:
-    """Decoding success probability averaged over the encode posterior."""
-    _check_target(target)
-    return _normalizers(quad)[1][_check_outcome(outcome)][target - 1]
-
-
-def _posterior(kept, quad: QuadratureSpec) -> Density2D:
-    """The prior times the weight of the kept register indices, normalized.
-
-    Every posterior of the protocol has this form: outcome j keeps its
-    survivors, a successful decode the intact block, and a failed one the
-    single index outside that block and j. Constant factors such as the 1/3
-    of the likelihood cancel in the normalization.
-    """
-    mass = _kept_mass(kept, _bit_masses(quad))
-    prior = prior_theta().pdf
-
-    def pdf(theta1, theta2):
-        weight = sum(_register_weight(k, theta1, theta2) for k in kept)
-        return weight * prior(theta1) * prior(theta2) / mass
-
-    return Density2D(pdf=pdf)
-
-
-def encode_posterior(outcome: int, quad: QuadratureSpec) -> Density2D:
-    """Posterior density of the angles given an observed encoding outcome."""
-    return _posterior(_survivors(outcome), quad)
-
-
-def marginal_density(density: Density2D, quad: QuadratureSpec, axis: int) -> Density1D:
-    """Marginal of a joint density: axis 1 keeps theta1, axis 2 keeps theta2."""
-    if axis not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, got {axis!r}")
-    x, w = quad.nodes()
-
-    def pdf(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if axis == 1:
-            values = density.pdf(theta[:, None], x[None, :])
-        else:
-            values = density.pdf(x[None, :], theta[:, None])
-        return values @ w
-
-    return Density1D(pdf=pdf)
-
-
-def _posterior_with_marginals(kept, quad: QuadratureSpec) -> Posterior2D:
-    bit_mass = _bit_masses(quad)
-
-    def marginal(qubit: int) -> Density1D:
-        def pdf(theta):
-            return _kept_marginal(kept, qubit, _bit_densities(theta), bit_mass)
-
-        return Density1D(pdf=pdf)
-
-    return Posterior2D(
-        joint=_posterior(kept, quad), marginal_q1=marginal(1), marginal_q2=marginal(2)
-    )
-
-
-def decode_posterior_success(
-    outcome: int, target: int, quad: QuadratureSpec
-) -> Posterior2D:
-    """Posterior after encoding outcome j and a successful decode of `target`."""
-    block = intact_block(_check_outcome(outcome), _check_target(target))
-    return _posterior_with_marginals(block, quad)
-
-
-def decode_posterior_failure(
-    outcome: int, target: int, quad: QuadratureSpec
-) -> Posterior2D:
-    """Posterior after encoding outcome j and a failed decode of `target`."""
-    block = intact_block(_check_outcome(outcome), _check_target(target))
-    return _posterior_with_marginals(set(_survivors(outcome)) - set(block), quad)
-
-
 def _plogp(values: np.ndarray) -> np.ndarray:
     if np.any(values < 0.0):
         raise ValueError("density is negative at a quadrature node")
@@ -270,14 +150,6 @@ def _entropy(values: np.ndarray, w: np.ndarray) -> float:
     return float(-np.einsum("i,j,ij->", w, w, _plogp(values)))
 
 
-def entropy_bits(density: Density1D | Density2D, quad: QuadratureSpec) -> float:
-    """Differential entropy -integral p log2 p, in bits (may be negative)."""
-    x, w = quad.nodes()
-    if isinstance(density, Density1D):
-        return _entropy(np.asarray(density.pdf(x)), w)
-    return _entropy(np.asarray(density.pdf(x[:, None], x[None, :])), w)
-
-
 def direct_measurement_gain(quad: QuadratureSpec) -> float:
     """Expected entropy drop from a plain basis measurement of one qubit.
 
@@ -290,7 +162,7 @@ def direct_measurement_gain(quad: QuadratureSpec) -> float:
     h_after = p_zero * _entropy(joint_zero / p_zero, w) + (1.0 - p_zero) * _entropy(
         joint_one / (1.0 - p_zero), w
     )
-    return _entropy(prior_theta().pdf(x), w) - h_after
+    return _entropy(prior_theta(x), w) - h_after
 
 
 @dataclass(frozen=True)
@@ -354,7 +226,7 @@ def gain_report(
     x, w = quad.nodes()
     densities = _bit_densities(x)
     bit_mass = _bit_masses(quad)
-    outcome_priors, success = _normalizers(quad)
+    outcome_priors, success = normalizers(quad)
     survivors = _survivors(outcome)
     block = intact_block(outcome, target)
 
@@ -369,7 +241,7 @@ def gain_report(
     mask[qubit_bit(outcome, 1), qubit_bit(outcome, 2)] = 0.0
     posterior = densities.T @ mask @ densities
     posterior /= _kept_mass(survivors, bit_mass)
-    h_prior = _entropy(prior_theta().pdf(x), w)
+    h_prior = _entropy(prior_theta(x), w)
     encoding_gain = 2.0 * h_prior - _entropy(posterior, w)
 
     h_posterior = marginal_entropies(survivors)

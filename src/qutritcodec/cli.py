@@ -23,26 +23,38 @@ from .report import (
     render,
 )
 
-# Reference constants quoted at their source precision, with the matching
-# comparison tolerances.
-SUCCESS_PROBABILITY_REF = 2.0 / 3.0
-ENCODING_GAIN_REF = 0.0735
-MARGINAL_ENCODING_GAIN_REF = 0.027
-DECODE_GAIN_Q1_REF = -0.027
-DECODE_GAIN_Q2_REF = 0.252
-FAILURE_GAIN_REF = 0.252
-TOTAL_GAIN_Q2_REF = 0.279
-
-SUCCESS_PROBABILITY_TOL = 1e-9
 QUOTED_GAIN_TOL = 5e-4
-TOTAL_GAIN_TOL = 1e-3
 IDENTITY_TOL = 1e-9
 # Quadrature against the closed forms of bayes.exact_report; the worst error
 # at the smallest accepted --nodes (16) is 1.2e-8.
 EXACT_TOL = 1e-7
-OUTCOME_SUM_TOL = 1e-12
 MC_RATE_SIGMAS = 3.0
 MC_HISTOGRAM_SIGMAS = 3.5
+
+# One verify row per entry: (name, report scalar, reference, tolerance,
+# source). A reference given as a string is another report scalar. The paper
+# rows quote the paper's constants at their published precision.
+VERIFY_ROWS = (
+    *(
+        (f"success_probability_j{j}_target{a}", f"success_probability_j{j}_target{a}",
+         2.0 / 3.0, 1e-9, "paper")
+        for j in range(4)
+        for a in (1, 2)
+    ),
+    ("encoding_gain", "encoding_gain", 0.0735, QUOTED_GAIN_TOL, "paper"),
+    ("marginal_encoding_gain_q1", "marginal_encoding_gain_q1", 0.027, QUOTED_GAIN_TOL, "paper"),
+    ("marginal_encoding_gain_q2", "marginal_encoding_gain_q2", 0.027, QUOTED_GAIN_TOL, "paper"),
+    ("decode_gain_q1", "decode_gain_q1", -0.027, QUOTED_GAIN_TOL, "paper"),
+    ("decode_gain_q2", "decode_gain_q2", 0.252, QUOTED_GAIN_TOL, "paper"),
+    ("success_total_q2", "success_total_q2", 0.279, 1e-3, "paper"),
+    ("failure_gain_q1", "failure_gain_q1", 0.252, QUOTED_GAIN_TOL, "paper"),
+    ("failure_gain_q2", "failure_gain_q2", 0.252, QUOTED_GAIN_TOL, "paper"),
+    ("decode_cancels_encoding_q1", "success_total_q1", 0.0, IDENTITY_TOL, "identity"),
+    ("success_total_q2_vs_direct", "success_total_q2", "direct_gain", IDENTITY_TOL, "identity"),
+    ("failure_total_q1_vs_direct", "failure_total_q1", "direct_gain", IDENTITY_TOL, "identity"),
+    ("failure_total_q2_vs_direct", "failure_total_q2", "direct_gain", IDENTITY_TOL, "identity"),
+    ("outcome_prior_sum", "outcome_prior_sum", 1.0, 1e-12, "identity"),
+)
 
 
 def _validate_theta(ctx, param, value):
@@ -115,9 +127,12 @@ def _emit(document: ReportDocument, fmt: str, out: str | None) -> None:
     text = render(document, fmt)
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text)
+    except OSError as error:
+        raise click.BadParameter(f"cannot write {out}: {error.strerror}", param_hint="'--out'")
 
 
 def _pair(theta1, phi1, theta2, phi2) -> codec.QubitPair:
@@ -136,6 +151,41 @@ def main() -> None:
     """Simulate the two-qubit-to-qutrit codec and verify its statistics."""
 
 
+def _encode_trace(pair: codec.QubitPair, record: codec.EncodeRecord) -> dict[str, Any]:
+    return {
+        "outcome_probabilities": list(codec.outcome_weights(pair)),
+        "outcome": record.outcome,
+        "classical_bits": list(record.classical_bits),
+        "outcome_probability": record.probability,
+        "qutrit_amplitudes": amplitude_pairs(record.qutrit.amplitudes),
+    }
+
+
+def _decode_entry(
+    pair: codec.QubitPair, qutrit: states.PureState, outcome: int, target: int, u: float
+) -> dict[str, Any]:
+    success_levels, failure_level = codec.decode_levels(outcome, target)
+    p_success, _, _ = codec.decode_branch(qutrit, outcome, target)
+    result = codec.decode(qutrit, outcome, target, u)
+    entry: dict[str, Any] = {
+        "success_levels": sorted(success_levels),
+        "failure_level": failure_level,
+        "success_probability": p_success,
+        "success": result.success,
+    }
+    if result.success:
+        entry["reconstructed_amplitudes"] = amplitude_pairs(result.reconstructed.amplitudes)
+        original = states.make_qubit_state(pair.q1 if target == 1 else pair.q2)
+        entry["fidelity"] = states.fidelity(result.reconstructed, original)
+    else:
+        entry["collapsed_level"] = result.failure_level
+    return entry
+
+
+def _angle_params(theta1, phi1, theta2, phi2) -> dict[str, float]:
+    return {"theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2}
+
+
 @main.command()
 @_angle_options
 @_seed_option
@@ -143,54 +193,20 @@ def main() -> None:
 def demo(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
     """Narrate one full encode/decode run for a fixed preparation."""
     pair = _pair(theta1, phi1, theta2, phi2)
-    joint = codec.joint_state(pair)
-    branch_probabilities = [
-        codec.encode_branch(pair, j)[0] for j in range(4)
-    ]
     stream = _uniform_stream(seed)
     record = codec.encode(pair, float(stream.random()))
-
-    decodes: dict[str, Any] = {}
-    for target in (1, 2):
-        success_proj, failure_proj = codec.decode_projectors(record.outcome, target)
-        p_success, _, _ = codec.decode_branch(record.qutrit, record.outcome, target)
-        result = codec.decode(
-            record.qutrit, record.outcome, target, float(stream.random())
-        )
-        entry: dict[str, Any] = {
-            "success_levels": sorted(success_proj.indices),
-            "failure_level": min(failure_proj.indices),
-            "success_probability": p_success,
-            "success": result.success,
-        }
-        if result.success:
-            entry["reconstructed_amplitudes"] = amplitude_pairs(
-                result.reconstructed.amplitudes
-            )
-            original = states.make_qubit_state(pair.q1 if target == 1 else pair.q2)
-            entry["fidelity"] = states.fidelity(result.reconstructed, original)
-        else:
-            entry["collapsed_level"] = result.failure_level
-        decodes[f"target_{target}"] = entry
-
     trace = {
-        "joint_amplitudes": amplitude_pairs(joint.amplitudes),
-        "outcome_probabilities": branch_probabilities,
-        "outcome": record.outcome,
-        "classical_bits": list(record.classical_bits),
-        "outcome_probability": record.probability,
-        "qutrit_amplitudes": amplitude_pairs(record.qutrit.amplitudes),
-        "decode": decodes,
-    }
-    document = ReportDocument(
-        command="demo",
-        params={
-            "theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2,
-            "seed": seed,
+        "joint_amplitudes": amplitude_pairs(codec.joint_state(pair).amplitudes),
+        **_encode_trace(pair, record),
+        "decode": {
+            f"target_{target}": _decode_entry(
+                pair, record.qutrit, record.outcome, target, float(stream.random())
+            )
+            for target in (1, 2)
         },
-        trace=trace,
-    )
-    _emit(document, fmt, out)
+    }
+    params = {**_angle_params(theta1, phi1, theta2, phi2), "seed": seed}
+    _emit(ReportDocument(command="demo", params=params, trace=trace), fmt, out)
 
 
 @main.command()
@@ -200,24 +216,10 @@ def demo(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
 def encode(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
     """Encode a preparation, sampling the measurement outcome from the seed."""
     pair = _pair(theta1, phi1, theta2, phi2)
-    branch_probabilities = [codec.encode_branch(pair, j)[0] for j in range(4)]
     record = codec.encode(pair, float(_uniform_stream(seed).random()))
-    trace = {
-        "outcome_probabilities": branch_probabilities,
-        "outcome": record.outcome,
-        "classical_bits": list(record.classical_bits),
-        "outcome_probability": record.probability,
-        "qutrit_amplitudes": amplitude_pairs(record.qutrit.amplitudes),
-    }
-    document = ReportDocument(
-        command="encode",
-        params={
-            "theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2,
-            "seed": seed,
-        },
-        trace=trace,
-    )
-    _emit(document, fmt, out)
+    params = {**_angle_params(theta1, phi1, theta2, phi2), "seed": seed}
+    _emit(ReportDocument(command="encode", params=params, trace=_encode_trace(pair, record)),
+          fmt, out)
 
 
 @main.command()
@@ -240,65 +242,31 @@ def decode(theta1, phi1, theta2, phi2, outcome, target, seed, fmt, out) -> None:
         raise click.UsageError(
             f"outcome {outcome} cannot occur for this preparation"
         )
-    p_success, _, _ = codec.decode_branch(qutrit, outcome, target)
-    record = codec.decode(qutrit, outcome, target, float(_uniform_stream(seed).random()))
-    success_proj, failure_proj = codec.decode_projectors(outcome, target)
-    trace: dict[str, Any] = {
+    trace = {
         "outcome_probability": probability,
         "qutrit_amplitudes": amplitude_pairs(qutrit.amplitudes),
-        "success_levels": sorted(success_proj.indices),
-        "failure_level": min(failure_proj.indices),
-        "success_probability": p_success,
-        "success": record.success,
+        **_decode_entry(pair, qutrit, outcome, target, float(_uniform_stream(seed).random())),
     }
-    if record.success:
-        trace["reconstructed_amplitudes"] = amplitude_pairs(
-            record.reconstructed.amplitudes
-        )
-        original = states.make_qubit_state(pair.q1 if target == 1 else pair.q2)
-        trace["fidelity"] = states.fidelity(record.reconstructed, original)
-    else:
-        trace["collapsed_level"] = record.failure_level
-    document = ReportDocument(
-        command="decode",
-        params={
-            "theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2,
-            "outcome": outcome, "target": target, "seed": seed,
-        },
-        trace=trace,
-    )
-    _emit(document, fmt, out)
+    params = {
+        **_angle_params(theta1, phi1, theta2, phi2),
+        "outcome": outcome, "target": target, "seed": seed,
+    }
+    _emit(ReportDocument(command="decode", params=params, trace=trace), fmt, out)
 
 
-def _mc_rows(
-    stats: montecarlo.TrialStats, quad: bayes.QuadratureSpec
-) -> list[VerifyRow]:
-    rows = []
-    rate_reference = bayes.average_success_probability(0, 1, quad)
-    rate_sigma = math.sqrt(
-        rate_reference * (1.0 - rate_reference) / stats.trials
-    )
-    rows.append(
-        make_row(
-            "mc_success_rate",
-            stats.mean_success_rate,
-            rate_reference,
-            MC_RATE_SIGMAS * rate_sigma,
-            "mc",
-        )
-    )
-    for j in range(4):
-        reference = bayes.outcome_prior(j, quad)
-        sigma = math.sqrt(reference * (1.0 - reference) / stats.trials)
-        rows.append(
-            make_row(
-                f"mc_outcome_freq_{j}",
-                stats.outcome_counts[j] / stats.trials,
-                reference,
-                MC_HISTOGRAM_SIGMAS * sigma,
-                "mc",
-            )
-        )
+def _mc_rows(stats: montecarlo.TrialStats, outcome_prior, success_probability) -> list[VerifyRow]:
+    """Rows of a batch against the outcome priors and success probability of
+    `bayes.normalizers`, with binomial bands."""
+
+    def band(reference: float, sigmas: float) -> float:
+        return sigmas * math.sqrt(reference * (1.0 - reference) / stats.trials)
+
+    rate = success_probability[0][0]
+    rows = [make_row("mc_success_rate", stats.mean_success_rate, rate,
+                     band(rate, MC_RATE_SIGMAS), "mc")]
+    for j, reference in enumerate(outcome_prior):
+        rows.append(make_row(f"mc_outcome_freq_{j}", stats.outcome_counts[j] / stats.trials,
+                             reference, band(reference, MC_HISTOGRAM_SIGMAS), "mc"))
     # with no successful trial there is no reconstruction to check
     if stats.min_success_fidelity is not None:
         rows.append(make_row("mc_min_success_fidelity", stats.min_success_fidelity,
@@ -326,98 +294,33 @@ def mc(ctx, trials, seed, target_policy, nodes, fmt, out) -> None:
         trials=trials, master_seed=seed, target_policy=target_policy
     )
     stats = montecarlo.run_trials(config)
-    quad = bayes.QuadratureSpec(nodes_per_axis=nodes)
+    outcome_prior, success_probability = bayes.normalizers(bayes.QuadratureSpec(nodes))
     document = ReportDocument(
         command="mc",
         params={
             "trials": trials, "seed": seed, "target_policy": target_policy,
             "nodes": nodes,
         },
-        rows=tuple(_mc_rows(stats, quad)),
+        rows=tuple(_mc_rows(stats, outcome_prior, success_probability)),
     )
     _emit(document, fmt, out)
     ctx.exit(0 if document.overall_pass else 1)
 
 
 def _verify_rows(report: bayes.GainReport) -> list[VerifyRow]:
-    rows = []
-    for j in range(4):
-        for a in (1, 2):
-            rows.append(
-                make_row(
-                    f"success_probability_j{j}_target{a}",
-                    report.success_probability[j][a - 1],
-                    SUCCESS_PROBABILITY_REF,
-                    SUCCESS_PROBABILITY_TOL,
-                    "paper",
-                )
-            )
-    rows.append(
-        make_row("encoding_gain", report.encoding_gain, ENCODING_GAIN_REF,
-                 QUOTED_GAIN_TOL, "paper")
-    )
-    for a in (1, 2):
-        rows.append(
-            make_row(
-                f"marginal_encoding_gain_q{a}",
-                report.marginal_encoding_gain[a - 1],
-                MARGINAL_ENCODING_GAIN_REF,
-                QUOTED_GAIN_TOL,
-                "paper",
-            )
-        )
-    rows.append(
-        make_row("decode_gain_q1", report.decode_gain[0], DECODE_GAIN_Q1_REF,
-                 QUOTED_GAIN_TOL, "paper")
-    )
-    rows.append(
-        make_row("decode_gain_q2", report.decode_gain[1], DECODE_GAIN_Q2_REF,
-                 QUOTED_GAIN_TOL, "paper")
-    )
-    rows.append(
-        make_row("success_total_q2", report.success_total[1], TOTAL_GAIN_Q2_REF,
-                 TOTAL_GAIN_TOL, "paper")
-    )
-    for a in (1, 2):
-        rows.append(
-            make_row(
-                f"failure_gain_q{a}",
-                report.failure_gain[a - 1],
-                FAILURE_GAIN_REF,
-                QUOTED_GAIN_TOL,
-                "paper",
-            )
-        )
-    rows.append(
-        make_row("decode_cancels_encoding_q1", report.success_total[0], 0.0,
-                 IDENTITY_TOL, "identity")
-    )
-    rows.append(
-        make_row("success_total_q2_vs_direct", report.success_total[1],
-                 report.direct_gain, IDENTITY_TOL, "identity")
-    )
-    for a in (1, 2):
-        rows.append(
-            make_row(
-                f"failure_total_q{a}_vs_direct",
-                report.failure_total[a - 1],
-                report.direct_gain,
-                IDENTITY_TOL,
-                "identity",
-            )
-        )
-    rows.append(
-        make_row("outcome_prior_sum", sum(report.outcome_prior), 1.0,
-                 OUTCOME_SUM_TOL, "identity")
-    )
+    scalars = bayes.report_scalars(report)
+    scalars["outcome_prior_sum"] = sum(report.outcome_prior)
+    rows = [
+        make_row(name, scalars[scalar],
+                 scalars[reference] if isinstance(reference, str) else reference,
+                 tolerance, source)
+        for name, scalar, reference, tolerance, source in VERIFY_ROWS
+    ]
     # every gain and outcome prior against its closed form; the totals and
     # success probabilities are pinned by the rows above
-    computed = bayes.report_scalars(report)
     for name, exact in bayes.exact_report().items():
         if "total" not in name and not name.startswith("success_probability"):
-            rows.append(
-                make_row(f"exact_{name}", computed[name], exact, EXACT_TOL, "identity")
-            )
+            rows.append(make_row(f"exact_{name}", scalars[name], exact, EXACT_TOL, "identity"))
     return rows
 
 
@@ -432,13 +335,13 @@ def _verify_rows(report: bayes.GainReport) -> list[VerifyRow]:
 @click.pass_context
 def verify(ctx, nodes, trials, seed, fmt, out) -> None:
     """Recompute every reference constant and emit a pass/fail table."""
-    quad = bayes.QuadratureSpec(nodes_per_axis=nodes)
     params = {"nodes": nodes, "trials": trials, "seed": seed}
-    rows = _verify_rows(bayes.gain_report(quad))
+    report = bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes))
+    rows = _verify_rows(report)
     stats = montecarlo.run_trials(
         montecarlo.TrialConfig(trials=trials, master_seed=seed, target_policy="always-1")
     )
-    rows.extend(_mc_rows(stats, quad))
+    rows.extend(_mc_rows(stats, report.outcome_prior, report.success_probability))
     document = ReportDocument(command="verify", params=params, rows=tuple(rows))
     _emit(document, fmt, out)
     ctx.exit(0 if document.overall_pass else 1)

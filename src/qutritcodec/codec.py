@@ -4,12 +4,12 @@ Conventions used throughout:
 
 * The two-qubit register index is k = b1 + 2*b2, so qubit 1 owns the low
   bit. Basis order: |0> = |0>|0>, |1> = |1>|0>, |2> = |0>|1>, |3> = |1>|1>.
-* Joint states of ancilla and register use the slow-first tensor layout,
-  combined index = 4 * (ancilla level) + (register index).
 * Encoding outcome j ties ancilla level i to register index
-  (i + j + 1) mod 4; after the relabeling permutation the register is left
-  in a constant basis state and the three ancilla levels carry the
-  surviving register amplitudes in cyclic order.
+  (i + j + 1) mod 4. It occurs with weight (1 - |c_j|^2) / 3, and after the
+  relabeling permutation qutrit level i carries the surviving register
+  amplitude c_{(i+j+1) mod 4}, renormalized. Both are computed from these
+  closed forms; the test suite's oracle builds the 12-dimensional
+  ancilla-register state, projects and relabels it, and checks them.
 
 Decoding either qubit is probabilistic: a two-outcome measurement on the
 qutrit either lands in the two levels that jointly carry the chosen qubit
@@ -29,23 +29,19 @@ import numpy as np
 from .states import (
     NULL_BRANCH_EPS,
     BlochAngles,
-    DiagonalProjector,
-    PermutationUnitary,
     PureState,
-    apply_permutation,
     make_qubit_state,
     project,
     sample_complete_measurement,
-    tensor_product,
 )
 
 QUTRIT_DIM = 3
 REGISTER_DIM = 4
-JOINT_DIM = QUTRIT_DIM * REGISTER_DIM
 
-# Register-index pairs that differ only in the chosen qubit's bit. To read
-# qubit `a` out of the register one needs both members of a block; losing
-# one index therefore damages exactly one block per target.
+# Register-index pairs that differ only in the chosen qubit's bit, the member
+# with that bit 0 first. To read qubit `a` out of the register one needs both
+# members of a block; losing one index therefore damages exactly one block
+# per target.
 TARGET_BLOCKS: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {
     1: ((0, 1), (2, 3)),
     2: ((0, 2), (1, 3)),
@@ -147,38 +143,23 @@ def joint_state(pair: QubitPair) -> PureState:
     return PureState(amps)
 
 
-def ancilla() -> PureState:
-    """Uniform-superposition qutrit used as the encoding carrier."""
-    return PureState(np.full(QUTRIT_DIM, 1.0 / math.sqrt(3.0)))
+def _branch(c: np.ndarray, outcome: int) -> tuple[float, np.ndarray]:
+    """Weight of encoding outcome j and the amplitudes it leaves on levels 0..2."""
+    levels = c[[carried_index(level, outcome) for level in range(QUTRIT_DIM)]]
+    # the survivors' weight: near a pole 1 - |c_j|^2 would lose every digit
+    return float(np.vdot(levels, levels).real) / 3.0, levels
 
 
-def encoding_projector(outcome: int) -> DiagonalProjector:
-    """Projector P_j of the four-outcome encoding measurement.
-
-    Outcome j pairs ancilla level i with register index (i + j + 1) mod 4.
-    The four projectors partition all 12 joint indices.
-    """
-    _check_outcome(outcome)
-    indices = {
-        REGISTER_DIM * level + carried_index(level, outcome)
-        for level in range(QUTRIT_DIM)
-    }
-    return DiagonalProjector(JOINT_DIM, frozenset(indices))
+def _qutrit(probability: float, levels: np.ndarray) -> PureState | None:
+    if probability <= NULL_BRANCH_EPS:
+        return None
+    return PureState(levels / math.sqrt(3.0 * probability))
 
 
-def relabel_unitary() -> PermutationUnitary:
-    """Permutation |i>|k> -> |i>|k - i mod 4> that frees the register.
-
-    After the encoding measurement with outcome j the register index always
-    sits at (level + j + 1) mod 4, so this relabeling sends every surviving
-    component to the same register state |j + 1 mod 4>.
-    """
-    image = [
-        REGISTER_DIM * level + (k - level) % REGISTER_DIM
-        for level in range(QUTRIT_DIM)
-        for k in range(REGISTER_DIM)
-    ]
-    return PermutationUnitary(tuple(image))
+def outcome_weights(pair: QubitPair) -> tuple[float, float, float, float]:
+    """Probability (1 - |c_j|^2) / 3 of each encoding outcome j, as `encode` samples it."""
+    c = joint_state(pair).amplitudes
+    return tuple(_branch(c, j)[0] for j in range(REGISTER_DIM))
 
 
 def encode_branch(pair: QubitPair, outcome: int) -> tuple[float, PureState | None]:
@@ -190,50 +171,41 @@ def encode_branch(pair: QubitPair, outcome: int) -> tuple[float, PureState | Non
     numerically impossible (|c_j| = 1) the qutrit is absent.
     """
     _check_outcome(outcome)
-    c = joint_state(pair).amplitudes
-    levels = np.array([c[carried_index(i, outcome)] for i in range(QUTRIT_DIM)])
-    # the survivors' weight: near a pole 1 - |c_j|^2 would lose every digit
-    probability = float(np.vdot(levels, levels).real) / 3.0
-    if probability <= NULL_BRANCH_EPS:
-        return probability, None
-    return probability, PureState(levels / math.sqrt(3.0 * probability))
+    probability, levels = _branch(joint_state(pair).amplitudes, outcome)
+    return probability, _qutrit(probability, levels)
 
 
 def encode(pair: QubitPair, u: float) -> EncodeRecord:
     """Run the full encoding once, sampling the outcome with u in [0, 1).
 
-    The outcome is sampled by projecting the ancilla-register product state
-    onto the four encoding projectors; the stored qutrit comes from the
-    closed-form branch, which the test suite checks against the explicit
-    project-relabel-slice pipeline.
+    The outcome is sampled from the four branch weights of `encode_branch`
+    by the strict cumulative rule, and only the chosen qutrit is built.
     """
-    state = tensor_product(ancilla(), joint_state(pair))
-    family = [encoding_projector(j) for j in range(REGISTER_DIM)]
-    outcome, _ = sample_complete_measurement(state, family, u)
-    probability, qutrit = encode_branch(pair, outcome)
-    return EncodeRecord(outcome=outcome, probability=probability, qutrit=qutrit)
+    c = joint_state(pair).amplitudes
+    branches = [_branch(c, j) for j in range(REGISTER_DIM)]
+    outcome = sample_complete_measurement([weight for weight, _ in branches], u)
+    probability, levels = branches[outcome]
+    return EncodeRecord(
+        outcome=outcome, probability=probability, qutrit=_qutrit(probability, levels)
+    )
 
 
-def decode_projectors(
-    outcome: int, target: int
-) -> tuple[DiagonalProjector, DiagonalProjector]:
-    """Success and failure projectors on the qutrit for a chosen qubit.
+def decode_levels(outcome: int, target: int) -> tuple[tuple[int, int], int]:
+    """Qutrit levels read as logical |0> and |1> when decoding `target`, and
+    the failure level.
 
-    The success projector covers the two levels whose register indices form
-    the block of `target` that the encoding outcome left intact; the
-    failure projector is the single remaining level.
+    The success pair is the two levels whose register indices form the block
+    of `target` that the encoding outcome left intact, in the order of the
+    target's bit in that index, so success reproduces the original qubit
+    without any corrective rotation. The failure level is the remaining one.
     """
     _check_outcome(outcome)
     _check_target(target)
-    block = intact_block(outcome, target)
-    success_levels = frozenset(
-        level for level in range(QUTRIT_DIM) if carried_index(level, outcome) in block
-    )
-    failure_levels = frozenset(range(QUTRIT_DIM)) - success_levels
-    return (
-        DiagonalProjector(QUTRIT_DIM, success_levels),
-        DiagonalProjector(QUTRIT_DIM, failure_levels),
-    )
+    # register index k sits on level (k - j - 1) mod 4; the intact block lists
+    # the index with target bit 0 first and never contains j
+    success = tuple((k - outcome - 1) % REGISTER_DIM for k in intact_block(outcome, target))
+    (failure,) = set(range(QUTRIT_DIM)) - set(success)
+    return success, failure
 
 
 def decode_branch(
@@ -241,20 +213,12 @@ def decode_branch(
 ) -> tuple[float, PureState | None, float]:
     """Success probability, reconstructed qubit (absent on null weight), and
     failure probability for decoding `target` from a stored qutrit."""
-    success_proj, _ = decode_projectors(outcome, target)
-    p_success, collapsed = project(qutrit, success_proj)
+    success_levels, _ = decode_levels(outcome, target)
+    p_success, collapsed = project(qutrit, success_levels)
     p_fail = 1.0 - p_success
     if collapsed is None:
         return p_success, None, p_fail
-    # Order the two surviving levels so the one whose register index has the
-    # target bit 0 becomes logical |0>; success then reproduces the original
-    # qubit without any corrective rotation.
-    low, high = sorted(
-        success_proj.indices,
-        key=lambda level: qubit_bit(carried_index(level, outcome), target),
-    )
-    amps = np.array([collapsed.amplitudes[low], collapsed.amplitudes[high]])
-    return p_success, PureState(amps), p_fail
+    return p_success, PureState(collapsed.amplitudes[list(success_levels)]), p_fail
 
 
 def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeRecord:
@@ -273,11 +237,9 @@ def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeReco
             target=target, success=True, probability=p_success,
             reconstructed=reconstructed,
         )
-    _, failure_proj = decode_projectors(outcome, target)
-    (failure_level,) = failure_proj.indices
     return DecodeRecord(
         target=target, success=False, probability=p_fail,
-        failure_level=failure_level,
+        failure_level=decode_levels(outcome, target)[1],
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import carried_index, decode_projectors, intact_block, qubit_bit
+from .codec import carried_index, decode_levels, intact_block
 from .states import BlochAngles
 
 UNIFORMS_PER_TRIAL = 8
@@ -114,9 +114,7 @@ def _targets(policy: str, start: int, count: int, u_target: np.ndarray) -> np.nd
 
 def _decoded_indices(outcome: int, target: int) -> list[int]:
     """Register indices that decode_branch reads as logical |0> and |1>."""
-    levels = decode_projectors(outcome, target)[0].indices
-    carried = [carried_index(level, outcome) for level in levels]
-    return sorted(carried, key=lambda k: qubit_bit(k, target))
+    return [carried_index(level, outcome) for level in decode_levels(outcome, target)[0]]
 
 
 # [outcome, target - 1] -> a pair of register indices: the intact block,

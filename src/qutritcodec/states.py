@@ -1,10 +1,13 @@
 """Exact pure-state linear algebra for small fixed dimensions.
 
-Everything here operates on plain complex statevectors. Measurements are
-restricted to projectors that are diagonal in the computational basis and
-unitaries that permute basis labels, so every operation reduces to index
-arithmetic plus a handful of numpy reductions. All values are immutable
-after construction and all operations are pure functions.
+Everything here operates on plain complex statevectors. The only
+measurements are projections onto sets of computational-basis levels and
+complete measurements sampled from their outcome weights, so every
+operation reduces to index arithmetic plus a handful of numpy reductions.
+All values are immutable after construction and all operations are pure
+functions. The 12-dimensional ancilla-register state of the encoding is not
+built here: the codec works from its closed forms, and the test suite's
+oracle (tests/conftest.py) spells that state out.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ NORM_ATOL = 1e-12
 # Born weight at or below this is treated as an impossible branch: the
 # projection returns no collapsed state instead of renormalized noise.
 NULL_BRANCH_EPS = 1e-15
-# A projector family used for sampling must have total Born weight 1
-# within this tolerance.
+# The outcome weights of a sampled measurement must sum to 1 within this
+# tolerance.
 COMPLETENESS_ATOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
@@ -74,45 +77,6 @@ class PureState:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
-class DiagonalProjector:
-    """Projector onto a subset of computational-basis levels."""
-
-    dim: int
-    indices: frozenset[int]
-
-    def __post_init__(self) -> None:
-        indices = frozenset(int(i) for i in self.indices)
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if not indices:
-            raise ValueError("projector needs at least one basis index")
-        if any(i < 0 or i >= self.dim for i in indices):
-            raise ValueError(f"basis index out of range for dim={self.dim}: {sorted(indices)}")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "dim", int(self.dim))
-
-    def sorted_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
-
-@dataclass(frozen=True)
-class PermutationUnitary:
-    """Basis relabeling unitary: amplitude at k moves to map[k]."""
-
-    map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        image = tuple(int(k) for k in self.map)
-        if sorted(image) != list(range(len(image))):
-            raise ValueError("map must be a bijection of 0..dim-1")
-        object.__setattr__(self, "map", image)
-
-    @property
-    def dim(self) -> int:
-        return len(self.map)
-
-
 def make_qubit_state(angles: BlochAngles) -> PureState:
     """Statevector (cos(theta/2), e^{i phi} sin(theta/2)) of one qubit."""
     half = 0.5 * angles.theta
@@ -121,30 +85,23 @@ def make_qubit_state(angles: BlochAngles) -> PureState:
     )
 
 
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Joint state with the first factor as the slow index.
-
-    Combined basis index is (index_a * dim_b) + index_b.
-    """
-    return PureState(np.kron(a.amplitudes, b.amplitudes))
-
-
 def _require_same_dim(dim_a: int, dim_b: int, what: str) -> None:
     if dim_a != dim_b:
         raise ValueError(f"dimension mismatch in {what}: {dim_a} vs {dim_b}")
 
 
 def project(
-    state: PureState, proj: DiagonalProjector
+    state: PureState, levels: Iterable[int]
 ) -> tuple[float, PureState | None]:
-    """Born probability of a projector and the collapsed state.
+    """Born probability of a set of basis levels and the collapsed state.
 
     Returns (probability, collapsed). The collapsed state is None when the
     probability does not exceed NULL_BRANCH_EPS, since renormalizing a
     numerically null branch would only amplify rounding noise.
     """
-    _require_same_dim(proj.dim, state.dim, "project")
-    idx = np.fromiter(proj.indices, dtype=np.intp, count=len(proj.indices))
+    idx = sorted({int(level) for level in levels})
+    if not idx or idx[0] < 0 or idx[-1] >= state.dim:
+        raise ValueError(f"levels must be a nonempty subset of 0..{state.dim - 1}, got {idx}")
     probability = float(np.sum(np.abs(state.amplitudes[idx]) ** 2))
     if probability <= NULL_BRANCH_EPS:
         return probability, None
@@ -153,57 +110,27 @@ def project(
     return probability, PureState(collapsed)
 
 
-def sample_complete_measurement(
-    state: PureState,
-    projectors: Sequence[DiagonalProjector],
-    u: float,
-) -> tuple[int, PureState]:
-    """Sample one outcome of a complete projective measurement.
+def sample_complete_measurement(weights: Sequence[float], u: float) -> int:
+    """Sample one outcome of a complete measurement from its Born weights.
 
-    The outcome is the smallest index m whose cumulative Born probability,
-    scanned in ascending outcome order, strictly exceeds u. The strict
-    comparison makes runs bit-reproducible for a given u and means a
-    zero-weight outcome is never realized.
+    The outcome is the smallest index m whose cumulative weight, scanned in
+    ascending outcome order, strictly exceeds u. The strict comparison makes
+    runs bit-reproducible for a given u, and a weight at or below
+    NULL_BRANCH_EPS is never realized.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
-    family = tuple(projectors)
-    seen: set[int] = set()
-    total_indices = 0
-    for proj in family:
-        _require_same_dim(proj.dim, state.dim, "sample_complete_measurement")
-        seen.update(proj.indices)
-        total_indices += len(proj.indices)
-    if total_indices != state.dim or seen != set(range(state.dim)):
-        raise ValueError("projector family must partition the basis")
-
-    branches = [project(state, proj) for proj in family]
-    total = sum(p for p, _ in branches)
+    total = sum(weights)
     if abs(total - 1.0) > COMPLETENESS_ATOL:
-        raise ValueError(f"projector family is not complete: total probability {total!r}")
-
+        raise ValueError(f"measurement is not complete: total probability {total!r}")
     cumulative = 0.0
-    chosen: tuple[int, PureState] | None = None
-    for m, (probability, collapsed) in enumerate(branches):
-        cumulative += probability
-        if cumulative > u and collapsed is not None:
-            chosen = (m, collapsed)
-            break
-    if chosen is None:
-        # Reachable only when rounding leaves the total just below u; fall
-        # back to the last realizable outcome.
-        chosen = max(
-            (m, c) for m, (p, c) in enumerate(branches) if c is not None
-        )
-    return chosen
-
-
-def apply_permutation(state: PureState, unitary: PermutationUnitary) -> PureState:
-    """Relabel basis indices: the new amplitude at map[k] is the old one at k."""
-    _require_same_dim(unitary.dim, state.dim, "apply_permutation")
-    out = np.empty_like(state.amplitudes)
-    out[np.asarray(unitary.map, dtype=np.intp)] = state.amplitudes
-    return PureState(out)
+    for m, weight in enumerate(weights):
+        cumulative += weight
+        if cumulative > u and weight > NULL_BRANCH_EPS:
+            return m
+    # Reachable only when rounding leaves the total just below u; fall back
+    # to the last realizable outcome.
+    return max(m for m, weight in enumerate(weights) if weight > NULL_BRANCH_EPS)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -1,6 +1,15 @@
 """Shared helpers: random and near-pole preparations, the explicit
-12-dimensional encoding pipeline used as an oracle for the closed-form
-branch, and brute-force quadrature used as an oracle for the gain report."""
+12-dimensional encoding pipeline used as an oracle for the codec's closed
+forms, and brute-force quadrature used as an oracle for the gain report.
+
+The pipeline is plain numpy index arithmetic and does not call the codec.
+Joint states of ancilla and register use the slow-first tensor layout,
+combined index = 4 * (ancilla level) + (register index), with register
+index k = b1 + 2*b2. Encoding outcome j projects onto the indices that tie
+ancilla level i to register index (i + j + 1) mod 4; the relabeling
+permutation |i>|k> -> |i>|k - i mod 4> then moves every survivor to
+register level (j + 1) mod 4, where the qutrit is read off.
+"""
 
 from __future__ import annotations
 
@@ -10,21 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qutritcodec import (
-    BlochAngles,
-    PureState,
-    QubitPair,
-    ancilla,
-    apply_permutation,
-    encoding_projector,
-    joint_state,
-    outcome_likelihood,
-    prior_theta,
-    project,
-    relabel_unitary,
-    tensor_product,
-)
+from qutritcodec import BlochAngles, PureState, QubitPair, make_qubit_state, project
 from qutritcodec.codec import intact_block, qubit_bit
+
+# the relabeling permutation: joint index k moves to RELABEL[k]
+RELABEL = [4 * level + (k - level) % 4 for level in range(3) for k in range(4)]
 
 
 def random_pair(rng: np.random.Generator) -> QubitPair:
@@ -60,21 +59,44 @@ def near_pole_pairs() -> st.SearchStrategy[QubitPair]:
     )
 
 
-def pipeline_encode(pair: QubitPair, outcome: int):
-    """Encoding by explicit tensor, projection, relabeling and slicing.
+def ancilla() -> np.ndarray:
+    """Uniform-superposition qutrit used as the encoding carrier."""
+    return np.full(3, 1.0 / math.sqrt(3.0))
 
-    Independent of the closed-form branch: builds the 12-dimensional
-    ancilla-register state, projects onto the outcome's projector, applies
-    the relabeling permutation, and reads the qutrit off the register level
-    every component ends up in.
-    """
-    state = tensor_product(ancilla(), joint_state(pair))
-    probability, collapsed = project(state, encoding_projector(outcome))
+
+def register(pair: QubitPair) -> np.ndarray:
+    """Register amplitudes c_k; qubit 1 owns the low bit, so it is the fast factor."""
+    return np.kron(make_qubit_state(pair.q2).amplitudes, make_qubit_state(pair.q1).amplitudes)
+
+
+def encoding_indices(outcome: int) -> list[int]:
+    """Joint indices kept by the projector of encoding outcome j."""
+    return [4 * level + (level + outcome + 1) % 4 for level in range(3)]
+
+
+def permute(amplitudes: np.ndarray, image) -> np.ndarray:
+    """Relabel basis indices: the amplitude at k moves to image[k]."""
+    if sorted(image) != list(range(len(amplitudes))):
+        raise ValueError("image must be a bijection of 0..dim-1")
+    out = np.empty_like(amplitudes)
+    out[list(image)] = amplitudes
+    return out
+
+
+def pipeline_weights(pair: QubitPair) -> list[float]:
+    """Born weights of the four encoding projectors on the 12-dim state."""
+    state = PureState(np.kron(ancilla(), register(pair)))
+    return [project(state, encoding_indices(j))[0] for j in range(4)]
+
+
+def pipeline_encode(pair: QubitPair, outcome: int):
+    """Encoding by explicit tensor, projection, relabeling and slicing."""
+    state = PureState(np.kron(ancilla(), register(pair)))
+    probability, collapsed = project(state, encoding_indices(outcome))
     if collapsed is None:
         return probability, None
-    relabeled = apply_permutation(collapsed, relabel_unitary())
-    register_level = (outcome + 1) % 4
-    return probability, PureState(relabeled.amplitudes[register_level::4])
+    relabeled = permute(collapsed.amplitudes, RELABEL)
+    return probability, PureState(relabeled[(outcome + 1) % 4 :: 4])
 
 
 def phase_aligned_max_diff(a: PureState, b: PureState) -> float:
@@ -84,17 +106,36 @@ def phase_aligned_max_diff(a: PureState, b: PureState) -> float:
     return float(np.max(np.abs(a.amplitudes - b.amplitudes * np.conj(phase))))
 
 
+def prior(theta):
+    return 0.5 * np.sin(theta)
+
+
+def bit_weight(bit: int, theta):
+    return np.cos(theta / 2) ** 2 if bit == 0 else np.sin(theta / 2) ** 2
+
+
+def register_weight(k: int, t1, t2):
+    """|c_k|^2 at the given polar angles."""
+    return bit_weight(qubit_bit(k, 1), t1) * bit_weight(qubit_bit(k, 2), t2)
+
+
+def likelihood(outcome: int, t1, t2):
+    """Probability (1 - |c_j|^2) / 3 of encoding outcome j at the given angles."""
+    if outcome not in range(4):
+        raise ValueError(f"outcome must be one of 0..3, got {outcome!r}")
+    return (1.0 - register_weight(outcome, t1, t2)) / 3.0
+
+
 def reference_report_scalars(quad, outcome: int, target: int) -> dict[str, float]:
     """Every scalar of `report_scalars` by brute-force tensor-product quadrature.
 
-    Builds each posterior as a closure over the public prior and likelihood
-    callables, takes every normalizer, marginal and entropy by integrating
-    those closures over the full n x n grid with einsum, and computes the
+    Builds each posterior as a closure over the prior and likelihood above,
+    takes every normalizer, marginal and entropy by integrating those
+    closures over the full n x n grid with einsum, and computes the
     conditional success probability from the register weights directly.
     """
     x, w = quad.nodes()
     grid = (x[:, None], x[None, :])
-    prior = prior_theta().pdf
 
     def integrate(pdf) -> float:
         return float(np.einsum("i,j,ij->", w, w, pdf(*grid)))
@@ -109,15 +150,9 @@ def reference_report_scalars(quad, outcome: int, target: int) -> dict[str, float
         values = pdf(*grid)
         return entropy(values @ w), entropy(w @ values)
 
-    def bit_weight(bit, theta):
-        return np.cos(theta / 2) ** 2 if bit == 0 else np.sin(theta / 2) ** 2
-
-    def register_weight(k, t1, t2):
-        return bit_weight(qubit_bit(k, 1), t1) * bit_weight(qubit_bit(k, 2), t2)
-
     def posterior(j):
         def joint(t1, t2):
-            return outcome_likelihood(j, t1, t2) * prior(t1) * prior(t2)
+            return likelihood(j, t1, t2) * prior(t1) * prior(t2)
 
         mass = integrate(joint)
         return mass, lambda t1, t2: joint(t1, t2) / mass

@@ -1,4 +1,4 @@
-"""Quadrature densities, entropies, and the information-gain report."""
+"""Quadrature building blocks, entropies, and the information-gain report."""
 
 from __future__ import annotations
 
@@ -12,217 +12,218 @@ import pytest
 
 import qutritcodec.bayes as bayes
 from qutritcodec import (
-    Density1D,
-    Density2D,
+    BlochAngles,
     QuadratureSpec,
-    average_success_probability,
-    decode_posterior_failure,
-    decode_posterior_success,
+    QubitPair,
     direct_measurement_gain,
-    encode_posterior,
-    entropy_bits,
     exact_report,
     gain_report,
     joint_state,
-    outcome_likelihood,
-    outcome_prior,
+    normalizers,
+    outcome_weights,
     prior_theta,
     report_scalars,
 )
-from conftest import random_pair, reference_report_scalars
+from qutritcodec.codec import intact_block, qubit_bit
+from conftest import likelihood, random_pair, reference_report_scalars
 
 QUAD = QuadratureSpec(nodes_per_axis=64)
 GRID = np.linspace(0.0, math.pi, 32)
 
 
-def integral_1d(density: Density1D, quad=QUAD) -> float:
+def integral_2d(pdf, quad=QUAD) -> float:
     x, w = quad.nodes()
-    return float(np.sum(w * density.pdf(x)))
+    return float(np.einsum("i,j,ij->", w, w, pdf(x[:, None], x[None, :])))
 
 
-def integral_2d(density: Density2D, quad=QUAD) -> float:
-    x, w = quad.nodes()
-    return float(np.einsum("i,j,ij->", w, w, density.pdf(x[:, None], x[None, :])))
+def pair_at(theta1: float, theta2: float) -> QubitPair:
+    return QubitPair(BlochAngles(theta1, 1.0), BlochAngles(theta2, 2.0))
+
+
+def entropy(values, quad=QUAD) -> float:
+    return bayes._entropy(np.asarray(values), quad.nodes()[1])
+
+
+# Every posterior of the protocol is the prior times the weight of some kept
+# register indices: an outcome keeps its survivors, a successful decode the
+# intact block and a failed one the remaining survivor.
+def failure_kept(outcome, target):
+    return set(bayes._survivors(outcome)) - set(intact_block(outcome, target))
+
+
+def posterior(kept, t1, t2, quad=QUAD):
+    """Joint posterior from the per-bit densities and masses of the report."""
+    d1, d2 = bayes._bit_densities(t1), bayes._bit_densities(t2)
+    weight = sum(d1[qubit_bit(k, 1)] * d2[qubit_bit(k, 2)] for k in kept)
+    return weight / bayes._kept_mass(kept, bayes._bit_masses(quad))
+
+
+def marginal(kept, qubit, theta, quad=QUAD):
+    """The report's separable marginal of the same posterior."""
+    densities = bayes._bit_densities(theta)
+    return bayes._kept_marginal(kept, qubit, densities, bayes._bit_masses(quad))
 
 
 class TestPrior:
     def test_endpoint_and_midpoint_values(self):
-        prior = prior_theta()
-        assert prior.pdf(np.array([0.0]))[0] == 0.0
-        assert prior.pdf(np.array([math.pi / 2]))[0] == pytest.approx(0.5)
+        assert prior_theta(np.array([0.0]))[0] == 0.0
+        assert prior_theta(np.array([math.pi / 2]))[0] == pytest.approx(0.5)
 
     def test_normalization(self):
-        assert integral_1d(prior_theta()) == pytest.approx(1.0, abs=1e-12)
+        x, w = QUAD.nodes()
+        assert float(np.sum(w * prior_theta(x))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOutcomeLikelihood:
+    # the brute-force oracle's likelihood, checked against the codec's weights
     def test_impossible_result(self):
-        assert outcome_likelihood(0, 0.0, 0.0) == 0.0
+        assert likelihood(0, 0.0, 0.0) == 0.0
+        assert outcome_weights(pair_at(0.0, 0.0))[0] == 0.0
 
     def test_closed_form_for_first_outcome(self):
         t1, t2 = np.meshgrid(GRID, GRID, indexing="ij")
         expected = (1 - np.cos(t1 / 2) ** 2 * np.cos(t2 / 2) ** 2) / 3
-        np.testing.assert_allclose(
-            outcome_likelihood(0, t1, t2), expected, atol=1e-15
-        )
+        np.testing.assert_allclose(likelihood(0, t1, t2), expected, atol=1e-15)
 
     def test_vanishes_where_the_branch_is_certainly_other(self):
-        assert outcome_likelihood(2, 0.0, math.pi) == pytest.approx(0.0, abs=1e-30)
+        assert likelihood(2, 0.0, math.pi) == pytest.approx(0.0, abs=1e-30)
+        assert outcome_weights(pair_at(0.0, math.pi))[2] == pytest.approx(0.0, abs=1e-30)
 
     def test_likelihoods_sum_to_one(self):
         t1, t2 = np.meshgrid(GRID, GRID, indexing="ij")
-        total = sum(outcome_likelihood(j, t1, t2) for j in range(4))
+        total = sum(likelihood(j, t1, t2) for j in range(4))
         np.testing.assert_allclose(total, np.ones_like(t1), atol=1e-15)
 
     def test_matches_register_amplitudes(self, rng):
         for _ in range(20):
             pair = random_pair(rng)
             c = joint_state(pair).amplitudes
+            weights = outcome_weights(pair)
             for j in range(4):
                 expected = (1 - abs(c[j]) ** 2) / 3
-                got = outcome_likelihood(j, pair.q1.theta, pair.q2.theta)
+                got = likelihood(j, pair.q1.theta, pair.q2.theta)
                 assert got == pytest.approx(expected, abs=1e-12)
+                assert weights[j] == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_outcome(self):
         with pytest.raises(ValueError):
-            outcome_likelihood(4, 0.0, 0.0)
+            likelihood(4, 0.0, 0.0)
 
 
 class TestOutcomePrior:
     def test_uniform_quarter(self):
-        for j in range(4):
-            assert outcome_prior(j, QUAD) == pytest.approx(0.25, abs=1e-12)
+        for prior in normalizers(QUAD)[0]:
+            assert prior == pytest.approx(0.25, abs=1e-12)
 
     def test_sums_to_one(self):
-        total = sum(outcome_prior(j, QUAD) for j in range(4))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert sum(normalizers(QUAD)[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_node_count_independence(self):
-        coarse = outcome_prior(0, QuadratureSpec(64))
-        fine = outcome_prior(0, QuadratureSpec(256))
+        coarse = normalizers(QuadratureSpec(64))[0]
+        fine = normalizers(QuadratureSpec(256))[0]
         assert coarse == pytest.approx(fine, abs=1e-12)
 
 
 class TestEncodePosterior:
     def test_closed_form_on_a_grid(self):
-        posterior = encode_posterior(0, QUAD)
         t1, t2 = np.meshgrid(GRID, GRID, indexing="ij")
         expected = (
             (1 - np.cos(t1 / 2) ** 2 * np.cos(t2 / 2) ** 2)
             / 3 * np.sin(t1) * np.sin(t2)
         )
-        np.testing.assert_allclose(posterior.pdf(t1, t2), expected, atol=1e-12)
+        np.testing.assert_allclose(
+            posterior(bayes._survivors(0), t1, t2), expected, atol=1e-12
+        )
 
     def test_vanishes_at_the_origin(self):
-        posterior = encode_posterior(0, QUAD)
-        assert posterior.pdf(np.array([0.0]), np.array([0.0]))[0] == 0.0
+        assert posterior(bayes._survivors(0), 0.0, 0.0)[0] == 0.0
 
     def test_reflection_symmetry_between_first_and_last_outcome(self):
-        post0 = encode_posterior(0, QUAD)
-        post3 = encode_posterior(3, QUAD)
         t1, t2 = np.meshgrid(GRID, GRID, indexing="ij")
         np.testing.assert_allclose(
-            post3.pdf(t1, t2),
-            post0.pdf(math.pi - t1, math.pi - t2),
+            posterior(bayes._survivors(3), t1, t2),
+            posterior(bayes._survivors(0), math.pi - t1, math.pi - t2),
             atol=1e-12,
         )
 
     def test_normalization(self):
         for j in range(4):
-            assert integral_2d(encode_posterior(j, QUAD)) == pytest.approx(
-                1.0, abs=1e-9
-            )
+            density = lambda t1, t2: posterior(bayes._survivors(j), t1, t2)  # noqa: E731
+            assert integral_2d(density) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDecodePosteriors:
     def test_success_joint_matches_the_product_form(self):
-        success = decode_posterior_success(0, 1, QUAD)
         t1, t2 = np.meshgrid(GRID[1:-1], GRID[1:-1], indexing="ij")
         expected = 0.5 * np.sin(t1) * np.sin(t2 / 2) ** 2 * np.sin(t2)
-        np.testing.assert_allclose(success.joint.pdf(t1, t2), expected, atol=1e-9)
+        np.testing.assert_allclose(posterior(intact_block(0, 1), t1, t2), expected, atol=1e-9)
 
     def test_success_marginals(self):
-        success = decode_posterior_success(0, 1, QUAD)
         x, _ = QUAD.nodes()
+        kept = intact_block(0, 1)
+        np.testing.assert_allclose(marginal(kept, 1, x), 0.5 * np.sin(x), atol=1e-9)
         np.testing.assert_allclose(
-            success.marginal_q1.pdf(x), 0.5 * np.sin(x), atol=1e-9
-        )
-        np.testing.assert_allclose(
-            success.marginal_q2.pdf(x), np.sin(x / 2) ** 2 * np.sin(x), atol=1e-9
+            marginal(kept, 2, x), np.sin(x / 2) ** 2 * np.sin(x), atol=1e-9
         )
 
     def test_failure_joint_closed_form(self):
-        failure = decode_posterior_failure(0, 1, QUAD)
         t1, t2 = np.meshgrid(GRID[1:-1], GRID[1:-1], indexing="ij")
         expected = (
             np.sin(t1 / 2) ** 2 * np.cos(t2 / 2) ** 2 * np.sin(t1) * np.sin(t2)
         )
-        np.testing.assert_allclose(failure.joint.pdf(t1, t2), expected, atol=1e-9)
+        np.testing.assert_allclose(posterior(failure_kept(0, 1), t1, t2), expected, atol=1e-9)
 
     def test_failure_weight_is_one_third(self):
-        weight = 1.0 - average_success_probability(0, 1, QUAD)
+        weight = 1.0 - normalizers(QUAD)[1][0][0]
         assert weight == pytest.approx(1 / 3, abs=1e-9)
 
     def test_failure_density_factorizes(self):
-        failure = decode_posterior_failure(0, 1, QUAD)
+        kept = failure_kept(0, 1)
         inner = GRID[1:-1]
         t1, t2 = np.meshgrid(inner, inner, indexing="ij")
-        product = failure.marginal_q1.pdf(inner)[:, None] * (
-            failure.marginal_q2.pdf(inner)[None, :]
-        )
-        np.testing.assert_allclose(failure.joint.pdf(t1, t2), product, atol=1e-9)
+        product = marginal(kept, 1, inner)[:, None] * marginal(kept, 2, inner)[None, :]
+        np.testing.assert_allclose(posterior(kept, t1, t2), product, atol=1e-9)
 
     def test_failure_vanishes_on_the_first_axis(self):
-        failure = decode_posterior_failure(0, 1, QUAD)
-        values = failure.joint.pdf(np.zeros(5), np.linspace(0.1, 3.0, 5))
+        values = posterior(failure_kept(0, 1), np.zeros(5), np.linspace(0.1, 3.0, 5))
         np.testing.assert_allclose(values, 0.0, atol=1e-15)
 
     def test_normalization(self):
-        assert integral_2d(decode_posterior_success(0, 1, QUAD).joint) == pytest.approx(
-            1.0, abs=1e-9
-        )
-        assert integral_2d(decode_posterior_failure(0, 1, QUAD).joint) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        for kept in (intact_block(0, 1), failure_kept(0, 1)):
+            density = lambda t1, t2: posterior(kept, t1, t2)  # noqa: E731
+            assert integral_2d(density) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEntropy:
     def test_uniform_density(self):
-        uniform = Density1D(pdf=lambda theta: np.full_like(theta, 1 / math.pi))
-        assert entropy_bits(uniform, QUAD) == pytest.approx(
-            math.log2(math.pi), abs=1e-12
-        )
+        uniform = np.full(64, 1 / math.pi)
+        assert entropy(uniform) == pytest.approx(math.log2(math.pi), abs=1e-12)
 
     def test_prior_entropy_is_stable_under_node_doubling(self):
-        coarse = entropy_bits(prior_theta(), QuadratureSpec(256))
-        fine = entropy_bits(prior_theta(), QuadratureSpec(512))
+        coarse, fine = (
+            entropy(prior_theta(quad.nodes()[0]), quad)
+            for quad in (QuadratureSpec(256), QuadratureSpec(512))
+        )
         assert abs(coarse - fine) <= 1e-9
 
     def test_product_density_entropy_is_additive(self):
-        prior = prior_theta()
-        product = Density2D(pdf=lambda t1, t2: prior.pdf(t1) * prior.pdf(t2))
-        assert entropy_bits(product, QUAD) == pytest.approx(
-            2 * entropy_bits(prior, QUAD), abs=1e-9
+        prior = prior_theta(QUAD.nodes()[0])
+        assert entropy(prior[:, None] * prior[None, :]) == pytest.approx(
+            2 * entropy(prior), abs=1e-9
         )
 
     def test_negative_density_rejected(self):
-        bad = Density1D(pdf=lambda theta: np.sin(theta) - 0.5)
         with pytest.raises(ValueError, match="negative"):
-            entropy_bits(bad, QUAD)
+            entropy(np.sin(QUAD.nodes()[0]) - 0.5)
 
 
 class TestAverageSuccess:
     def test_two_thirds_for_the_worked_case(self):
-        assert average_success_probability(0, 1, QUAD) == pytest.approx(
-            2 / 3, abs=1e-9
-        )
+        assert normalizers(QUAD)[1][0][0] == pytest.approx(2 / 3, abs=1e-9)
 
     def test_two_thirds_for_every_outcome_and_target(self):
-        for j in range(4):
-            for a in (1, 2):
-                assert average_success_probability(j, a, QUAD) == pytest.approx(
-                    2 / 3, abs=1e-9
-                )
+        for per_target in normalizers(QUAD)[1]:
+            assert per_target == pytest.approx((2 / 3, 2 / 3), abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -318,14 +319,11 @@ def test_report_matches_brute_force_quadrature(nodes, outcome, target):
 @pytest.mark.parametrize("outcome", range(4))
 @pytest.mark.parametrize("target", (1, 2))
 def test_posterior_marginals_match_quadrature_of_the_joint(outcome, target):
-    x, _ = QUAD.nodes()
-    for posterior in (
-        decode_posterior_success(outcome, target, QUAD),
-        decode_posterior_failure(outcome, target, QUAD),
-    ):
-        for axis, marginal in ((1, posterior.marginal_q1), (2, posterior.marginal_q2)):
-            reference = bayes.marginal_density(posterior.joint, QUAD, axis).pdf(x)
-            np.testing.assert_allclose(marginal.pdf(x), reference, rtol=0, atol=1e-13)
+    x, w = QUAD.nodes()
+    for kept in (intact_block(outcome, target), failure_kept(outcome, target)):
+        joint = posterior(kept, x[:, None], x[None, :])
+        for axis, reference in ((1, joint @ w), (2, w @ joint)):
+            np.testing.assert_allclose(marginal(kept, axis, x), reference, rtol=0, atol=1e-13)
 
 
 def _mpmath_reference() -> tuple[dict, dict[str, float]]:
@@ -341,7 +339,8 @@ def test_report_matches_the_mpmath_reference_values():
     quad = QuadratureSpec(256)
     # p log p of the prior has x log x ends, which Gauss-Legendre resolves
     # only to 8e-10 at 256 nodes; that error cancels in every gain
-    assert abs(entropy_bits(prior_theta(), quad) - values.pop("h_prior")) <= 1e-9
+    h_prior = entropy(prior_theta(quad.nodes()[0]), quad)
+    assert abs(h_prior - values.pop("h_prior")) <= 1e-9
     computed = report_scalars(
         gain_report(quad, reference["outcome"], reference["target"])
     )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qutritcodec.bayes as bayes
 import qutritcodec.cli as cli_module
 from qutritcodec.cli import main
+from qutritcodec.report import round_sig
 from conftest import near_pole_pairs
 
 HALF_PI = repr(math.pi / 2)
@@ -330,6 +331,31 @@ class TestFormatsAndOutput:
             main, ["encode", "--theta1", "1.0", "--format", "md"]
         )
         assert result.output.startswith("# encode")
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--trials", "10"], ["mc", "--trials", "10", "--format", "csv"], ["encode"],
+    ])
+    def test_out_into_a_missing_directory_is_a_usage_error(self, runner, tmp_path, command):
+        result = runner.invoke(main, [*command, "--out", str(tmp_path / "nodir" / "x.json")])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--out'" in result.output
+        assert "No such file or directory" in result.output
+
+    def test_printed_outcome_probabilities_are_the_sampled_weights(self, runner, monkeypatch):
+        sampled = []
+
+        def spy(weights, u):
+            sampled.append([round_sig(weight) for weight in weights])
+            return sample(weights, u)
+
+        sample = cli_module.codec.sample_complete_measurement
+        monkeypatch.setattr(cli_module.codec, "sample_complete_measurement", spy)
+        for command in ("demo", "encode"):
+            for seed in range(5):
+                args = [command, "--theta1", "1.3", "--phi2", "0.2", "--theta2", "0.4",
+                        "--seed", str(seed)]
+                trace = json.loads(runner.invoke(main, args).output)["trace"]
+                assert trace["outcome_probabilities"] == sampled.pop()
 
     def test_out_writes_a_file(self, runner, tmp_path):
         path = tmp_path / "doc.json"

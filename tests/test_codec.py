@@ -1,4 +1,5 @@
-"""The encode/decode protocol: projectors, branches, sampling, round trips."""
+"""The encode/decode protocol: branches, decode levels, sampling, round
+trips, and the 12-dimensional oracle the closed forms are checked against."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qutritcodec import (
     BlochAngles,
@@ -14,27 +16,30 @@ from qutritcodec import (
     EncodeRecord,
     PureState,
     QubitPair,
-    ancilla,
     conditional_success_probability,
     decode,
     decode_branch,
-    decode_projectors,
+    decode_levels,
     encode,
     encode_branch,
-    encoding_projector,
     fidelity,
     joint_state,
     make_qubit_state,
+    outcome_weights,
     project,
-    relabel_unitary,
-    tensor_product,
 )
-from qutritcodec.states import NULL_BRANCH_EPS, DiagonalProjector
+from qutritcodec import codec
+from qutritcodec.states import NULL_BRANCH_EPS
 from conftest import (
+    RELABEL,
+    ancilla,
+    encoding_indices,
     near_pole_pairs,
     phase_aligned_max_diff,
     pipeline_encode,
+    pipeline_weights,
     random_pair,
+    register,
     unit_interval,
 )
 
@@ -67,45 +72,37 @@ class TestJointState:
         # qubit 1 owns the low register bit, so it is the fast tensor factor
         for _ in range(20):
             pair = random_pair(rng)
-            direct = joint_state(pair).amplitudes
-            kron = tensor_product(
-                make_qubit_state(pair.q2), make_qubit_state(pair.q1)
-            ).amplitudes
-            np.testing.assert_allclose(direct, kron, atol=1e-15)
+            np.testing.assert_allclose(joint_state(pair).amplitudes, register(pair), atol=1e-15)
 
 
 class TestAncilla:
     def test_uniform_levels(self):
-        np.testing.assert_allclose(ancilla().amplitudes, np.full(3, INV_SQRT3))
+        np.testing.assert_allclose(ancilla(), np.full(3, INV_SQRT3))
 
     def test_unit_norm(self):
-        assert np.sum(np.abs(ancilla().amplitudes) ** 2) == pytest.approx(1, abs=1e-15)
+        assert np.sum(np.abs(ancilla()) ** 2) == pytest.approx(1, abs=1e-15)
 
     def test_level_weight(self):
-        probability, _ = project(ancilla(), DiagonalProjector(3, frozenset({0})))
+        probability, _ = project(PureState(ancilla()), [0])
         assert probability == pytest.approx(1 / 3, abs=1e-15)
 
 
 class TestEncodingProjectors:
     def test_first_outcome_indices(self):
-        assert encoding_projector(0).indices == frozenset({1, 6, 11})
+        assert set(encoding_indices(0)) == {1, 6, 11}
 
     def test_last_outcome_indices(self):
-        assert encoding_projector(3).indices == frozenset({0, 5, 10})
+        assert set(encoding_indices(3)) == {0, 5, 10}
 
     def test_family_partitions_all_indices(self):
-        union = set()
-        total = 0
-        for j in range(4):
-            indices = encoding_projector(j).indices
-            union |= indices
-            total += len(indices)
-        assert union == set(range(12))
-        assert total == 12
+        indices = [k for j in range(4) for k in encoding_indices(j)]
+        assert sorted(indices) == list(range(12))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            encoding_projector(4)
+        pair = pair_of(1.0, 0, 2.0, 0)
+        for call in (lambda: encode_branch(pair, 4), lambda: decode_levels(4, 1)):
+            with pytest.raises(ValueError, match="outcome"):
+                call()
 
 
 class TestRelabelUnitary:
@@ -114,11 +111,10 @@ class TestRelabelUnitary:
         [(0, 2, 2), (1, 0, 3), (2, 3, 1)],
     )
     def test_images(self, level, register, expected_register):
-        unitary = relabel_unitary()
-        assert unitary.map[4 * level + register] == 4 * level + expected_register
+        assert RELABEL[4 * level + register] == 4 * level + expected_register
 
     def test_is_a_permutation_of_twelve(self):
-        assert sorted(relabel_unitary().map) == list(range(12))
+        assert sorted(RELABEL) == list(range(12))
 
 
 class TestEncodeBranch:
@@ -198,34 +194,69 @@ class TestEncode:
         assert record.outcome == bits[0] + 2 * bits[1]
 
 
+_angles = st.builds(
+    BlochAngles,
+    theta=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi])),
+    phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+
+
+@given(pair=st.one_of(st.builds(QubitPair, q1=_angles, q2=_angles), near_pole_pairs()),
+       u=unit_interval)
+@settings(max_examples=300, deadline=None)
+def test_encode_samples_the_outcome_of_the_12_dim_pipeline(pair, u):
+    # the closed-form weights and the 12-dim Born weights differ by rounding,
+    # so the outcomes may differ within an ulp of a cumulative boundary
+    cumulative = np.cumsum(pipeline_weights(pair))
+    assume(np.min(np.abs(cumulative - u)) > 1e-12)
+    assert encode(pair, u).outcome == np.searchsorted(cumulative, u, side="right")
+
+
+def test_encode_samples_the_weights_it_reports(rng, monkeypatch):
+    sampled = []
+
+    def spy(weights, u):
+        sampled.append(tuple(weights))
+        return sample(weights, u)
+
+    sample = codec.sample_complete_measurement
+    monkeypatch.setattr(codec, "sample_complete_measurement", spy)
+    for _ in range(50):
+        pair = random_pair(rng)
+        record = encode(pair, float(rng.random()))
+        weights = outcome_weights(pair)
+        assert sampled.pop() == weights
+        assert weights == tuple(encode_branch(pair, j)[0] for j in range(4))
+        assert record.probability == weights[record.outcome]
+
+
 class TestDecodeProjectors:
     @pytest.mark.parametrize(
         "outcome,target,success_levels,failure_level",
         [
-            (0, 1, {1, 2}, 0),
-            (0, 2, {0, 2}, 1),
-            (3, 1, {0, 1}, 2),
+            (0, 1, (1, 2), 0),
+            (0, 2, (0, 2), 1),
+            (3, 1, (0, 1), 2),
+            (1, 2, (2, 0), 1),  # logical |0> sits on the higher level
         ],
     )
     def test_worked_cases(self, outcome, target, success_levels, failure_level):
-        success, failure = decode_projectors(outcome, target)
-        assert success.indices == frozenset(success_levels)
-        assert failure.indices == frozenset({failure_level})
+        assert decode_levels(outcome, target) == (success_levels, failure_level)
 
     def test_every_pair_partitions_the_qutrit(self):
         for outcome in range(4):
             for target in (1, 2):
-                success, failure = decode_projectors(outcome, target)
-                assert len(success.indices) == 2
-                assert len(failure.indices) == 1
-                assert success.indices | failure.indices == {0, 1, 2}
-                assert not success.indices & failure.indices
+                (low, high), failure = decode_levels(outcome, target)
+                assert sorted([low, high, failure]) == [0, 1, 2]
+                # logical |0> is the level whose register index has target bit 0
+                index = [(level + outcome + 1) % 4 for level in (low, high)]
+                assert [(k >> (target - 1)) & 1 for k in index] == [0, 1]
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            decode_projectors(5, 1)
+            decode_levels(5, 1)
         with pytest.raises(ValueError):
-            decode_projectors(0, 3)
+            decode_levels(0, 3)
 
 
 class TestDecodeBranch:

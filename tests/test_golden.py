@@ -1,0 +1,80 @@
+"""Byte-for-byte pins of CLI documents.
+
+Each digest is the sha256 of a command's stdout as recorded when the codec
+still sampled outcomes from the explicit 12-dimensional ancilla-register
+state, so any change to the numbers, their order or their formatting shows
+up here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+
+import pytest
+from click.testing import CliRunner
+
+from qutritcodec.cli import main
+
+# name -> (angle options, seed, decode options)
+PREPARATIONS = {
+    "degenerate": ([], "2", ["--outcome", "1", "--target", "1"]),
+    "worked": (["--theta1", repr(math.pi / 2), "--theta2", repr(math.pi)], "4",
+               ["--outcome", "0", "--target", "2"]),
+    "generic": (["--theta1", "1.2", "--phi1", "0.4", "--theta2", "2.0", "--phi2", "5.1"], "8",
+                ["--outcome", "2", "--target", "1"]),
+}
+
+DIGESTS = {
+    "demo degenerate json": "3a25275566874f4356893a22721c5e7bd2d51d6a3173410d09b9701aad716b43",
+    "demo degenerate csv": "ff2be52d751f1d1aa7259d46b3c772c373fd017b4573cdd85a0aa5abc42d9181",
+    "demo degenerate md": "a96e1cc0ed9e64dc22d4034562093b416434ab245b7c00adc6e6c2e5944786ef",
+    "encode degenerate json": "739082b4980d12a90f03e73c494f182f1a80f6e9ec33cb22264efe54f597df08",
+    "encode degenerate csv": "4fb8cbd37b06110231f06bde173af1d76bd0548ec95d09d74d090baf8a240818",
+    "encode degenerate md": "92de7d032d145f94edb1c9bd2d6657fc7631f6a2fc562b7be5f0a51a63b4a18d",
+    "decode degenerate json": "a978339e4743490d00ff8d97fe5df9226c3eec959e892b1d450568945e7dc1dc",
+    "decode degenerate csv": "c8ccebb4c904cdad20e27c27733a937fada5cc806b7255b701b0695214816c00",
+    "decode degenerate md": "f6aa74f6f0ec1b280d3c4c53bd0fc348b81a2510204175d3a62ddb869317f9bf",
+    "demo worked json": "4d078fdb27461e017416db332d4616c9190d0667c3d315355f8f43f0e3cfe57f",
+    "demo worked csv": "fc2a43b40f26baa73bee840a2ffd712c7c776dbf3bc32ac41af10e71eebb3392",
+    "demo worked md": "a6d41589700102ea3a7d4c032ac57b5381685fc22249d47049f2dd8c7fcc1b11",
+    "encode worked json": "f8ae4c35505523af84cd0f5565b62d4167952ebe97276a932f3c8acfd7d07651",
+    "encode worked csv": "2d7a98771689117f45fc8f76e6599d6d0ac94146335e89ed650e47febcd9351a",
+    "encode worked md": "e53320e8498ddda6a6163cd3c76f1ad58740379eff395ef4e594b044457fafd0",
+    "decode worked json": "256d7e80ca788638732aeda38409991a81fbe0ef1c5617b5bd1aefef99b9a68a",
+    "decode worked csv": "58c83cc0969ee96d084743120a029d0f6a49bba3257c00ca4e5a3600f878238c",
+    "decode worked md": "4e8bd49e3020b9bac5c144a5ea07c2c4c340fafdb125c59883fb01f163b14fc7",
+    "demo generic json": "fc0332ba96b3ff0ca370100e4a35686eade908c650deb7b496ab4d50b7a3c014",
+    "demo generic csv": "723dc586341d51f36414af09c35614f0635c5041404ed6824c76df9ba0c2dffe",
+    "demo generic md": "2e6d01f8d62359a94c05d3e9146eca220fdcd765686f660144500f75757a822b",
+    "encode generic json": "8162d9e8c14a071abc4d7685b0ec25b232615e671e2598486fc2f831c88cb90a",
+    "encode generic csv": "cf475c64065be9f87696b35e75ebd6ffea79ccd62a6ca5f8bd7d551a7cd76fee",
+    "encode generic md": "c92bb54c847c009c6e66cc663370dab56239e60f770098009b68e0728f7223b4",
+    "decode generic json": "f6d8c82539903cd6a17536be893f718da50f64a2ebb57a7325692f4e0540e650",
+    "decode generic csv": "6b2b52ecb00706aad5a05dd5408c77726d930a66c615d9e23d781047390edfa4",
+    "decode generic md": "2d145e12f1a17c61a066e4fc0c1540a83f123f343fb0440fd301b382a7886d26",
+    "mc always-1": "86a4fdcf47a12bebf2ed4ff79d44dade44226c69d84f6973a6a7914d94851fd9",
+    "mc random": "7e26b190e57bd90e5e48f11e22642bb022dff17ba6429e82964635ee51a00273",
+    "verify 16 0": "78e72c8f90ba8d58447a9a345991c794bd91368c1ced2b2264fbbcbd583c8496",
+    "verify 16 3": "d877adb5318cc4e42ac9bf01293edafc27b06396cdb5f6afa1d11fb698b17855",
+    "verify 64 0": "408e89325f41adffa2e462e58a8a9e14ebb5968ddb75f9125ea51e6018d358c8",
+    "verify 64 3": "aac2a3e7401410d524967addd95c7a79e77383e87dfe51d620e332dcdd1af60b",
+}
+
+
+def _args(case: str) -> list[str]:
+    command, *rest = case.split()
+    if command == "mc":
+        return ["mc", "--trials", "20000", "--target-policy", rest[0]]
+    if command == "verify":
+        return ["verify", "--trials", "1000", "--nodes", rest[0], "--seed", rest[1]]
+    angles, seed, decode_options = PREPARATIONS[rest[0]]
+    extra = decode_options if command == "decode" else []
+    return [command, *angles, *extra, "--seed", seed, "--format", rest[1]]
+
+
+@pytest.mark.parametrize("case", DIGESTS)
+def test_document_bytes_are_pinned(case):
+    result = CliRunner().invoke(main, _args(case))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == DIGESTS[case]

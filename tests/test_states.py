@@ -1,4 +1,5 @@
-"""Statevector primitives: construction, measurement, permutation, overlap."""
+"""Statevector primitives: construction, measurement, overlap; and the
+tensor layout and permutation of the 12-dimensional test oracle."""
 
 from __future__ import annotations
 
@@ -11,18 +12,14 @@ from hypothesis import strategies as st
 
 from qutritcodec import (
     BlochAngles,
-    DiagonalProjector,
-    PermutationUnitary,
     PureState,
-    apply_permutation,
-    encoding_projector,
     equal_up_to_global_phase,
     fidelity,
     make_qubit_state,
     project,
     sample_complete_measurement,
-    tensor_product,
 )
+from conftest import ancilla, encoding_indices, permute
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -57,14 +54,17 @@ class TestConstruction:
             BlochAngles(theta=-0.1)
 
     def test_projector_validation(self):
-        with pytest.raises(ValueError):
-            DiagonalProjector(3, frozenset())
-        with pytest.raises(ValueError):
-            DiagonalProjector(3, frozenset({3}))
+        state = PureState(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="nonempty subset"):
+            project(state, ())
+        with pytest.raises(ValueError, match="nonempty subset"):
+            project(state, {3})
+        with pytest.raises(ValueError, match="nonempty subset"):
+            project(state, [-1])
 
     def test_permutation_validation(self):
         with pytest.raises(ValueError, match="bijection"):
-            PermutationUnitary((0, 0, 1))
+            permute(np.array([1.0, 0.0, 0.0]), (0, 0, 1))
 
 
 class TestMakeQubitState:
@@ -85,36 +85,28 @@ class TestMakeQubitState:
 
 
 class TestTensorProduct:
+    # the oracle's joint states are np.kron products, slow factor first
     def test_basis_times_basis(self):
-        a = PureState(np.array([1.0, 0.0]))
-        b = PureState(np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(
-            tensor_product(a, b).amplitudes, [1.0, 0.0, 0.0, 0.0]
-        )
+        np.testing.assert_array_equal(np.kron([1.0, 0.0], [1.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
 
     def test_slow_first_index_rule(self):
-        a = PureState(np.full(3, INV_SQRT3))
-        b = PureState(np.array([0.0, 1.0, 0.0, 0.0]))
-        combined = tensor_product(a, b).amplitudes
+        combined = np.kron(ancilla(), [0.0, 1.0, 0.0, 0.0])
         expected = np.zeros(12)
         expected[[1, 5, 9]] = INV_SQRT3
         np.testing.assert_allclose(combined, expected, atol=1e-15)
 
     def test_plus_times_plus(self):
-        plus = PureState(np.array([INV_SQRT2, INV_SQRT2]))
-        np.testing.assert_allclose(
-            tensor_product(plus, plus).amplitudes, np.full(4, 0.5), atol=1e-15
-        )
+        plus = np.array([INV_SQRT2, INV_SQRT2])
+        np.testing.assert_allclose(np.kron(plus, plus), np.full(4, 0.5), atol=1e-15)
 
     def test_factor_probabilities_survive_the_product(self, rng):
         # Born weight of one factor's index range equals that factor's weight.
         for _ in range(25):
             a = _random_state(rng, 3)
             b = _random_state(rng, 4)
-            combined = tensor_product(a, b)
+            combined = PureState(np.kron(a.amplitudes, b.amplitudes))
             for p in range(a.dim):
-                proj = DiagonalProjector(12, frozenset(range(4 * p, 4 * p + 4)))
-                probability, _ = project(combined, proj)
+                probability, _ = project(combined, range(4 * p, 4 * p + 4))
                 assert probability == pytest.approx(
                     abs(a.amplitudes[p]) ** 2, abs=1e-12
                 )
@@ -123,70 +115,61 @@ class TestTensorProduct:
 class TestProject:
     def test_eigenstate(self):
         state = PureState(np.array([1.0, 0.0, 0.0]))
-        probability, collapsed = project(state, DiagonalProjector(3, frozenset({0})))
+        probability, collapsed = project(state, [0])
         assert probability == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(collapsed.amplitudes, state.amplitudes)
 
     def test_orthogonal_branch_is_absent(self):
         state = PureState(np.array([1.0, 0.0, 0.0]))
-        probability, collapsed = project(state, DiagonalProjector(3, frozenset({1, 2})))
+        probability, collapsed = project(state, {1, 2})
         assert probability == 0.0
         assert collapsed is None
 
     def test_half_weight_collapse(self):
         state = PureState(np.full(4, 0.5))
-        probability, collapsed = project(state, DiagonalProjector(4, frozenset({1, 2})))
+        probability, collapsed = project(state, (2, 1, 2))
         assert probability == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_allclose(
             collapsed.amplitudes, [0.0, INV_SQRT2, INV_SQRT2, 0.0], atol=1e-15
         )
 
     def test_dimension_mismatch(self):
+        # a level of a larger space
         state = PureState(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            project(state, DiagonalProjector(3, frozenset({0})))
+        with pytest.raises(ValueError, match=r"subset of 0\.\.1"):
+            project(state, [0, 2])
 
 
 class TestSampling:
     def test_cumulative_rule_skips_null_branch(self):
-        state = PureState(np.array([0.0, INV_SQRT3, INV_SQRT3, INV_SQRT3]))
-        family = [DiagonalProjector(4, frozenset({k})) for k in range(4)]
-        outcome, collapsed = sample_complete_measurement(state, family, 0.5)
-        assert outcome == 2
-        np.testing.assert_allclose(collapsed.amplitudes, [0, 0, 1, 0], atol=1e-15)
+        assert sample_complete_measurement([0.0, 1 / 3, 1 / 3, 1 / 3], 0.5) == 2
+        # a weight at or below NULL_BRANCH_EPS is never realized, even at u = 0
+        assert sample_complete_measurement([1e-15, 0.5, 0.5 - 1e-15, 0.0], 0.0) == 1
 
     def test_deterministic_branch(self):
-        state = PureState(np.array([1.0, 0.0, 0.0, 0.0]))
-        family = [DiagonalProjector(4, frozenset({k})) for k in range(4)]
         for u in (0.0, 0.3, 0.999999):
-            outcome, _ = sample_complete_measurement(state, family, u)
-            assert outcome == 0
+            assert sample_complete_measurement([1.0, 0.0, 0.0, 0.0], u) == 0
 
     def test_top_of_the_grid(self):
-        state = PureState(np.full(4, 0.5))
-        family = [DiagonalProjector(4, frozenset({k})) for k in range(4)]
-        outcome, _ = sample_complete_measurement(state, family, 0.99)
-        assert outcome == 3
+        assert sample_complete_measurement([0.25] * 4, 0.99) == 3
+        # rounding leaves the total below u: the last realizable outcome
+        assert sample_complete_measurement([0.5, 0.5 - 1e-11, 0.0], 1.0 - 1e-12) == 1
 
     def test_incomplete_family_rejected(self):
-        state = PureState(np.array([1.0, 0.0, 0.0]))
-        family = [DiagonalProjector(3, frozenset({0, 1}))]
-        with pytest.raises(ValueError, match="partition"):
-            sample_complete_measurement(state, family, 0.5)
+        with pytest.raises(ValueError, match="not complete"):
+            sample_complete_measurement([0.5, 0.25], 0.5)
 
     def test_u_out_of_range(self):
-        state = PureState(np.array([1.0, 0.0]))
-        family = [DiagonalProjector(2, frozenset({k})) for k in range(2)]
-        with pytest.raises(ValueError):
-            sample_complete_measurement(state, family, 1.0)
+        for u in (1.0, -1e-300, math.nan):
+            with pytest.raises(ValueError, match="u must lie"):
+                sample_complete_measurement([0.5, 0.5], u)
 
     def test_grid_sweep_reproduces_born_weights(self):
         # Outcome as a function of u is a step function at the cumulative
         # Born weights; sampling it on a deterministic uniform grid must
         # recover each weight to the grid resolution.
         state = PureState(np.sqrt(np.array([0.0, 0.2, 0.3, 0.5])))
-        family = [DiagonalProjector(4, frozenset({k})) for k in range(4)]
-        probabilities = np.array([project(state, p)[0] for p in family])
+        probabilities = np.array([project(state, [k])[0] for k in range(4)])
         cumulative = np.cumsum(probabilities)
 
         grid = (np.arange(1_000_000) + 0.5) / 1_000_000
@@ -196,7 +179,7 @@ class TestSampling:
 
         # the searchsorted oracle matches the sampler itself
         for u in grid[::997]:
-            outcome, _ = sample_complete_measurement(state, family, float(u))
+            outcome = sample_complete_measurement(list(probabilities), float(u))
             assert outcome == np.searchsorted(cumulative, u, side="right")
 
 
@@ -232,19 +215,15 @@ class TestOverlap:
 
 class TestPermutation:
     def test_identity(self):
-        state = PureState(np.array([0.6, 0.8]))
-        moved = apply_permutation(state, PermutationUnitary((0, 1)))
-        np.testing.assert_array_equal(moved.amplitudes, state.amplitudes)
+        amplitudes = np.array([0.6, 0.8])
+        np.testing.assert_array_equal(permute(amplitudes, (0, 1)), amplitudes)
 
     def test_swap(self):
-        state = PureState(np.array([0.6, 0.8]))
-        moved = apply_permutation(state, PermutationUnitary((1, 0)))
-        np.testing.assert_array_equal(moved.amplitudes, [0.8, 0.6])
+        np.testing.assert_array_equal(permute(np.array([0.6, 0.8]), (1, 0)), [0.8, 0.6])
 
     def test_cycle(self):
-        state = PureState(np.array([0.6, 0.8j, 0.0]))
-        moved = apply_permutation(state, PermutationUnitary((1, 2, 0)))
-        np.testing.assert_array_equal(moved.amplitudes, [0.0, 0.6, 0.8j])
+        moved = permute(np.array([0.6, 0.8j, 0.0]), (1, 2, 0))
+        np.testing.assert_array_equal(moved, [0.0, 0.6, 0.8j])
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> PureState:
@@ -253,10 +232,10 @@ def _random_state(rng: np.random.Generator, dim: int) -> PureState:
 
 
 def test_encoding_family_is_complete_on_random_states(rng):
-    family = [encoding_projector(j) for j in range(4)]
+    family = [encoding_indices(j) for j in range(4)]
     for _ in range(50):
         state = _random_state(rng, 12)
-        total = sum(project(state, p)[0] for p in family)
+        total = sum(project(state, indices)[0] for indices in family)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -287,12 +266,11 @@ def test_project_is_idempotent(state, data):
     subset = data.draw(
         st.sets(st.integers(0, state.dim - 1), min_size=1, max_size=state.dim)
     )
-    proj = DiagonalProjector(state.dim, frozenset(subset))
-    probability, collapsed = project(state, proj)
+    probability, collapsed = project(state, subset)
     if collapsed is None:
         assert probability <= 1e-15
         return
-    probability_again, collapsed_again = project(collapsed, proj)
+    probability_again, collapsed_again = project(collapsed, subset)
     assert abs(probability_again - 1.0) <= 1e-12
     np.testing.assert_allclose(
         collapsed_again.amplitudes, collapsed.amplitudes, atol=1e-12, rtol=0
@@ -302,9 +280,8 @@ def test_project_is_idempotent(state, data):
 @given(unit_states(dims=(4,)), unit_states(dims=(4,)), st.permutations(list(range(4))))
 @settings(max_examples=60, deadline=None)
 def test_permutation_preserves_amplitudes_and_fidelity(a, b, image):
-    unitary = PermutationUnitary(tuple(image))
-    moved_a = apply_permutation(a, unitary)
-    moved_b = apply_permutation(b, unitary)
+    moved_a = PureState(permute(a.amplitudes, image))
+    moved_b = PureState(permute(b.amplitudes, image))
     # amplitudes are relocated, never altered
     assert sorted(map(abs, moved_a.amplitudes)) == sorted(map(abs, a.amplitudes))
     assert abs(fidelity(moved_a, moved_b) - fidelity(a, b)) <= 1e-15
