@@ -31,14 +31,11 @@ from .codec import (
     outcome_weights,
 )
 from .bayes import (
-    GainReport,
     QuadratureSpec,
-    direct_measurement_gain,
     exact_report,
     gain_report,
     normalizers,
     prior_theta,
-    report_scalars,
 )
 from .montecarlo import TrialConfig, TrialStats, run_trials, sample_bloch
 
@@ -63,14 +60,11 @@ __all__ = [
     "encode_branch",
     "joint_state",
     "outcome_weights",
-    "GainReport",
     "QuadratureSpec",
-    "direct_measurement_gain",
     "exact_report",
     "gain_report",
     "normalizers",
     "prior_theta",
-    "report_scalars",
     "TrialConfig",
     "TrialStats",
     "run_trials",

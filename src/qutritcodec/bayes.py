@@ -20,15 +20,16 @@ joint entropy is the only quantity that does not separate.
 
 Gain conventions: the "encoding gain" compares the joint prior with the
 posterior after observing an encoding outcome; marginal gains do the same
-per qubit. Decode and failure gains fix one decoded qubit (the reported
-pair indexes the qubit whose state is being tracked, not the decode
-target) and compare the encode posterior with the posterior after a
-successful or failed decoding.
+per qubit. Decode and failure gains fix one decoded qubit (a per-qubit
+name such as `decode_gain_q2` names the qubit whose state is being
+tracked, not the decode target) and compare the encode posterior with the
+posterior after a successful or failed decoding.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -113,8 +114,9 @@ def _survivors(outcome: int) -> tuple[int, ...]:
     return tuple(k for k in range(4) if k != outcome)
 
 
-def normalizers(quad: QuadratureSpec) -> tuple[tuple, tuple]:
-    """Outcome priors [j] and average success probabilities [j][target - 1].
+def normalizers(quad: QuadratureSpec) -> dict[str, float]:
+    """Outcome priors `outcome_prior_{j}` and average success probabilities
+    `success_probability_j{j}_target{a}`, by name.
 
     Outcome j has likelihood (1 - |c_j|^2) / 3, the survivors' weight over
     3, and given j decoding succeeds with the intact block's share of the
@@ -122,15 +124,11 @@ def normalizers(quad: QuadratureSpec) -> tuple[tuple, tuple]:
     """
     bit_mass = _bit_masses(quad)
     survivor_mass = [_kept_mass(_survivors(j), bit_mass) for j in range(4)]
-    priors = tuple(mass / 3.0 for mass in survivor_mass)
-    success = tuple(
-        tuple(
-            _kept_mass(intact_block(j, a), bit_mass) / survivor_mass[j]
-            for a in (1, 2)
-        )
-        for j in range(4)
-    )
-    return priors, success
+    scalars = {f"outcome_prior_{j}": mass / 3.0 for j, mass in enumerate(survivor_mass)}
+    for j, a in itertools.product(range(4), (1, 2)):
+        block_mass = _kept_mass(intact_block(j, a), bit_mass)
+        scalars[f"success_probability_j{j}_target{a}"] = block_mass / survivor_mass[j]
+    return scalars
 
 
 def _plogp(values: np.ndarray) -> np.ndarray:
@@ -150,61 +148,19 @@ def _entropy(values: np.ndarray, w: np.ndarray) -> float:
     return float(-np.einsum("i,j,ij->", w, w, _plogp(values)))
 
 
-def direct_measurement_gain(quad: QuadratureSpec) -> float:
-    """Expected entropy drop from a plain basis measurement of one qubit.
-
-    The outcome probabilities are cos^2(theta/2) and sin^2(theta/2); the
-    gain is the prior entropy minus the outcome-averaged posterior entropy.
-    """
-    x, w = quad.nodes()
-    joint_zero, joint_one = _bit_densities(x)
-    p_zero = float(np.sum(w * joint_zero))
-    h_after = p_zero * _entropy(joint_zero / p_zero, w) + (1.0 - p_zero) * _entropy(
-        joint_one / (1.0 - p_zero), w
-    )
-    return _entropy(prior_theta(x), w) - h_after
-
-
-@dataclass(frozen=True)
-class GainReport:
-    """Every scalar of the information-gain accounting at one resolution.
-
-    Per-qubit tuples are indexed (qubit 1, qubit 2). Decode and failure
-    gains use the convention of outcome 0 with qubit 1 as the decode
-    target; the symmetry across outcomes and targets is a tested property
-    rather than an input here.
-    """
-
-    nodes_per_axis: int
-    outcome_prior: tuple[float, float, float, float]
-    success_probability: tuple[tuple[float, float], ...]  # [outcome][target - 1]
-    encoding_gain: float
-    marginal_encoding_gain: tuple[float, float]
-    decode_gain: tuple[float, float]
-    failure_gain: tuple[float, float]
-    direct_gain: float
-    success_total: tuple[float, float]
-    failure_total: tuple[float, float]
-
-
-def report_scalars(report: GainReport) -> dict[str, float]:
-    """Flatten a gain report into named scalars (used by checks and the CLI)."""
-    scalars: dict[str, float] = {}
-    for j in range(4):
-        scalars[f"outcome_prior_{j}"] = report.outcome_prior[j]
-    for j in range(4):
-        for a in (1, 2):
-            scalars[f"success_probability_j{j}_target{a}"] = (
-                report.success_probability[j][a - 1]
-            )
-    scalars["encoding_gain"] = report.encoding_gain
-    for a in (1, 2):
-        scalars[f"marginal_encoding_gain_q{a}"] = report.marginal_encoding_gain[a - 1]
-        scalars[f"decode_gain_q{a}"] = report.decode_gain[a - 1]
-        scalars[f"failure_gain_q{a}"] = report.failure_gain[a - 1]
-        scalars[f"success_total_q{a}"] = report.success_total[a - 1]
-        scalars[f"failure_total_q{a}"] = report.failure_total[a - 1]
-    scalars["direct_gain"] = report.direct_gain
+def _with_gains(
+    scalars: dict[str, float], encoding, marginal, decode, failure, direct
+) -> dict[str, float]:
+    """Add the gains to `scalars` under their report names, each qubit's
+    success and failure totals with them."""
+    scalars["encoding_gain"] = encoding
+    for a, m, d, f in zip((1, 2), marginal, decode, failure):
+        scalars[f"marginal_encoding_gain_q{a}"] = m
+        scalars[f"decode_gain_q{a}"] = d
+        scalars[f"failure_gain_q{a}"] = f
+        scalars[f"success_total_q{a}"] = m + d
+        scalars[f"failure_total_q{a}"] = m + f
+    scalars["direct_gain"] = direct
     return scalars
 
 
@@ -214,9 +170,14 @@ def gain_report(
     target: int = 1,
     *,
     check_convergence: bool = False,
-) -> GainReport:
-    """Compute every gain scalar at the given resolution.
+) -> dict[str, float]:
+    """Every scalar of the gain accounting at the given resolution, by name.
 
+    The keys are those of `normalizers`, then `encoding_gain`, then for each
+    qubit a `marginal_encoding_gain_q{a}`, `decode_gain_q{a}`,
+    `failure_gain_q{a}`, `success_total_q{a}` and `failure_total_q{a}`, then
+    `direct_gain`. Per-qubit keys name the tracked qubit, not the decode
+    target; the defaults are outcome 0 with qubit 1 as the decode target.
     The report is not checked here: `verify` compares it with
     `exact_report`, whose closed forms bound the quadrature error.
     """
@@ -226,7 +187,6 @@ def gain_report(
     x, w = quad.nodes()
     densities = _bit_densities(x)
     bit_mass = _bit_masses(quad)
-    outcome_priors, success = normalizers(quad)
     survivors = _survivors(outcome)
     block = intact_block(outcome, target)
 
@@ -242,30 +202,27 @@ def gain_report(
     posterior = densities.T @ mask @ densities
     posterior /= _kept_mass(survivors, bit_mass)
     h_prior = _entropy(prior_theta(x), w)
-    encoding_gain = 2.0 * h_prior - _entropy(posterior, w)
 
     h_posterior = marginal_entropies(survivors)
     h_success = marginal_entropies(block)
     h_failure = marginal_entropies(set(survivors) - set(block))
-    marginal_encoding = tuple(h_prior - h for h in h_posterior)
-    decode_gain = tuple(h - h_s for h, h_s in zip(h_posterior, h_success))
-    failure_gain = tuple(h - h_f for h, h_f in zip(h_posterior, h_failure))
-    return GainReport(
-        nodes_per_axis=quad.nodes_per_axis,
-        outcome_prior=outcome_priors,
-        success_probability=success,
-        encoding_gain=encoding_gain,
-        marginal_encoding_gain=marginal_encoding,
-        decode_gain=decode_gain,
-        failure_gain=failure_gain,
-        direct_gain=direct_measurement_gain(quad),
-        success_total=tuple(m + d for m, d in zip(marginal_encoding, decode_gain)),
-        failure_total=tuple(m + f for m, f in zip(marginal_encoding, failure_gain)),
+    # a plain basis measurement of one qubit reads bit 0 with its prior mass
+    p_zero = bit_mass[0]
+    h_measured = sum(
+        p * _entropy(d / p, w) for p, d in zip((p_zero, 1.0 - p_zero), densities)
+    )
+    return _with_gains(
+        normalizers(quad),
+        encoding=2.0 * h_prior - _entropy(posterior, w),
+        marginal=[h_prior - h for h in h_posterior],
+        decode=[h - h_s for h, h_s in zip(h_posterior, h_success)],
+        failure=[h - h_f for h, h_f in zip(h_posterior, h_failure)],
+        direct=h_prior - h_measured,
     )
 
 
 def exact_report(outcome: int = 0, target: int = 1) -> dict[str, float]:
-    """The scalars of `report_scalars` in closed form, in bits.
+    """The scalars of `gain_report` in closed form, in bits, under its names.
 
     In x = cos(theta) every posterior's ratio to the uniform prior is linear
     in each x, so each entropy is elementary (the encode joint's needs
@@ -280,19 +237,14 @@ def exact_report(outcome: int = 0, target: int = 1) -> dict[str, float]:
     m = 4.0 / 3.0 * math.log(4.0 / 3.0) - math.log(2.0 / 3.0) / 3.0 - 0.5
     marginal = m / ln2
     informative = (ln2 - 0.5 - m) / ln2
-    decode = tuple(-marginal if a == target else informative for a in (1, 2))
-    direct = 1.0 - 0.5 / ln2
-    return report_scalars(
-        GainReport(
-            nodes_per_axis=0,  # no quadrature
-            outcome_prior=(0.25,) * 4,
-            success_probability=((2.0 / 3.0,) * 2,) * 4,
-            encoding_gain=(math.pi**2 / 9.0 - 4.0 / 3.0 + math.log(4.0 / 3.0)) / ln2,
-            marginal_encoding_gain=(marginal, marginal),
-            decode_gain=decode,
-            failure_gain=(informative, informative),
-            direct_gain=direct,
-            success_total=tuple(marginal + d for d in decode),
-            failure_total=(marginal + informative,) * 2,
-        )
+    scalars = {f"outcome_prior_{j}": 0.25 for j in range(4)}
+    for j, a in itertools.product(range(4), (1, 2)):
+        scalars[f"success_probability_j{j}_target{a}"] = 2.0 / 3.0
+    return _with_gains(
+        scalars,
+        encoding=(math.pi**2 / 9.0 - 4.0 / 3.0 + math.log(4.0 / 3.0)) / ln2,
+        marginal=[marginal, marginal],
+        decode=[-marginal if a == target else informative for a in (1, 2)],
+        failure=[informative, informative],
+        direct=1.0 - 0.5 / ln2,
     )

@@ -151,9 +151,9 @@ def main() -> None:
     """Simulate the two-qubit-to-qutrit codec and verify its statistics."""
 
 
-def _encode_trace(pair: codec.QubitPair, record: codec.EncodeRecord) -> dict[str, Any]:
+def _encode_trace(record: codec.EncodeRecord) -> dict[str, Any]:
     return {
-        "outcome_probabilities": list(codec.outcome_weights(pair)),
+        "outcome_probabilities": list(record.weights),
         "outcome": record.outcome,
         "classical_bits": list(record.classical_bits),
         "outcome_probability": record.probability,
@@ -165,12 +165,11 @@ def _decode_entry(
     pair: codec.QubitPair, qutrit: states.PureState, outcome: int, target: int, u: float
 ) -> dict[str, Any]:
     success_levels, failure_level = codec.decode_levels(outcome, target)
-    p_success, _, _ = codec.decode_branch(qutrit, outcome, target)
     result = codec.decode(qutrit, outcome, target, u)
     entry: dict[str, Any] = {
         "success_levels": sorted(success_levels),
         "failure_level": failure_level,
-        "success_probability": p_success,
+        "success_probability": result.success_probability,
         "success": result.success,
     }
     if result.success:
@@ -197,7 +196,7 @@ def demo(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
     record = codec.encode(pair, float(stream.random()))
     trace = {
         "joint_amplitudes": amplitude_pairs(codec.joint_state(pair).amplitudes),
-        **_encode_trace(pair, record),
+        **_encode_trace(record),
         "decode": {
             f"target_{target}": _decode_entry(
                 pair, record.qutrit, record.outcome, target, float(stream.random())
@@ -218,8 +217,7 @@ def encode(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
     pair = _pair(theta1, phi1, theta2, phi2)
     record = codec.encode(pair, float(_uniform_stream(seed).random()))
     params = {**_angle_params(theta1, phi1, theta2, phi2), "seed": seed}
-    _emit(ReportDocument(command="encode", params=params, trace=_encode_trace(pair, record)),
-          fmt, out)
+    _emit(ReportDocument(command="encode", params=params, trace=_encode_trace(record)), fmt, out)
 
 
 @main.command()
@@ -254,17 +252,18 @@ def decode(theta1, phi1, theta2, phi2, outcome, target, seed, fmt, out) -> None:
     _emit(ReportDocument(command="decode", params=params, trace=trace), fmt, out)
 
 
-def _mc_rows(stats: montecarlo.TrialStats, outcome_prior, success_probability) -> list[VerifyRow]:
-    """Rows of a batch against the outcome priors and success probability of
-    `bayes.normalizers`, with binomial bands."""
+def _mc_rows(stats: montecarlo.TrialStats, scalars: dict[str, float]) -> list[VerifyRow]:
+    """Rows of a batch against the outcome priors and success probability
+    named as in `bayes.normalizers`, with binomial bands."""
 
     def band(reference: float, sigmas: float) -> float:
         return sigmas * math.sqrt(reference * (1.0 - reference) / stats.trials)
 
-    rate = success_probability[0][0]
+    rate = scalars["success_probability_j0_target1"]
     rows = [make_row("mc_success_rate", stats.mean_success_rate, rate,
                      band(rate, MC_RATE_SIGMAS), "mc")]
-    for j, reference in enumerate(outcome_prior):
+    for j in range(4):
+        reference = scalars[f"outcome_prior_{j}"]
         rows.append(make_row(f"mc_outcome_freq_{j}", stats.outcome_counts[j] / stats.trials,
                              reference, band(reference, MC_HISTOGRAM_SIGMAS), "mc"))
     # with no successful trial there is no reconstruction to check
@@ -294,22 +293,21 @@ def mc(ctx, trials, seed, target_policy, nodes, fmt, out) -> None:
         trials=trials, master_seed=seed, target_policy=target_policy
     )
     stats = montecarlo.run_trials(config)
-    outcome_prior, success_probability = bayes.normalizers(bayes.QuadratureSpec(nodes))
     document = ReportDocument(
         command="mc",
         params={
             "trials": trials, "seed": seed, "target_policy": target_policy,
             "nodes": nodes,
         },
-        rows=tuple(_mc_rows(stats, outcome_prior, success_probability)),
+        rows=tuple(_mc_rows(stats, bayes.normalizers(bayes.QuadratureSpec(nodes)))),
     )
     _emit(document, fmt, out)
     ctx.exit(0 if document.overall_pass else 1)
 
 
-def _verify_rows(report: bayes.GainReport) -> list[VerifyRow]:
-    scalars = bayes.report_scalars(report)
-    scalars["outcome_prior_sum"] = sum(report.outcome_prior)
+def _verify_rows(report: dict[str, float]) -> list[VerifyRow]:
+    prior_sum = sum(report[f"outcome_prior_{j}"] for j in range(4))
+    scalars = {**report, "outcome_prior_sum": prior_sum}
     rows = [
         make_row(name, scalars[scalar],
                  scalars[reference] if isinstance(reference, str) else reference,
@@ -341,7 +339,7 @@ def verify(ctx, nodes, trials, seed, fmt, out) -> None:
     stats = montecarlo.run_trials(
         montecarlo.TrialConfig(trials=trials, master_seed=seed, target_policy="always-1")
     )
-    rows.extend(_mc_rows(stats, report.outcome_prior, report.success_probability))
+    rows.extend(_mc_rows(stats, report))
     document = ReportDocument(command="verify", params=params, rows=tuple(rows))
     _emit(document, fmt, out)
     ctx.exit(0 if document.overall_pass else 1)

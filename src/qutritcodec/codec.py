@@ -93,7 +93,7 @@ class EncodeRecord:
     """
 
     outcome: int
-    probability: float
+    weights: tuple[float, float, float, float]  # every outcome's, as sampled
     qutrit: PureState
 
     def __post_init__(self) -> None:
@@ -102,6 +102,11 @@ class EncodeRecord:
             raise ValueError(f"probability out of range: {self.probability!r}")
         if self.qutrit is None or self.qutrit.dim != QUTRIT_DIM:
             raise ValueError("encode record needs a qutrit state")
+
+    @property
+    def probability(self) -> float:
+        """Weight of the recorded outcome."""
+        return self.weights[self.outcome]
 
     @property
     def classical_bits(self) -> tuple[int, int]:
@@ -115,14 +120,14 @@ class DecodeRecord:
 
     target: int
     success: bool
-    probability: float
+    success_probability: float
     reconstructed: PureState | None = None
     failure_level: int | None = None
 
     def __post_init__(self) -> None:
         _check_target(self.target)
-        if not 0.0 <= self.probability <= 1.0 + 1e-12:
-            raise ValueError(f"probability out of range: {self.probability!r}")
+        if not 0.0 <= self.success_probability <= 1.0 + 1e-12:
+            raise ValueError(f"probability out of range: {self.success_probability!r}")
         if self.success:
             if self.reconstructed is None or self.failure_level is not None:
                 raise ValueError("successful decode must carry only a reconstructed qubit")
@@ -131,6 +136,11 @@ class DecodeRecord:
         else:
             if self.failure_level is None or self.reconstructed is not None:
                 raise ValueError("failed decode must carry only the failure level")
+
+    @property
+    def probability(self) -> float:
+        """Probability of the sampled result, success or failure."""
+        return self.success_probability if self.success else 1.0 - self.success_probability
 
 
 def joint_state(pair: QubitPair) -> PureState:
@@ -183,11 +193,9 @@ def encode(pair: QubitPair, u: float) -> EncodeRecord:
     """
     c = joint_state(pair).amplitudes
     branches = [_branch(c, j) for j in range(REGISTER_DIM)]
-    outcome = sample_complete_measurement([weight for weight, _ in branches], u)
-    probability, levels = branches[outcome]
-    return EncodeRecord(
-        outcome=outcome, probability=probability, qutrit=_qutrit(probability, levels)
-    )
+    weights = tuple(weight for weight, _ in branches)
+    outcome = sample_complete_measurement(weights, u)
+    return EncodeRecord(outcome=outcome, weights=weights, qutrit=_qutrit(*branches[outcome]))
 
 
 def decode_levels(outcome: int, target: int) -> tuple[tuple[int, int], int]:
@@ -231,14 +239,14 @@ def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeReco
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
-    p_success, reconstructed, p_fail = decode_branch(qutrit, outcome, target)
+    p_success, reconstructed, _ = decode_branch(qutrit, outcome, target)
     if u < p_success and reconstructed is not None:
         return DecodeRecord(
-            target=target, success=True, probability=p_success,
+            target=target, success=True, success_probability=p_success,
             reconstructed=reconstructed,
         )
     return DecodeRecord(
-        target=target, success=False, probability=p_fail,
+        target=target, success=False, success_probability=p_success,
         failure_level=decode_levels(outcome, target)[1],
     )
 

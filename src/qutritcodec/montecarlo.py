@@ -36,6 +36,8 @@ _MAX_SEED = 2**64 - 1
 # trials per kernel call: 64 KiB float arrays, below glibc's smallest mmap
 # threshold, are reused from the heap and stay in cache, not faulted in anew
 _KERNEL_TRIALS = 1 << 13
+# trials per Philox draw; any chunking gives the same trials
+_CHUNK_TRIALS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class TrialStats:
     failure_count: int
     min_success_fidelity: float | None
     mean_success_rate: float
-    standard_error: float
 
 
 def sample_bloch(u1: float, u2: float) -> BlochAngles:
@@ -174,23 +175,21 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
     return counts, won.size, fidelity
 
 
-def run_trials(config: TrialConfig, chunk_size: int = 1 << 17) -> TrialStats:
+def run_trials(config: TrialConfig) -> TrialStats:
     """Run the configured trials and aggregate deterministic statistics.
 
     Chunks are processed in ascending trial order and every reduction
     (counts, minima, numpy pairwise sums) is order-fixed, so the result is
     identical for any chunk size and across reruns.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     counts = np.zeros(4, dtype=np.int64)
     success_count = 0
     block_minima = []  # of the fidelities of successful trials
     generator = _philox(config.master_seed, 0)
     # one slab for every chunk, so its pages are faulted in once per call
-    slab = np.empty((min(chunk_size, config.trials), UNIFORMS_PER_TRIAL))
-    for start in range(0, config.trials, chunk_size):
-        count = min(chunk_size, config.trials - start)
+    slab = np.empty((min(_CHUNK_TRIALS, config.trials), UNIFORMS_PER_TRIAL))
+    for start in range(0, config.trials, _CHUNK_TRIALS):
+        count = min(_CHUNK_TRIALS, config.trials - start)
         u = generator.random(out=slab[:count])
         for offset in range(0, count, _KERNEL_TRIALS):
             block_counts, block_success, success_fidelities = _run_chunk(
@@ -200,13 +199,11 @@ def run_trials(config: TrialConfig, chunk_size: int = 1 << 17) -> TrialStats:
             success_count += block_success
             if success_fidelities.size:
                 block_minima.append(float(success_fidelities.min()))
-    rate = success_count / config.trials
     return TrialStats(
         trials=config.trials,
         outcome_counts=tuple(int(c) for c in counts),
         success_count=success_count,
         failure_count=config.trials - success_count,
         min_success_fidelity=min(block_minima) if block_minima else None,
-        mean_success_rate=rate,
-        standard_error=math.sqrt(rate * (1.0 - rate) / config.trials),
+        mean_success_rate=success_count / config.trials,
     )

@@ -127,7 +127,8 @@ def likelihood(outcome: int, t1, t2):
 
 
 def reference_report_scalars(quad, outcome: int, target: int) -> dict[str, float]:
-    """Every scalar of `report_scalars` by brute-force tensor-product quadrature.
+    """Every scalar of `gain_report`, under its name and in its key order, by
+    brute-force tensor-product quadrature.
 
     Builds each posterior as a closure over the prior and likelihood above,
     takes every normalizer, marginal and entropy by integrating those
@@ -169,7 +170,8 @@ def reference_report_scalars(quad, outcome: int, target: int) -> dict[str, float
             success[j, a] = integrate(
                 lambda t1, t2: conditional_success(j, a, t1, t2) * post(t1, t2)
             )
-            scalars[f"success_probability_j{j}_target{a}"] = success[j, a]
+    for (j, a), value in success.items():
+        scalars[f"success_probability_j{j}_target{a}"] = value
 
     _, post = posterior(outcome)
     p_success = success[outcome, target]

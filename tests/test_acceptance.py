@@ -19,7 +19,6 @@ from qutritcodec import (
     fidelity,
     gain_report,
     make_qubit_state,
-    report_scalars,
     run_trials,
 )
 from conftest import phase_aligned_max_diff, pipeline_encode, random_pair
@@ -50,7 +49,7 @@ def check(label: str, ok: bool, detail: str) -> bool:
 
 def test_01_average_success_probability(report_256):
     deviations = [
-        abs(report_256.success_probability[j][a - 1] - 2 / 3)
+        abs(report_256[f"success_probability_j{j}_target{a}"] - 2 / 3)
         for j in range(4)
         for a in (1, 2)
     ]
@@ -63,16 +62,16 @@ def test_01_average_success_probability(report_256):
 
 
 def test_02_encoding_gain(report_256):
-    deviation = abs(report_256.encoding_gain - 0.0735)
+    deviation = abs(report_256["encoding_gain"] - 0.0735)
     assert check(
         "02 encoding gain 0.0735 bits",
         deviation <= 5e-4,
-        f"computed {report_256.encoding_gain:.6f}, deviation {deviation:.2e}, tol 5e-4",
+        f"computed {report_256['encoding_gain']:.6f}, deviation {deviation:.2e}, tol 5e-4",
     )
 
 
 def test_03_marginal_encoding_gains(report_256):
-    gains = report_256.marginal_encoding_gain
+    gains = [report_256[f"marginal_encoding_gain_q{a}"] for a in (1, 2)]
     ok = (
         abs(gains[0] - 0.027) <= 5e-4
         and abs(gains[1] - 0.027) <= 5e-4
@@ -86,8 +85,8 @@ def test_03_marginal_encoding_gains(report_256):
 
 
 def test_04_decode_gains(report_256):
-    decode_q1, decode_q2 = report_256.decode_gain
-    total_q1, total_q2 = report_256.success_total
+    decode_q1, decode_q2 = (report_256[f"decode_gain_q{a}"] for a in (1, 2))
+    total_q1, total_q2 = (report_256[f"success_total_q{a}"] for a in (1, 2))
     ok = (
         abs(decode_q1 - (-0.027)) <= 5e-4
         and abs(total_q1) <= 1e-9
@@ -102,9 +101,9 @@ def test_04_decode_gains(report_256):
 
 
 def test_05_failure_gains(report_256):
-    failure = report_256.failure_gain
-    totals = report_256.failure_total
-    direct = report_256.direct_gain
+    failure = [report_256[f"failure_gain_q{a}"] for a in (1, 2)]
+    totals = [report_256[f"failure_total_q{a}"] for a in (1, 2)]
+    direct = report_256["direct_gain"]
     ok = all(abs(g - 0.252) <= 5e-4 for g in failure) and all(
         abs(t - direct) <= 1e-9 for t in totals
     )
@@ -116,7 +115,7 @@ def test_05_failure_gains(report_256):
 
 
 def test_06_direct_measurement_identity(report_256):
-    deviation = abs(report_256.success_total[1] - report_256.direct_gain)
+    deviation = abs(report_256["success_total_q2"] - report_256["direct_gain"])
     assert check(
         "06 encode plus decode gain on the spectator equals the direct gain",
         deviation <= 1e-9,
@@ -125,7 +124,9 @@ def test_06_direct_measurement_identity(report_256):
 
 
 def test_07_superadditivity(report_256):
-    margin = report_256.encoding_gain - sum(report_256.marginal_encoding_gain)
+    margin = report_256["encoding_gain"] - sum(
+        report_256[f"marginal_encoding_gain_q{a}"] for a in (1, 2)
+    )
     assert check(
         "07 joint encoding gain exceeds the sum of marginals",
         margin >= 0.015,
@@ -186,10 +187,8 @@ def test_09_monte_carlo(mc_stats):
 
 
 def test_10_quadrature_robustness(report_256, report_512):
-    base = report_scalars(report_256)
-    fine = report_scalars(report_512)
-    drift = max(abs(base[name] - fine[name]) for name in base)
-    completeness = abs(sum(report_256.outcome_prior) - 1.0)
+    drift = max(abs(report_256[name] - report_512[name]) for name in report_256)
+    completeness = abs(sum(report_256[f"outcome_prior_{j}"] for j in range(4)) - 1.0)
     ok = drift < 1e-9 and completeness <= 1e-12
     assert check(
         "10 node doubling moves no scalar and the outcome weights are complete",

@@ -15,14 +15,12 @@ from qutritcodec import (
     BlochAngles,
     QuadratureSpec,
     QubitPair,
-    direct_measurement_gain,
     exact_report,
     gain_report,
     joint_state,
     normalizers,
     outcome_weights,
     prior_theta,
-    report_scalars,
 )
 from qutritcodec.codec import intact_block, qubit_bit
 from conftest import likelihood, random_pair, reference_report_scalars
@@ -112,16 +110,21 @@ class TestOutcomeLikelihood:
 
 class TestOutcomePrior:
     def test_uniform_quarter(self):
-        for prior in normalizers(QUAD)[0]:
-            assert prior == pytest.approx(0.25, abs=1e-12)
+        for j in range(4):
+            assert normalizers(QUAD)[f"outcome_prior_{j}"] == pytest.approx(0.25, abs=1e-12)
 
     def test_sums_to_one(self):
-        assert sum(normalizers(QUAD)[0]) == pytest.approx(1.0, abs=1e-12)
+        priors = normalizers(QUAD)
+        assert sum(priors[f"outcome_prior_{j}"] for j in range(4)) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_node_count_independence(self):
-        coarse = normalizers(QuadratureSpec(64))[0]
-        fine = normalizers(QuadratureSpec(256))[0]
-        assert coarse == pytest.approx(fine, abs=1e-12)
+        coarse = normalizers(QuadratureSpec(64))
+        fine = normalizers(QuadratureSpec(256))
+        for j in range(4):
+            name = f"outcome_prior_{j}"
+            assert coarse[name] == pytest.approx(fine[name], abs=1e-12)
 
 
 class TestEncodePosterior:
@@ -174,7 +177,7 @@ class TestDecodePosteriors:
         np.testing.assert_allclose(posterior(failure_kept(0, 1), t1, t2), expected, atol=1e-9)
 
     def test_failure_weight_is_one_third(self):
-        weight = 1.0 - normalizers(QUAD)[1][0][0]
+        weight = 1.0 - normalizers(QUAD)["success_probability_j0_target1"]
         assert weight == pytest.approx(1 / 3, abs=1e-9)
 
     def test_failure_density_factorizes(self):
@@ -219,10 +222,14 @@ class TestEntropy:
 
 class TestAverageSuccess:
     def test_two_thirds_for_the_worked_case(self):
-        assert normalizers(QUAD)[1][0][0] == pytest.approx(2 / 3, abs=1e-9)
+        assert normalizers(QUAD)["success_probability_j0_target1"] == pytest.approx(
+            2 / 3, abs=1e-9
+        )
 
     def test_two_thirds_for_every_outcome_and_target(self):
-        for per_target in normalizers(QUAD)[1]:
+        scalars = normalizers(QUAD)
+        for j in range(4):
+            per_target = [scalars[f"success_probability_j{j}_target{a}"] for a in (1, 2)]
             assert per_target == pytest.approx((2 / 3, 2 / 3), abs=1e-9)
 
 
@@ -233,52 +240,49 @@ def report():
 
 class TestGainReport:
     def test_published_constants(self, report):
-        assert report.encoding_gain == pytest.approx(0.0735, abs=5e-4)
-        for a in (0, 1):
-            assert report.marginal_encoding_gain[a] == pytest.approx(0.027, abs=5e-4)
-            assert report.failure_gain[a] == pytest.approx(0.252, abs=5e-4)
-        assert report.decode_gain[0] == pytest.approx(-0.027, abs=5e-4)
-        assert report.decode_gain[1] == pytest.approx(0.252, abs=5e-4)
-        assert report.success_total[1] == pytest.approx(0.279, abs=1e-3)
+        assert report["encoding_gain"] == pytest.approx(0.0735, abs=5e-4)
+        for a in (1, 2):
+            assert report[f"marginal_encoding_gain_q{a}"] == pytest.approx(0.027, abs=5e-4)
+            assert report[f"failure_gain_q{a}"] == pytest.approx(0.252, abs=5e-4)
+        assert report["decode_gain_q1"] == pytest.approx(-0.027, abs=5e-4)
+        assert report["decode_gain_q2"] == pytest.approx(0.252, abs=5e-4)
+        assert report["success_total_q2"] == pytest.approx(0.279, abs=1e-3)
 
     def test_identities(self, report):
-        assert report.success_total[0] == pytest.approx(0.0, abs=1e-9)
-        assert report.success_total[1] == pytest.approx(report.direct_gain, abs=1e-9)
-        for a in (0, 1):
-            assert report.failure_total[a] == pytest.approx(
-                report.direct_gain, abs=1e-9
+        assert report["success_total_q1"] == pytest.approx(0.0, abs=1e-9)
+        assert report["success_total_q2"] == pytest.approx(report["direct_gain"], abs=1e-9)
+        for a in (1, 2):
+            assert report[f"failure_total_q{a}"] == pytest.approx(
+                report["direct_gain"], abs=1e-9
             )
-        assert sum(report.outcome_prior) == pytest.approx(1.0, abs=1e-12)
+        priors = [report[f"outcome_prior_{j}"] for j in range(4)]
+        assert sum(priors) == pytest.approx(1.0, abs=1e-12)
 
     def test_marginal_gains_agree_with_each_other(self, report):
-        assert report.marginal_encoding_gain[0] == pytest.approx(
-            report.marginal_encoding_gain[1], abs=1e-9
+        assert report["marginal_encoding_gain_q1"] == pytest.approx(
+            report["marginal_encoding_gain_q2"], abs=1e-9
         )
 
     def test_joint_gain_exceeds_the_marginal_sum(self, report):
-        assert report.encoding_gain - sum(report.marginal_encoding_gain) > 0.015
+        marginal_sum = report["marginal_encoding_gain_q1"] + report["marginal_encoding_gain_q2"]
+        assert report["encoding_gain"] - marginal_sum > 0.015
 
     def test_direct_gain_matches_helper(self, report):
-        assert direct_measurement_gain(QuadratureSpec(128)) == pytest.approx(
-            report.direct_gain, abs=1e-15
-        )
+        assert report["direct_gain"] == pytest.approx(1 - 1 / (2 * math.log(2)), abs=1e-12)
 
     def test_scalars_are_independent_of_the_outcome(self, report):
-        base = report_scalars(report)
         for j in (1, 2, 3):
-            other = report_scalars(
-                gain_report(QuadratureSpec(128), outcome=j)
-            )
-            for name in base:
-                assert other[name] == pytest.approx(base[name], abs=1e-9), name
+            other = gain_report(QuadratureSpec(128), outcome=j)
+            for name in report:
+                assert other[name] == pytest.approx(report[name], abs=1e-9), name
 
     def test_swapping_the_decode_target_swaps_the_per_qubit_gains(self, report):
         swapped = gain_report(QuadratureSpec(128), outcome=0, target=2)
-        assert swapped.decode_gain[0] == pytest.approx(report.decode_gain[1], abs=1e-9)
-        assert swapped.decode_gain[1] == pytest.approx(report.decode_gain[0], abs=1e-9)
-        for a in (0, 1):
-            assert swapped.failure_gain[a] == pytest.approx(
-                report.failure_gain[a], abs=1e-9
+        assert swapped["decode_gain_q1"] == pytest.approx(report["decode_gain_q2"], abs=1e-9)
+        assert swapped["decode_gain_q2"] == pytest.approx(report["decode_gain_q1"], abs=1e-9)
+        for a in (1, 2):
+            assert swapped[f"failure_gain_q{a}"] == pytest.approx(
+                report[f"failure_gain_q{a}"], abs=1e-9
             )
 
 
@@ -309,7 +313,7 @@ def test_a_report_builds_one_grid_array():
 )
 def test_report_matches_brute_force_quadrature(nodes, outcome, target):
     quad = QuadratureSpec(nodes)
-    computed = report_scalars(gain_report(quad, outcome, target))
+    computed = gain_report(quad, outcome, target)
     reference = reference_report_scalars(quad, outcome, target)
     assert computed.keys() == reference.keys()
     for name, value in reference.items():
@@ -341,9 +345,7 @@ def test_report_matches_the_mpmath_reference_values():
     # only to 8e-10 at 256 nodes; that error cancels in every gain
     h_prior = entropy(prior_theta(quad.nodes()[0]), quad)
     assert abs(h_prior - values.pop("h_prior")) <= 1e-9
-    computed = report_scalars(
-        gain_report(quad, reference["outcome"], reference["target"])
-    )
+    computed = gain_report(quad, reference["outcome"], reference["target"])
     assert len(values) == 8
     for name, value in values.items():
         assert abs(computed[name] - value) <= 1e-12, name
@@ -361,11 +363,23 @@ def test_exact_report_matches_the_mpmath_reference_values():
 @pytest.mark.parametrize("outcome", range(4))
 @pytest.mark.parametrize("target", (1, 2))
 def test_exact_report_matches_the_quadrature_report(outcome, target):
-    computed = report_scalars(gain_report(QUAD, outcome, target))
+    computed = gain_report(QUAD, outcome, target)
     exact = exact_report(outcome, target)
     assert exact.keys() == computed.keys()
     for name, value in exact.items():
         assert abs(computed[name] - value) <= 1e-12, name
+
+
+def test_every_report_shares_the_scalar_names_and_their_order():
+    names = list(gain_report(QUAD))
+    assert list(exact_report()) == names
+    assert list(reference_report_scalars(QUAD, 0, 1)) == names
+
+
+def test_normalizers_are_the_first_twelve_report_scalars():
+    first = dict(list(gain_report(QUAD).items())[:12])
+    assert normalizers(QUAD) == first
+    assert list(normalizers(QUAD)) == list(first)
 
 
 def test_exact_report_validates_its_arguments():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -191,7 +190,7 @@ def skew_encoding_gain(monkeypatch, delta: float) -> None:
 
     def skewed(quad, outcome=0, target=1):
         report = true_gain_report(quad, outcome, target)
-        return dataclasses.replace(report, encoding_gain=report.encoding_gain + delta)
+        return {**report, "encoding_gain": report["encoding_gain"] + delta}
 
     monkeypatch.setattr(cli_module.bayes, "gain_report", skewed)
 

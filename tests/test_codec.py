@@ -227,6 +227,7 @@ def test_encode_samples_the_weights_it_reports(rng, monkeypatch):
         weights = outcome_weights(pair)
         assert sampled.pop() == weights
         assert weights == tuple(encode_branch(pair, j)[0] for j in range(4))
+        assert record.weights == weights
         assert record.probability == weights[record.outcome]
 
 
@@ -382,18 +383,28 @@ def test_near_pole_preparations_encode_and_decode_exactly(pair, u_encode, u_deco
 class TestRecords:
     def test_encode_record_requires_qutrit(self):
         with pytest.raises(ValueError):
-            EncodeRecord(outcome=0, probability=0.5, qutrit=None)
+            EncodeRecord(outcome=0, weights=(0.5, 0.5, 0.0, 0.0), qutrit=None)
 
     def test_decode_record_exclusive_fields(self):
         qubit = PureState(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            DecodeRecord(target=1, success=True, probability=1.0)
+            DecodeRecord(target=1, success=True, success_probability=1.0)
         with pytest.raises(ValueError):
             DecodeRecord(
-                target=1, success=False, probability=1.0, reconstructed=qubit
+                target=1, success=False, success_probability=1.0, reconstructed=qubit
             )
         with pytest.raises(ValueError):
             DecodeRecord(
-                target=1, success=True, probability=1.0,
+                target=1, success=True, success_probability=1.0,
                 reconstructed=qubit, failure_level=0,
             )
+
+    def test_decode_record_probability_is_that_of_the_result(self):
+        qubit = PureState(np.array([1.0, 0.0]))
+        won = DecodeRecord(
+            target=2, success=True, success_probability=0.75, reconstructed=qubit
+        )
+        lost = DecodeRecord(
+            target=2, success=False, success_probability=0.75, failure_level=1
+        )
+        assert (won.probability, lost.probability) == (0.75, 0.25)

@@ -80,12 +80,13 @@ class TestDeterminism:
         config = TrialConfig(trials=20_000, master_seed=99, target_policy="random")
         assert run_trials(config) == run_trials(config)
 
-    def test_chunk_size_does_not_matter(self):
+    def test_chunk_size_does_not_matter(self, monkeypatch):
         # the default chunk spans several kernel calls and ends in a short one
         config = TrialConfig(trials=20_000, master_seed=5, target_policy="alternate")
         stats = run_trials(config)
-        assert run_trials(config, chunk_size=999) == stats
-        assert run_trials(config, chunk_size=4096) == stats
+        for chunk_trials in (999, 4096):
+            monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk_trials)
+            assert run_trials(config) == stats
 
     def test_single_trial(self):
         config = TrialConfig(trials=1, master_seed=0)
