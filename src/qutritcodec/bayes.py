@@ -35,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _check_outcome, _check_target, intact_block, qubit_bit
+from .codec import (
+    _check_outcome, _check_target, decode_levels, intact_block, qubit_bit, survivors,
+)
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,12 @@ def _bit_masses(quad: QuadratureSpec) -> tuple[float, float]:
 
 
 def _kept_mass(kept, bit_mass) -> float:
-    """Prior mass of sum_{k in kept} |c_k|^2, a sum of products of bit masses."""
-    return sum(bit_mass[qubit_bit(k, 1)] * bit_mass[qubit_bit(k, 2)] for k in kept)
+    """Prior mass of sum_{k in kept} |c_k|^2, a sum of products of bit masses.
+
+    Kept masses and marginals sum in ascending index order, so the report
+    does not depend on the order in which `kept` lists its indices.
+    """
+    return sum(bit_mass[qubit_bit(k, 1)] * bit_mass[qubit_bit(k, 2)] for k in sorted(kept))
 
 
 def _kept_marginal(kept, qubit: int, densities: np.ndarray, bit_mass) -> np.ndarray:
@@ -103,15 +109,9 @@ def _kept_marginal(kept, qubit: int, densities: np.ndarray, bit_mass) -> np.ndar
     """
     other = 3 - qubit
     marginal = sum(
-        densities[qubit_bit(k, qubit)] * bit_mass[qubit_bit(k, other)] for k in kept
+        densities[qubit_bit(k, qubit)] * bit_mass[qubit_bit(k, other)] for k in sorted(kept)
     )
     return marginal / _kept_mass(kept, bit_mass)
-
-
-def _survivors(outcome: int) -> tuple[int, ...]:
-    """Register indices that outcome j leaves on the qutrit."""
-    _check_outcome(outcome)
-    return tuple(k for k in range(4) if k != outcome)
 
 
 def normalizers(quad: QuadratureSpec) -> dict[str, float]:
@@ -123,7 +123,7 @@ def normalizers(quad: QuadratureSpec) -> dict[str, float]:
     survivors' weight, so both are ratios of kept masses.
     """
     bit_mass = _bit_masses(quad)
-    survivor_mass = [_kept_mass(_survivors(j), bit_mass) for j in range(4)]
+    survivor_mass = [_kept_mass(survivors(j), bit_mass) for j in range(4)]
     scalars = {f"outcome_prior_{j}": mass / 3.0 for j, mass in enumerate(survivor_mass)}
     for j, a in itertools.product(range(4), (1, 2)):
         block_mass = _kept_mass(intact_block(j, a), bit_mass)
@@ -187,8 +187,10 @@ def gain_report(
     x, w = quad.nodes()
     densities = _bit_densities(x)
     bit_mass = _bit_masses(quad)
-    survivors = _survivors(outcome)
+    survived = survivors(outcome)
     block = intact_block(outcome, target)
+    # a failed decode collapses the qutrit onto the failure level's survivor
+    failure = (survived[decode_levels(outcome, target)[1]],)
 
     def marginal_entropies(kept) -> tuple[float, float]:
         return tuple(
@@ -200,12 +202,12 @@ def gain_report(
     mask = np.ones((2, 2))  # [b1, b2]: every index survives but the outcome
     mask[qubit_bit(outcome, 1), qubit_bit(outcome, 2)] = 0.0
     posterior = densities.T @ mask @ densities
-    posterior /= _kept_mass(survivors, bit_mass)
+    posterior /= _kept_mass(survived, bit_mass)
     h_prior = _entropy(prior_theta(x), w)
 
-    h_posterior = marginal_entropies(survivors)
+    h_posterior = marginal_entropies(survived)
     h_success = marginal_entropies(block)
-    h_failure = marginal_entropies(set(survivors) - set(block))
+    h_failure = marginal_entropies(failure)
     # a plain basis measurement of one qubit reads bit 0 with its prior mass
     p_zero = bit_mass[0]
     h_measured = sum(

@@ -5,18 +5,20 @@ Conventions used throughout:
 * The two-qubit register index is k = b1 + 2*b2, so qubit 1 owns the low
   bit. Basis order: |0> = |0>|0>, |1> = |1>|0>, |2> = |0>|1>, |3> = |1>|1>.
 * Encoding outcome j ties ancilla level i to register index
-  (i + j + 1) mod 4. It occurs with weight (1 - |c_j|^2) / 3, and after the
+  (i + j + 1) mod 4; `survivors(j)` is the one place this map is written.
+  The outcome occurs with weight (1 - |c_j|^2) / 3, and after the
   relabeling permutation qutrit level i carries the surviving register
   amplitude c_{(i+j+1) mod 4}, renormalized. Both are computed from these
   closed forms; the test suite's oracle builds the 12-dimensional
   ancilla-register state, projects and relabels it, and checks them.
 
 Decoding either qubit is probabilistic: a two-outcome measurement on the
-qutrit either lands in the two levels that jointly carry the chosen qubit
-(success, exact reconstruction) or collapses to the single remaining level
-(failure). The choice of qubit needs nothing but the stored qutrit and the
-two classical bits recording the encoding outcome, so it can be deferred
-indefinitely.
+qutrit either lands in the two levels that carry the chosen qubit's intact
+block (success, exact reconstruction) or collapses to the single remaining
+level, which carries j's partner j ^ (1 << (a - 1)) in the damaged block
+(failure). `decode_levels` finds these levels within `survivors(j)`. The
+choice of qubit needs nothing but the stored qutrit and the two classical
+bits recording the encoding outcome, so it can be deferred indefinitely.
 """
 
 from __future__ import annotations
@@ -53,17 +55,6 @@ def qubit_bit(index: int, target: int) -> int:
     return (index >> (target - 1)) & 1
 
 
-def carried_index(level: int, outcome: int) -> int:
-    """Register index whose amplitude ends up on the given qutrit level."""
-    return (level + outcome + 1) % REGISTER_DIM
-
-
-def intact_block(outcome: int, target: int) -> tuple[int, int]:
-    """The register-index pair for `target` that outcome j leaves untouched."""
-    first, second = TARGET_BLOCKS[target]
-    return second if outcome in first else first
-
-
 def _check_outcome(outcome: int) -> int:
     if outcome not in (0, 1, 2, 3):
         raise ValueError(f"outcome must be one of 0..3, got {outcome!r}")
@@ -74,6 +65,18 @@ def _check_target(target: int) -> int:
     if target not in (1, 2):
         raise ValueError(f"target qubit must be 1 or 2, got {target!r}")
     return target
+
+
+def survivors(outcome: int) -> tuple[int, int, int]:
+    """Register indices whose amplitudes outcome j leaves on qutrit levels 0, 1, 2."""
+    _check_outcome(outcome)
+    return tuple((level + outcome + 1) % REGISTER_DIM for level in range(QUTRIT_DIM))
+
+
+def intact_block(outcome: int, target: int) -> tuple[int, int]:
+    """The register-index pair for `target` that outcome j leaves untouched."""
+    first, second = TARGET_BLOCKS[_check_target(target)]
+    return second if outcome in first else first
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def joint_state(pair: QubitPair) -> PureState:
 
 def _branch(c: np.ndarray, outcome: int) -> tuple[float, np.ndarray]:
     """Weight of encoding outcome j and the amplitudes it leaves on levels 0..2."""
-    levels = c[[carried_index(level, outcome) for level in range(QUTRIT_DIM)]]
+    levels = c[list(survivors(outcome))]
     # the survivors' weight: near a pole 1 - |c_j|^2 would lose every digit
     return float(np.vdot(levels, levels).real) / 3.0, levels
 
@@ -180,7 +183,6 @@ def encode_branch(pair: QubitPair, outcome: int) -> tuple[float, PureState | Non
     register amplitude c_{(i+j+1) mod 4}, renormalized. When the branch is
     numerically impossible (|c_j| = 1) the qutrit is absent.
     """
-    _check_outcome(outcome)
     probability, levels = _branch(joint_state(pair).amplitudes, outcome)
     return probability, _qutrit(probability, levels)
 
@@ -202,31 +204,27 @@ def decode_levels(outcome: int, target: int) -> tuple[tuple[int, int], int]:
     """Qutrit levels read as logical |0> and |1> when decoding `target`, and
     the failure level.
 
-    The success pair is the two levels whose register indices form the block
-    of `target` that the encoding outcome left intact, in the order of the
-    target's bit in that index, so success reproduces the original qubit
-    without any corrective rotation. The failure level is the remaining one.
+    The success pair carries the block of `target` that the encoding outcome
+    left intact, in the order of the target's bit in that index, so success
+    reproduces the original qubit without any corrective rotation. The
+    failure level carries the remaining survivor, j's partner in the damaged
+    block.
     """
-    _check_outcome(outcome)
-    _check_target(target)
-    # register index k sits on level (k - j - 1) mod 4; the intact block lists
-    # the index with target bit 0 first and never contains j
-    success = tuple((k - outcome - 1) % REGISTER_DIM for k in intact_block(outcome, target))
-    (failure,) = set(range(QUTRIT_DIM)) - set(success)
-    return success, failure
+    kept = survivors(outcome)
+    low, high = (kept.index(k) for k in intact_block(outcome, target))
+    return (low, high), kept.index(outcome ^ (1 << (target - 1)))
 
 
 def decode_branch(
     qutrit: PureState, outcome: int, target: int
-) -> tuple[float, PureState | None, float]:
-    """Success probability, reconstructed qubit (absent on null weight), and
-    failure probability for decoding `target` from a stored qutrit."""
+) -> tuple[float, PureState | None]:
+    """Success probability and reconstructed qubit (absent on null weight)
+    for decoding `target` from a stored qutrit."""
     success_levels, _ = decode_levels(outcome, target)
     p_success, collapsed = project(qutrit, success_levels)
-    p_fail = 1.0 - p_success
     if collapsed is None:
-        return p_success, None, p_fail
-    return p_success, PureState(collapsed.amplitudes[list(success_levels)]), p_fail
+        return p_success, None
+    return p_success, PureState(collapsed.amplitudes[list(success_levels)])
 
 
 def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeRecord:
@@ -239,7 +237,7 @@ def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeReco
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
-    p_success, reconstructed, _ = decode_branch(qutrit, outcome, target)
+    p_success, reconstructed = decode_branch(qutrit, outcome, target)
     if u < p_success and reconstructed is not None:
         return DecodeRecord(
             target=target, success=True, success_probability=p_success,
@@ -260,14 +258,12 @@ def conditional_success_probability(
     sum_{k in intact block} |c_k|^2 / sum_{k != j} |c_k|^2. Raises for degenerate
     preparations where outcome j cannot occur at all.
     """
-    _check_outcome(outcome)
-    _check_target(target)
+    kept, block = sorted(survivors(outcome)), intact_block(outcome, target)
     c = joint_state(pair).amplitudes
-    denominator = sum(abs(c[k]) ** 2 for k in range(REGISTER_DIM) if k != outcome)
+    denominator = sum(abs(c[k]) ** 2 for k in kept)  # in ascending index order
     if denominator <= NULL_BRANCH_EPS:
         raise ValueError(
             f"outcome {outcome} cannot occur for this preparation; "
             "conditional success probability is undefined"
         )
-    block = intact_block(outcome, target)
     return float(sum(abs(c[k]) ** 2 for k in block) / denominator)

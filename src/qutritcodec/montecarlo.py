@@ -13,8 +13,9 @@ execution reproduces the same trials bit for bit. Slot layout per trial:
     7     reserved (keeps trials aligned to whole Philox blocks)
 
 Statistics use only real products of the exact per-qubit weights 1 - u
-and u; fidelity goes through the decode level map, apart from the
-intact-block table that decides success.
+and u. One table of intact blocks both decides success and, target bit 0
+first, names the register indices that a successful decode reads as
+logical |0> and |1>.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import carried_index, decode_levels, intact_block
+from .codec import intact_block
 from .states import BlochAngles
 
 UNIFORMS_PER_TRIAL = 8
@@ -113,17 +114,9 @@ def _targets(policy: str, start: int, count: int, u_target: np.ndarray) -> np.nd
     return np.where(u_target < 0.5, 1, 2)
 
 
-def _decoded_indices(outcome: int, target: int) -> list[int]:
-    """Register indices that decode_branch reads as logical |0> and |1>."""
-    return [carried_index(level, outcome) for level in decode_levels(outcome, target)[0]]
-
-
-# [outcome, target - 1] -> a pair of register indices: the intact block,
-# whose weight decides success, and the decode level map (logical |0>, |1>)
-_INTACT, _LEVELS = (
-    np.array([[pair(j, a) for a in (1, 2)] for j in range(4)], dtype=np.int64)
-    for pair in (intact_block, _decoded_indices)
-)
+# [outcome, target - 1] -> the intact block, whose weight decides success and
+# whose indices, target bit 0 first, a successful decode reads as logical |0>, |1>
+_INTACT = np.array([[intact_block(j, a) for a in (1, 2)] for j in range(4)], dtype=np.int64)
 
 
 def _run_chunk(u: np.ndarray, start: int, policy: str):
@@ -152,14 +145,14 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
     key = 2 * outcome + target - 1
     rows = np.arange(count)
     flat_w = weights.ravel()
-    lo, hi = np.take(_INTACT.reshape(8, 2), key, axis=0).T * count + rows
-    block_weight = flat_w[lo] + flat_w[hi]
+    lo, hi = np.take(_INTACT.reshape(8, 2), key, axis=0).T
+    block_weight = flat_w[lo * count + rows] + flat_w[hi * count + rows]
     success = u[:, 6] < block_weight / survivors.ravel()[outcome * count + rows]
 
     # Fidelity with the target qubit, in closed form on the amplitudes that
-    # the decode level map puts on logical |0> and |1>
+    # the intact block puts on logical |0> and |1>
     won = np.flatnonzero(success)
-    lo, hi = np.take(_LEVELS.reshape(8, 2), key[won], axis=0).T
+    lo, hi = lo[won], hi[won]
     w_lo, w_hi = flat_w[lo * count + won], flat_w[hi * count + won]
     slot = UNIFORMS_PER_TRIAL * won
     polar_slot = slot + 2 * target[won] - 2  # the target's azimuth follows

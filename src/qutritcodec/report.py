@@ -16,11 +16,12 @@ from typing import Any
 
 SCHEMA_VERSION = "1"
 
-FORMATS = ("json", "csv", "md")
-
 # row provenance: a constant quoted at source precision, an exact internal
 # identity, or a statistical Monte Carlo bound
 ROW_SOURCES = ("paper", "identity", "mc")
+
+# a row's document fields, in column order
+_ROW_FIELDS = ("name", "computed", "reference", "tolerance", "source", "pass")
 
 
 def round_sig(value: float, digits: int = 12) -> float:
@@ -40,14 +41,8 @@ class VerifyRow:
     passed: bool
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "reference": self.reference,
-            "tolerance": self.tolerance,
-            "source": self.source,
-            "pass": self.passed,
-        }
+        values = (self.name, self.computed, self.reference, self.tolerance, self.source)
+        return dict(zip(_ROW_FIELDS, (*values, self.passed)))
 
 
 def make_row(
@@ -133,27 +128,14 @@ def to_json(document: ReportDocument) -> str:
     return json.dumps(document.as_dict(), indent=2) + "\n"
 
 
-def to_csv(document: ReportDocument) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if document.rows is not None:
-        writer.writerow(["name", "computed", "reference", "tolerance", "source", "pass"])
-        for row in document.rows:
-            writer.writerow(
-                [
-                    row.name,
-                    _format_number(row.computed),
-                    _format_number(row.reference),
-                    _format_number(row.tolerance),
-                    row.source,
-                    _format_number(row.passed),
-                ]
-            )
-    else:
-        writer.writerow(["key", "value"])
-        for key, value in _flatten(_rounded(document.trace)):
-            writer.writerow([key, value])
-    return buffer.getvalue()
+def _table(document: ReportDocument) -> tuple[tuple[str, ...], list[list[str]]]:
+    """Header and string cells that CSV and Markdown lay out: the rows, or
+    the trace's key/value pairs."""
+    if document.rows is None:
+        return ("key", "value"), [list(pair) for pair in _flatten(_rounded(document.trace))]
+    return _ROW_FIELDS, [
+        [_format_number(value) for value in row.as_dict().values()] for row in document.rows
+    ]
 
 
 def _flatten(value: Any, prefix: str = ""):
@@ -166,37 +148,31 @@ def _flatten(value: Any, prefix: str = ""):
         yield (prefix.rstrip("."), _format_number(value))
 
 
+def to_csv(document: ReportDocument) -> str:
+    header, cells = _table(document)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(cells)
+    return buffer.getvalue()
+
+
 def to_markdown(document: ReportDocument) -> str:
+    header, cells = _table(document)
     lines = [f"# {document.command}", ""]
+    for cell_row in (header, ["---"] * len(header), *cells):
+        lines.append("| " + " | ".join(cell_row) + " |")
     if document.rows is not None:
-        lines.append("| name | computed | reference | tolerance | source | pass |")
-        lines.append("| --- | --- | --- | --- | --- | --- |")
-        for row in document.rows:
-            lines.append(
-                "| {} | {} | {} | {} | {} | {} |".format(
-                    row.name,
-                    _format_number(row.computed),
-                    _format_number(row.reference),
-                    _format_number(row.tolerance),
-                    row.source,
-                    _format_number(row.passed),
-                )
-            )
-        lines.append("")
-        lines.append(f"overall pass: {_format_number(document.overall_pass)}")
-    else:
-        lines.append("| key | value |")
-        lines.append("| --- | --- |")
-        for key, value in _flatten(_rounded(document.trace)):
-            lines.append(f"| {key} | {value} |")
+        lines += ["", f"overall pass: {_format_number(document.overall_pass)}"]
     return "\n".join(lines) + "\n"
 
 
+_EMITTERS = {"json": to_json, "csv": to_csv, "md": to_markdown}
+
+FORMATS = tuple(_EMITTERS)
+
+
 def render(document: ReportDocument, fmt: str) -> str:
-    if fmt == "json":
-        return to_json(document)
-    if fmt == "csv":
-        return to_csv(document)
-    if fmt == "md":
-        return to_markdown(document)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _EMITTERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _EMITTERS[fmt](document)

@@ -152,7 +152,7 @@ def test_08_round_trip_and_pipeline_equivalence():
             abs(probability - pipeline_probability),
             phase_aligned_max_diff(qutrit, pipeline_qutrit),
         )
-        p_success, reconstructed, _ = decode_branch(qutrit, outcome, target)
+        p_success, reconstructed = decode_branch(qutrit, outcome, target)
         if p_success <= 1e-6:
             continue
         original = make_qubit_state(pair.q1 if target == 1 else pair.q2)

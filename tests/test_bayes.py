@@ -22,7 +22,7 @@ from qutritcodec import (
     outcome_weights,
     prior_theta,
 )
-from qutritcodec.codec import intact_block, qubit_bit
+from qutritcodec.codec import intact_block, qubit_bit, survivors
 from conftest import likelihood, random_pair, reference_report_scalars
 
 QUAD = QuadratureSpec(nodes_per_axis=64)
@@ -46,7 +46,7 @@ def entropy(values, quad=QUAD) -> float:
 # register indices: an outcome keeps its survivors, a successful decode the
 # intact block and a failed one the remaining survivor.
 def failure_kept(outcome, target):
-    return set(bayes._survivors(outcome)) - set(intact_block(outcome, target))
+    return set(survivors(outcome)) - set(intact_block(outcome, target))
 
 
 def posterior(kept, t1, t2, quad=QUAD):
@@ -135,23 +135,23 @@ class TestEncodePosterior:
             / 3 * np.sin(t1) * np.sin(t2)
         )
         np.testing.assert_allclose(
-            posterior(bayes._survivors(0), t1, t2), expected, atol=1e-12
+            posterior(survivors(0), t1, t2), expected, atol=1e-12
         )
 
     def test_vanishes_at_the_origin(self):
-        assert posterior(bayes._survivors(0), 0.0, 0.0)[0] == 0.0
+        assert posterior(survivors(0), 0.0, 0.0)[0] == 0.0
 
     def test_reflection_symmetry_between_first_and_last_outcome(self):
         t1, t2 = np.meshgrid(GRID, GRID, indexing="ij")
         np.testing.assert_allclose(
-            posterior(bayes._survivors(3), t1, t2),
-            posterior(bayes._survivors(0), math.pi - t1, math.pi - t2),
+            posterior(survivors(3), t1, t2),
+            posterior(survivors(0), math.pi - t1, math.pi - t2),
             atol=1e-12,
         )
 
     def test_normalization(self):
         for j in range(4):
-            density = lambda t1, t2: posterior(bayes._survivors(j), t1, t2)  # noqa: E731
+            density = lambda t1, t2: posterior(survivors(j), t1, t2)  # noqa: E731
             assert integral_2d(density) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -387,6 +387,9 @@ def test_exact_report_validates_its_arguments():
         exact_report(outcome=4)
     with pytest.raises(ValueError):
         exact_report(target=3)
+    for bad_target in (3, 0):
+        with pytest.raises(ValueError):
+            gain_report(QuadratureSpec(16), 0, bad_target)
 
 
 def test_node_doubling_check_is_gone():

@@ -263,22 +263,20 @@ class TestDecodeProjectors:
 class TestDecodeBranch:
     def test_certain_success_recovers_first_qubit(self):
         qutrit = PureState(np.array([0, INV_SQRT2, INV_SQRT2]))
-        p_success, reconstructed, p_fail = decode_branch(qutrit, 0, 1)
+        p_success, reconstructed = decode_branch(qutrit, 0, 1)
         assert p_success == pytest.approx(1.0, abs=1e-15)
-        assert p_fail == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(
             reconstructed.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15
         )
 
     def test_certain_failure(self):
         qutrit = PureState(np.array([1.0, 0.0, 0.0]))
-        p_success, reconstructed, p_fail = decode_branch(qutrit, 0, 1)
+        p_success, reconstructed = decode_branch(qutrit, 0, 1)
         assert p_success == 0.0
         assert reconstructed is None
-        assert p_fail == 1.0
 
     def test_uniform_qutrit_gives_two_thirds(self):
-        p_success, _, _ = decode_branch(PureState(np.full(3, INV_SQRT3)), 0, 1)
+        p_success, _ = decode_branch(PureState(np.full(3, INV_SQRT3)), 0, 1)
         assert p_success == pytest.approx(2 / 3, abs=1e-15)
 
 
@@ -333,7 +331,7 @@ class TestConditionalSuccess:
                     continue
                 for target in (1, 2):
                     closed = conditional_success_probability(pair, j, target)
-                    sampled, _, _ = decode_branch(qutrit, j, target)
+                    sampled, _ = decode_branch(qutrit, j, target)
                     assert closed == pytest.approx(sampled, abs=1e-12)
 
 
@@ -346,7 +344,7 @@ def test_round_trip_reconstructs_the_chosen_qubit(rng):
         probability, qutrit = encode_branch(pair, j)
         if probability <= 1e-6:
             continue
-        p_success, reconstructed, _ = decode_branch(qutrit, j, target)
+        p_success, reconstructed = decode_branch(qutrit, j, target)
         if p_success <= 1e-6:
             continue
         original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
@@ -368,7 +366,7 @@ def test_near_pole_preparations_encode_and_decode_exactly(pair, u_encode, u_deco
             continue
         assert phase_aligned_max_diff(qutrit, expected) <= 1e-12
         for target in (1, 2):
-            p_success, _, _ = decode_branch(qutrit, j, target)
+            p_success, _ = decode_branch(qutrit, j, target)
             closed = conditional_success_probability(pair, j, target)
             assert closed == pytest.approx(p_success, abs=1e-12)
 

@@ -3,7 +3,8 @@
 Each digest is the sha256 of a command's stdout as recorded when the codec
 still sampled outcomes from the explicit 12-dimensional ancilla-register
 state, so any change to the numbers, their order or their formatting shows
-up here.
+up here. The CSV and Markdown pins of `verify` and `mc` were recorded while
+each emitter still listed the six row fields by hand.
 """
 
 from __future__ import annotations
@@ -59,18 +60,25 @@ DIGESTS = {
     "verify 16 3": "d877adb5318cc4e42ac9bf01293edafc27b06396cdb5f6afa1d11fb698b17855",
     "verify 64 0": "408e89325f41adffa2e462e58a8a9e14ebb5968ddb75f9125ea51e6018d358c8",
     "verify 64 3": "aac2a3e7401410d524967addd95c7a79e77383e87dfe51d620e332dcdd1af60b",
+    "mc random csv": "33dc209d8b2ff69d327d6e4cc111e02b36450c956f6dae62e45336fee1008382",
+    "mc random md": "deb605c9bcf8b1959e20967bbf1e39013b93ca3083fa3529cd433c433fb3c7b3",
+    "verify 16 0 csv": "e9d66e5736658179d2d38a3f0e8048b9405fd747077102bac42cc6a4b836cae0",
+    "verify 16 0 md": "ece67ac9ee3bf97783bcc3624fff4cca1cbb668a4cbda3706e18b0a1ca872d46",
 }
 
 
 def _args(case: str) -> list[str]:
     command, *rest = case.split()
     if command == "mc":
-        return ["mc", "--trials", "20000", "--target-policy", rest[0]]
-    if command == "verify":
-        return ["verify", "--trials", "1000", "--nodes", rest[0], "--seed", rest[1]]
-    angles, seed, decode_options = PREPARATIONS[rest[0]]
-    extra = decode_options if command == "decode" else []
-    return [command, *angles, *extra, "--seed", seed, "--format", rest[1]]
+        args = ["mc", "--trials", "20000", "--target-policy", rest.pop(0)]
+    elif command == "verify":
+        args = ["verify", "--trials", "1000", "--nodes", rest.pop(0), "--seed", rest.pop(0)]
+    else:
+        angles, seed, decode_options = PREPARATIONS[rest.pop(0)]
+        extra = decode_options if command == "decode" else []
+        args = [command, *angles, *extra, "--seed", seed]
+    # a trailing word names the format; without one the document is JSON
+    return [*args, "--format", *rest] if rest else args
 
 
 @pytest.mark.parametrize("case", DIGESTS)

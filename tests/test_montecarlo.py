@@ -21,7 +21,7 @@ from qutritcodec import (
     run_trials,
     sample_bloch,
 )
-from qutritcodec.codec import QubitPair, intact_block, qubit_bit
+from qutritcodec.codec import QubitPair, decode_levels, intact_block, qubit_bit, survivors
 from qutritcodec import montecarlo
 from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, _run_chunk, trial_uniforms
 from conftest import unit_interval
@@ -193,9 +193,9 @@ def test_kernel_decodes_near_pole_trials_like_the_closed_form(
 def test_fidelity_row_catches_a_swapped_decode_level(monkeypatch, outcome, target):
     config = TrialConfig(20_000, 0, f"always-{target}")
     assert run_trials(config).min_success_fidelity >= 1 - 1e-12
-    swapped = montecarlo._LEVELS.copy()
+    swapped = montecarlo._INTACT.copy()
     swapped[outcome, target - 1] = swapped[outcome, target - 1, ::-1]
-    monkeypatch.setattr(montecarlo, "_LEVELS", swapped)
+    monkeypatch.setattr(montecarlo, "_INTACT", swapped)
     assert run_trials(config).min_success_fidelity < 1 - 1e-12
 
 
@@ -276,6 +276,17 @@ def test_intact_block_rows_put_the_low_target_bit_first():
             block = intact_block(outcome, target)
             assert qubit_bit(block[0], target) == 0
             assert qubit_bit(block[1], target) == 1
+
+
+def test_codec_levels_and_the_kernel_table_read_one_relabeling_map():
+    for outcome in range(4):
+        for target in (1, 2):
+            kept = survivors(outcome)
+            success_levels, failure_level = decode_levels(outcome, target)
+            block = list(intact_block(outcome, target))
+            assert [kept[level] for level in success_levels] == block
+            assert kept[failure_level] == outcome ^ (1 << (target - 1))
+            assert montecarlo._INTACT[outcome, target - 1].tolist() == block
 
 
 def test_the_third_survivor_differs_from_the_outcome_in_the_target_bit():
