@@ -39,6 +39,8 @@ from .codec import (
     _check_outcome, _check_target, decode_levels, intact_block, qubit_bit, survivors,
 )
 
+MIN_NODES = 16
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -47,9 +49,9 @@ class QuadratureSpec:
     nodes_per_axis: int = 256
 
     def __post_init__(self) -> None:
-        if self.nodes_per_axis < 16:
+        if self.nodes_per_axis < MIN_NODES:
             raise ValueError(
-                f"nodes_per_axis must be at least 16, got {self.nodes_per_axis}"
+                f"nodes_per_axis must be at least {MIN_NODES}, got {self.nodes_per_axis}"
             )
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:

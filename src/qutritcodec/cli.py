@@ -1,13 +1,14 @@
 """Command-line front end: protocol traces, Monte Carlo batches, verification.
 
 Exit codes: 0 when every check passes (or a trace command completes),
-1 when a verification row fails, 2 for usage or validation errors.
+1 when a verification row fails, 2 for usage or validation errors. The
+status of a written document is decided only in `_emit`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from typing import Any
 
 import click
@@ -57,40 +58,37 @@ VERIFY_ROWS = (
 )
 
 
-def _validate_theta(ctx, param, value):
-    if not 0.0 <= value <= math.pi:
-        raise click.BadParameter(f"{param.name} must lie in [0, pi], got {value}")
-    return value
+def _preparation_options(fn):
+    """The four angle options, turned into the command's `pair` and `params`.
 
+    `states.BlochAngles` alone decides which angles are valid; its
+    `ValueError` becomes a usage error naming the qubit's options. `params`
+    holds the angles as given, before `phi` is reduced modulo 2 pi.
+    """
 
-def _validate_phi(ctx, param, value):
-    if not math.isfinite(value):
-        raise click.BadParameter(f"{param.name} must be finite, got {value}")
-    return value
+    @functools.wraps(fn)
+    def command(theta1, phi1, theta2, phi2, **kwargs):
+        qubits = []
+        for q, theta, phi in ((1, theta1, phi1), (2, theta2, phi2)):
+            try:
+                qubits.append(states.BlochAngles(theta=theta, phi=phi))
+            except ValueError as error:
+                raise click.BadParameter(str(error), param_hint=f"'--theta{q}/--phi{q}'")
+        params = {"theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2}
+        return fn(pair=codec.QubitPair(*qubits), params=params, **kwargs)
 
-
-def _angle_options(fn):
-    for name, callback in (
-        ("--phi2", _validate_phi),
-        ("--theta2", _validate_theta),
-        ("--phi1", _validate_phi),
-        ("--theta1", _validate_theta),
-    ):
-        fn = click.option(
-            name,
-            type=float,
-            default=0.0,
-            show_default=True,
-            callback=callback,
-            help=f"{name.lstrip('-')} of the preparation, in radians.",
-        )(fn)
-    return fn
+    for name in ("phi2", "theta2", "phi1", "theta1"):
+        command = click.option(
+            f"--{name}", type=float, default=0.0, show_default=True,
+            help=f"{name} of the preparation, in radians.",
+        )(command)
+    return command
 
 
 def _seed_option(fn):
     return click.option(
         "--seed",
-        type=click.IntRange(0, 2**64 - 1),
+        type=click.IntRange(0, montecarlo.MAX_SEED),
         default=0,
         show_default=True,
         help="Master seed of the counter-based random stream.",
@@ -100,7 +98,7 @@ def _seed_option(fn):
 def _nodes_option(fn):
     # capped because the gain report allocates n x n arrays
     return click.option(
-        "--nodes", type=click.IntRange(16, 4096), default=256, show_default=True,
+        "--nodes", type=click.IntRange(bayes.MIN_NODES, 4096), default=256, show_default=True,
         help="Quadrature nodes per axis for the reference values.",
     )(fn)
 
@@ -124,22 +122,19 @@ def _output_options(fn):
 
 
 def _emit(document: ReportDocument, fmt: str, out: str | None) -> None:
+    """Write the document, then exit 1 if it holds a failing row."""
     text = render(document, fmt)
     if out is None:
         click.echo(text, nl=False)
-        return
-    try:
-        with open(out, "w") as handle:
-            handle.write(text)
-    except OSError as error:
-        raise click.BadParameter(f"cannot write {out}: {error.strerror}", param_hint="'--out'")
-
-
-def _pair(theta1, phi1, theta2, phi2) -> codec.QubitPair:
-    return codec.QubitPair(
-        q1=states.BlochAngles(theta=theta1, phi=phi1),
-        q2=states.BlochAngles(theta=theta2, phi=phi2),
-    )
+    else:
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as error:
+            message = f"cannot write {out}: {error.strerror}"
+            raise click.BadParameter(message, param_hint="'--out'")
+    if document.overall_pass is False:
+        raise click.exceptions.Exit(1)
 
 
 def _uniform_stream(seed: int):
@@ -181,17 +176,12 @@ def _decode_entry(
     return entry
 
 
-def _angle_params(theta1, phi1, theta2, phi2) -> dict[str, float]:
-    return {"theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2}
-
-
 @main.command()
-@_angle_options
+@_preparation_options
 @_seed_option
 @_output_options
-def demo(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
+def demo(pair, params, seed, fmt, out) -> None:
     """Narrate one full encode/decode run for a fixed preparation."""
-    pair = _pair(theta1, phi1, theta2, phi2)
     stream = _uniform_stream(seed)
     record = codec.encode(pair, float(stream.random()))
     trace = {
@@ -204,24 +194,22 @@ def demo(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
             for target in (1, 2)
         },
     }
-    params = {**_angle_params(theta1, phi1, theta2, phi2), "seed": seed}
-    _emit(ReportDocument(command="demo", params=params, trace=trace), fmt, out)
+    _emit(ReportDocument(command="demo", params={**params, "seed": seed}, trace=trace), fmt, out)
 
 
 @main.command()
-@_angle_options
+@_preparation_options
 @_seed_option
 @_output_options
-def encode(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
+def encode(pair, params, seed, fmt, out) -> None:
     """Encode a preparation, sampling the measurement outcome from the seed."""
-    pair = _pair(theta1, phi1, theta2, phi2)
     record = codec.encode(pair, float(_uniform_stream(seed).random()))
-    params = {**_angle_params(theta1, phi1, theta2, phi2), "seed": seed}
+    params = {**params, "seed": seed}
     _emit(ReportDocument(command="encode", params=params, trace=_encode_trace(record)), fmt, out)
 
 
 @main.command()
-@_angle_options
+@_preparation_options
 @click.option(
     "--outcome", type=click.IntRange(0, 3), required=True,
     help="Recorded encoding outcome (the two classical bits).",
@@ -232,9 +220,8 @@ def encode(theta1, phi1, theta2, phi2, seed, fmt, out) -> None:
 )
 @_seed_option
 @_output_options
-def decode(theta1, phi1, theta2, phi2, outcome, target, seed, fmt, out) -> None:
+def decode(pair, params, outcome, target, seed, fmt, out) -> None:
     """Decode one qubit from the qutrit of a given preparation and outcome."""
-    pair = _pair(theta1, phi1, theta2, phi2)
     probability, qutrit = codec.encode_branch(pair, outcome)
     if qutrit is None:
         raise click.UsageError(
@@ -245,10 +232,7 @@ def decode(theta1, phi1, theta2, phi2, outcome, target, seed, fmt, out) -> None:
         "qutrit_amplitudes": amplitude_pairs(qutrit.amplitudes),
         **_decode_entry(pair, qutrit, outcome, target, float(_uniform_stream(seed).random())),
     }
-    params = {
-        **_angle_params(theta1, phi1, theta2, phi2),
-        "outcome": outcome, "target": target, "seed": seed,
-    }
+    params = {**params, "outcome": outcome, "target": target, "seed": seed}
     _emit(ReportDocument(command="decode", params=params, trace=trace), fmt, out)
 
 
@@ -286,8 +270,7 @@ def _mc_rows(stats: montecarlo.TrialStats, scalars: dict[str, float]) -> list[Ve
 )
 @_nodes_option
 @_output_options
-@click.pass_context
-def mc(ctx, trials, seed, target_policy, nodes, fmt, out) -> None:
+def mc(trials, seed, target_policy, nodes, fmt, out) -> None:
     """Run seeded Monte Carlo trials and compare with the quadrature values."""
     config = montecarlo.TrialConfig(
         trials=trials, master_seed=seed, target_policy=target_policy
@@ -302,7 +285,6 @@ def mc(ctx, trials, seed, target_policy, nodes, fmt, out) -> None:
         rows=tuple(_mc_rows(stats, bayes.normalizers(bayes.QuadratureSpec(nodes)))),
     )
     _emit(document, fmt, out)
-    ctx.exit(0 if document.overall_pass else 1)
 
 
 def _verify_rows(report: dict[str, float]) -> list[VerifyRow]:
@@ -330,8 +312,7 @@ def _verify_rows(report: dict[str, float]) -> list[VerifyRow]:
 )
 @_seed_option
 @_output_options
-@click.pass_context
-def verify(ctx, nodes, trials, seed, fmt, out) -> None:
+def verify(nodes, trials, seed, fmt, out) -> None:
     """Recompute every reference constant and emit a pass/fail table."""
     params = {"nodes": nodes, "trials": trials, "seed": seed}
     report = bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes))
@@ -342,7 +323,6 @@ def verify(ctx, nodes, trials, seed, fmt, out) -> None:
     rows.extend(_mc_rows(stats, report))
     document = ReportDocument(command="verify", params=params, rows=tuple(rows))
     _emit(document, fmt, out)
-    ctx.exit(0 if document.overall_pass else 1)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ _BLOCKS_PER_TRIAL = UNIFORMS_PER_TRIAL // 4  # Philox yields 4 values per block
 
 TARGET_POLICIES = ("always-1", "always-2", "alternate", "random")
 
-_MAX_SEED = 2**64 - 1
+MAX_SEED = 2**64 - 1
 # trials per kernel call: 64 KiB float arrays, below glibc's smallest mmap
 # threshold, are reused from the heap and stay in cache, not faulted in anew
 _KERNEL_TRIALS = 1 << 13
@@ -52,7 +52,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not 0 <= self.master_seed <= _MAX_SEED:
+        if not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError(f"master_seed must be a 64-bit integer, got {self.master_seed}")
         if self.target_policy not in TARGET_POLICIES:
             raise ValueError(
@@ -67,9 +67,15 @@ class TrialStats:
     trials: int
     outcome_counts: tuple[int, int, int, int]
     success_count: int
-    failure_count: int
     min_success_fidelity: float | None
-    mean_success_rate: float
+
+    @property
+    def failure_count(self) -> int:
+        return self.trials - self.success_count
+
+    @property
+    def mean_success_rate(self) -> float:
+        return self.success_count / self.trials
 
 
 def sample_bloch(u1: float, u2: float) -> BlochAngles:
@@ -196,7 +202,5 @@ def run_trials(config: TrialConfig) -> TrialStats:
         trials=config.trials,
         outcome_counts=tuple(int(c) for c in counts),
         success_count=success_count,
-        failure_count=config.trials - success_count,
         min_success_fidelity=min(block_minima) if block_minima else None,
-        mean_success_rate=success_count / config.trials,
     )

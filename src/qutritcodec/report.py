@@ -1,9 +1,10 @@
 """Row model and document emitters shared by the CLI commands.
 
 JSON is the normative format; CSV and Markdown render the same row model.
-Every number entering a document is rounded to 12 significant digits first,
-so the pass flags stored in a document are consistent with the numbers a
-reader can see, and parsing an emitted JSON document reproduces it exactly.
+Every number entering a document is rounded to SIG_DIGITS (12) significant
+digits first, so the pass flags stored in a document are consistent with the
+numbers a reader can see, and parsing an emitted JSON document reproduces it
+exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 SCHEMA_VERSION = "1"
+SIG_DIGITS = 12
 
 # row provenance: a constant quoted at source precision, an exact internal
 # identity, or a statistical Monte Carlo bound
@@ -24,9 +26,9 @@ ROW_SOURCES = ("paper", "identity", "mc")
 _ROW_FIELDS = ("name", "computed", "reference", "tolerance", "source", "pass")
 
 
-def round_sig(value: float, digits: int = 12) -> float:
-    """Round to the given number of significant digits."""
-    return float(f"{float(value):.{digits}g}")
+def round_sig(value: float) -> float:
+    """Round to SIG_DIGITS significant digits."""
+    return float(f"{float(value):.{SIG_DIGITS}g}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def make_row(
 
 
 def _rounded(value: Any) -> Any:
-    """Round every float inside a JSON-like structure to 12 significant digits."""
+    """Round every float inside a JSON-like structure to SIG_DIGITS digits."""
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
@@ -85,7 +87,6 @@ class ReportDocument:
     params: dict[str, Any]
     rows: tuple[VerifyRow, ...] | None = None
     trace: dict[str, Any] | None = None
-    schema_version: str = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if (self.rows is None) == (self.trace is None):
@@ -99,7 +100,7 @@ class ReportDocument:
 
     def as_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "params": _rounded(self.params),
         }
@@ -120,7 +121,7 @@ def _format_number(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return f"{value:.{SIG_DIGITS}g}"
     return str(value)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -14,6 +15,7 @@ import qutritcodec.bayes as bayes
 import qutritcodec.cli as cli_module
 from qutritcodec.cli import main
 from qutritcodec.report import round_sig
+from qutritcodec.states import BlochAngles
 from conftest import near_pole_pairs
 
 HALF_PI = repr(math.pi / 2)
@@ -57,9 +59,14 @@ class TestDemo:
         assert first.output == second.output
 
     def test_invalid_angle_is_a_usage_error(self, runner):
-        result = runner.invoke(main, ["demo", "--theta1", "4.0"])
-        assert result.exit_code == 2
-        assert "theta1" in result.output
+        # one test id over every trace command, qubit and kind of bad polar angle
+        for command, option, value in itertools.product(
+            ("demo", "encode", "decode"), ("--theta1", "--theta2"), ("-0.1", "4.0", "nan", "inf")
+        ):
+            extra = ["--outcome", "1", "--target", "1"] if command == "decode" else []
+            result = runner.invoke(main, [command, option, value, *extra])
+            assert result.exit_code == 2, (command, option, value, result.output)
+            assert option in result.output
 
 
 class TestEncode:
@@ -159,6 +166,25 @@ def test_non_finite_phase_is_a_usage_error(runner, command, value, option):
     assert "must be finite" in result.output
 
 
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, math.pi, 1e300, -1e300]),
+)
+
+
+@given(q=st.sampled_from([1, 2]), theta=_ANY_FLOAT, phi=_ANY_FLOAT)
+@settings(max_examples=400, deadline=None)
+def test_an_angle_is_accepted_exactly_when_bloch_angles_accepts_it(q, theta, phi):
+    args = ["encode", f"--theta{q}", repr(theta), f"--phi{q}", repr(phi)]
+    result = CliRunner().invoke(main, args)
+    try:
+        BlochAngles(theta, phi)
+    except ValueError:
+        assert result.exit_code == 2, result.output
+    else:
+        assert result.exit_code == 0, result.output
+
+
 class TestMc:
     def test_zero_trials_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["mc", "--trials", "0"])
@@ -182,6 +208,20 @@ class TestMc:
             ["mc", "--trials", "20000", "--target-policy", "random", "--nodes", "64"],
         )
         assert result.exit_code == 0
+
+    def test_failing_row_exits_one(self, runner, monkeypatch):
+        true_normalizers = bayes.normalizers
+
+        def skewed(quad):
+            scalars = true_normalizers(quad)
+            return {**scalars, "success_probability_j0_target1": 0.5}
+
+        monkeypatch.setattr(cli_module.bayes, "normalizers", skewed)
+        result = runner.invoke(main, ["mc", "--trials", "20000", "--nodes", "64"])
+        assert result.exit_code == 1
+        doc = json.loads(result.output)
+        assert doc["overall_pass"] is False
+        assert [row["name"] for row in doc["rows"] if not row["pass"]] == ["mc_success_rate"]
 
 
 def skew_encoding_gain(monkeypatch, delta: float) -> None:
@@ -259,16 +299,19 @@ class TestVerify:
                 abs(row["computed"] - row["reference"]) <= row["tolerance"]
             )
 
-    def test_failing_row_exits_one(self, runner, monkeypatch):
+    def test_failing_row_exits_one(self, runner, monkeypatch, tmp_path):
         skew_encoding_gain(monkeypatch, 0.01)
-        result = runner.invoke(
-            main, ["verify", "--nodes", "64", "--trials", "1000"]
-        )
-        assert result.exit_code == 1
-        doc = json.loads(result.output)
-        assert doc["overall_pass"] is False
-        failing = {row["name"] for row in doc["rows"] if not row["pass"]}
-        assert {"encoding_gain", "exact_encoding_gain"} <= failing
+        args = ["verify", "--nodes", "64", "--trials", "1000"]
+        path = tmp_path / "doc.json"
+        # the failing document goes to stdout or to --out, and exits 1 either way
+        for out_args in ([], ["--out", str(path)]):
+            result = runner.invoke(main, [*args, *out_args])
+            assert result.exit_code == 1
+            doc = json.loads(path.read_text() if out_args else result.output)
+            assert doc["overall_pass"] is False
+            failing = {row["name"] for row in doc["rows"] if not row["pass"]}
+            assert {"encoding_gain", "exact_encoding_gain"} <= failing
+        assert result.output == ""
 
     def test_a_skew_within_the_quoted_precision_fails_the_exact_row(
         self, runner, monkeypatch
