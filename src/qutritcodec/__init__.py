@@ -11,7 +11,6 @@ paper is kept only as a test oracle, in tests/conftest.py.
 from .states import (
     BlochAngles,
     PureState,
-    equal_up_to_global_phase,
     fidelity,
     make_qubit_state,
     project,
@@ -21,7 +20,6 @@ from .codec import (
     DecodeRecord,
     EncodeRecord,
     QubitPair,
-    conditional_success_probability,
     decode,
     decode_branch,
     decode_levels,
@@ -37,14 +35,13 @@ from .bayes import (
     normalizers,
     prior_theta,
 )
-from .montecarlo import TrialConfig, TrialStats, run_trials, sample_bloch
+from .montecarlo import TrialConfig, TrialStats, run_trials
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlochAngles",
     "PureState",
-    "equal_up_to_global_phase",
     "fidelity",
     "make_qubit_state",
     "project",
@@ -52,7 +49,6 @@ __all__ = [
     "DecodeRecord",
     "EncodeRecord",
     "QubitPair",
-    "conditional_success_probability",
     "decode",
     "decode_branch",
     "decode_levels",
@@ -68,5 +64,4 @@ __all__ = [
     "TrialConfig",
     "TrialStats",
     "run_trials",
-    "sample_bloch",
 ]

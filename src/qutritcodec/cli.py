@@ -12,7 +12,6 @@ import math
 from typing import Any
 
 import click
-import numpy as np
 
 from . import bayes, codec, montecarlo, states
 from .report import (
@@ -137,10 +136,6 @@ def _emit(document: ReportDocument, fmt: str, out: str | None) -> None:
         raise click.exceptions.Exit(1)
 
 
-def _uniform_stream(seed: int):
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 @click.group()
 def main() -> None:
     """Simulate the two-qubit-to-qutrit codec and verify its statistics."""
@@ -182,7 +177,7 @@ def _decode_entry(
 @_output_options
 def demo(pair, params, seed, fmt, out) -> None:
     """Narrate one full encode/decode run for a fixed preparation."""
-    stream = _uniform_stream(seed)
+    stream = montecarlo._philox(seed, 0)
     record = codec.encode(pair, float(stream.random()))
     trace = {
         "joint_amplitudes": amplitude_pairs(codec.joint_state(pair).amplitudes),
@@ -203,7 +198,7 @@ def demo(pair, params, seed, fmt, out) -> None:
 @_output_options
 def encode(pair, params, seed, fmt, out) -> None:
     """Encode a preparation, sampling the measurement outcome from the seed."""
-    record = codec.encode(pair, float(_uniform_stream(seed).random()))
+    record = codec.encode(pair, float(montecarlo._philox(seed, 0).random()))
     params = {**params, "seed": seed}
     _emit(ReportDocument(command="encode", params=params, trace=_encode_trace(record)), fmt, out)
 
@@ -227,10 +222,11 @@ def decode(pair, params, outcome, target, seed, fmt, out) -> None:
         raise click.UsageError(
             f"outcome {outcome} cannot occur for this preparation"
         )
+    u = float(montecarlo._philox(seed, 0).random())
     trace = {
         "outcome_probability": probability,
         "qutrit_amplitudes": amplitude_pairs(qutrit.amplitudes),
-        **_decode_entry(pair, qutrit, outcome, target, float(_uniform_stream(seed).random())),
+        **_decode_entry(pair, qutrit, outcome, target, u),
     }
     params = {**params, "outcome": outcome, "target": target, "seed": seed}
     _emit(ReportDocument(command="decode", params=params, trace=trace), fmt, out)

@@ -140,11 +140,6 @@ class DecodeRecord:
             if self.failure_level is None or self.reconstructed is not None:
                 raise ValueError("failed decode must carry only the failure level")
 
-    @property
-    def probability(self) -> float:
-        """Probability of the sampled result, success or failure."""
-        return self.success_probability if self.success else 1.0 - self.success_probability
-
 
 def joint_state(pair: QubitPair) -> PureState:
     """Product state of the two qubits on the four-level register."""
@@ -247,23 +242,3 @@ def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeReco
         target=target, success=False, success_probability=p_success,
         failure_level=decode_levels(outcome, target)[1],
     )
-
-
-def conditional_success_probability(
-    pair: QubitPair, outcome: int, target: int
-) -> float:
-    """Probability that decoding `target` succeeds, given encoding outcome j.
-
-    Closed form: the intact block's share of the surviving register weight,
-    sum_{k in intact block} |c_k|^2 / sum_{k != j} |c_k|^2. Raises for degenerate
-    preparations where outcome j cannot occur at all.
-    """
-    kept, block = sorted(survivors(outcome)), intact_block(outcome, target)
-    c = joint_state(pair).amplitudes
-    denominator = sum(abs(c[k]) ** 2 for k in kept)  # in ascending index order
-    if denominator <= NULL_BRANCH_EPS:
-        raise ValueError(
-            f"outcome {outcome} cannot occur for this preparation; "
-            "conditional success probability is undefined"
-        )
-    return float(sum(abs(c[k]) ** 2 for k in block) / denominator)

@@ -2,8 +2,8 @@
 
 Randomness comes from a counter-based Philox generator keyed by the master
 seed. Trial t owns the two counter blocks 2t and 2t+1, i.e. the fixed
-8-uniform slice [8t, 8t+8) of the stream, so any chunked or parallel
-execution reproduces the same trials bit for bit. Slot layout per trial:
+8-uniform slice [8t, 8t+8) of the stream, so any split of the trial range
+reproduces the same trials bit for bit. Slot layout per trial:
 
     0, 1  polar/azimuth uniforms for qubit 1
     2, 3  polar/azimuth uniforms for qubit 2
@@ -20,13 +20,11 @@ logical |0> and |1>.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import intact_block
-from .states import BlochAngles
 
 UNIFORMS_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = UNIFORMS_PER_TRIAL // 4  # Philox yields 4 values per block
@@ -37,8 +35,6 @@ MAX_SEED = 2**64 - 1
 # trials per kernel call: 64 KiB float arrays, below glibc's smallest mmap
 # threshold, are reused from the heap and stay in cache, not faulted in anew
 _KERNEL_TRIALS = 1 << 13
-# trials per Philox draw; any chunking gives the same trials
-_CHUNK_TRIALS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -70,32 +66,8 @@ class TrialStats:
     min_success_fidelity: float | None
 
     @property
-    def failure_count(self) -> int:
-        return self.trials - self.success_count
-
-    @property
     def mean_success_rate(self) -> float:
         return self.success_count / self.trials
-
-
-def sample_bloch(u1: float, u2: float) -> BlochAngles:
-    """Angles of a uniformly random qubit by inverse CDF.
-
-    sin^2(theta/2) = u1 gives the (1/2) sin(theta) polar density, and the
-    half-angle arctangent keeps it to rounding at both poles; phi = 2 pi u2.
-    """
-    half = math.atan2(math.sqrt(u1), math.sqrt(1.0 - u1))
-    return BlochAngles(theta=2.0 * half, phi=2.0 * math.pi * u2)
-
-
-def trial_uniforms(master_seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform slab for trials [start, start + count), one row per trial.
-
-    Row t - start holds trial t's 8-uniform stream, addressed directly by
-    the Philox counter, so slabs taken at different offsets tile the same
-    global sequence.
-    """
-    return _philox(master_seed, start).random((count, UNIFORMS_PER_TRIAL))
 
 
 def _philox(master_seed: int, start: int) -> np.random.Generator:
@@ -177,27 +149,25 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
 def run_trials(config: TrialConfig) -> TrialStats:
     """Run the configured trials and aggregate deterministic statistics.
 
-    Chunks are processed in ascending trial order and every reduction
+    Blocks of trials are processed in ascending order and every reduction
     (counts, minima, numpy pairwise sums) is order-fixed, so the result is
-    identical for any chunk size and across reruns.
+    identical for any block size and across reruns.
     """
     counts = np.zeros(4, dtype=np.int64)
     success_count = 0
     block_minima = []  # of the fidelities of successful trials
     generator = _philox(config.master_seed, 0)
-    # one slab for every chunk, so its pages are faulted in once per call
-    slab = np.empty((min(_CHUNK_TRIALS, config.trials), UNIFORMS_PER_TRIAL))
-    for start in range(0, config.trials, _CHUNK_TRIALS):
-        count = min(_CHUNK_TRIALS, config.trials - start)
-        u = generator.random(out=slab[:count])
-        for offset in range(0, count, _KERNEL_TRIALS):
-            block_counts, block_success, success_fidelities = _run_chunk(
-                u[offset : offset + _KERNEL_TRIALS], start + offset, config.target_policy
-            )
-            counts += block_counts
-            success_count += block_success
-            if success_fidelities.size:
-                block_minima.append(float(success_fidelities.min()))
+    # one slab for every block, so its pages are faulted in once per call
+    slab = np.empty((min(_KERNEL_TRIALS, config.trials), UNIFORMS_PER_TRIAL))
+    for start in range(0, config.trials, _KERNEL_TRIALS):
+        u = generator.random(out=slab[: min(_KERNEL_TRIALS, config.trials - start)])
+        block_counts, block_success, success_fidelities = _run_chunk(
+            u, start, config.target_policy
+        )
+        counts += block_counts
+        success_count += block_success
+        if success_fidelities.size:
+            block_minima.append(float(success_fidelities.min()))
     return TrialStats(
         trials=config.trials,
         outcome_counts=tuple(int(c) for c in counts),

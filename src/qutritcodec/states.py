@@ -54,8 +54,7 @@ class PureState:
 
     The amplitude array is copied and frozen at construction; the squared
     norm must already be 1 within NORM_ATOL. Global phase is never
-    canonicalized, so comparisons should go through fidelity or
-    equal_up_to_global_phase.
+    canonicalized, so comparisons should go through fidelity.
     """
 
     amplitudes: np.ndarray
@@ -137,10 +136,3 @@ def fidelity(a: PureState, b: PureState) -> float:
     """Squared overlap |<a|b>|^2 between two pure states."""
     _require_same_dim(a.dim, b.dim, "fidelity")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = 1e-12) -> bool:
-    """Whether two states coincide physically, i.e. fidelity >= 1 - tol."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    return fidelity(a, b) >= 1.0 - tol

@@ -1,6 +1,8 @@
-"""Shared helpers: random and near-pole preparations, the explicit
-12-dimensional encoding pipeline used as an oracle for the codec's closed
-forms, and brute-force quadrature used as an oracle for the gain report.
+"""Shared helpers: random and near-pole preparations, and four oracles. The
+explicit 12-dimensional encoding pipeline checks the codec's closed forms,
+the conditional success probability checks `decode_branch`, the scalar
+inverse-CDF sampler checks the Monte Carlo kernel's preparations, and
+brute-force quadrature checks the gain report.
 
 The pipeline is plain numpy index arithmetic and does not call the codec.
 Joint states of ancilla and register use the slow-first tensor layout,
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from qutritcodec import BlochAngles, PureState, QubitPair, make_qubit_state, project
 from qutritcodec.codec import intact_block, qubit_bit
+from qutritcodec.states import NULL_BRANCH_EPS
 
 # the relabeling permutation: joint index k moves to RELABEL[k]
 RELABEL = [4 * level + (k - level) % 4 for level in range(3) for k in range(4)]
@@ -97,6 +100,34 @@ def pipeline_encode(pair: QubitPair, outcome: int):
         return probability, None
     relabeled = permute(collapsed.amplitudes, RELABEL)
     return probability, PureState(relabeled[(outcome + 1) % 4 :: 4])
+
+
+def conditional_success_probability(pair: QubitPair, outcome: int, target: int) -> float:
+    """Probability that decoding `target` succeeds, given encoding outcome j.
+
+    Closed form: the intact block's share of the surviving register weight,
+    sum_{k in intact block} |c_k|^2 / sum_{k != j} |c_k|^2. Raises for degenerate
+    preparations where outcome j cannot occur at all.
+    """
+    weights = np.abs(register(pair)) ** 2
+    denominator = sum(weights[k] for k in range(4) if k != outcome)
+    if denominator <= NULL_BRANCH_EPS:
+        raise ValueError(
+            f"outcome {outcome} cannot occur for this preparation; "
+            "conditional success probability is undefined"
+        )
+    return float(sum(weights[k] for k in intact_block(outcome, target)) / denominator)
+
+
+def sample_bloch(u1: float, u2: float) -> BlochAngles:
+    """Angles of a uniformly random qubit by inverse CDF, as the Monte Carlo
+    kernel draws them from the uniforms of slots (0, 1) and (2, 3).
+
+    sin^2(theta/2) = u1 gives the (1/2) sin(theta) polar density, and the
+    half-angle arctangent keeps it to rounding at both poles; phi = 2 pi u2.
+    """
+    half = math.atan2(math.sqrt(u1), math.sqrt(1.0 - u1))
+    return BlochAngles(theta=2.0 * half, phi=2.0 * math.pi * u2)
 
 
 def phase_aligned_max_diff(a: PureState, b: PureState) -> float:

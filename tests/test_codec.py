@@ -16,7 +16,6 @@ from qutritcodec import (
     EncodeRecord,
     PureState,
     QubitPair,
-    conditional_success_probability,
     decode,
     decode_branch,
     decode_levels,
@@ -33,6 +32,7 @@ from qutritcodec.states import NULL_BRANCH_EPS
 from conftest import (
     RELABEL,
     ancilla,
+    conditional_success_probability,
     encoding_indices,
     near_pole_pairs,
     phase_aligned_max_diff,
@@ -292,7 +292,7 @@ class TestDecode:
         record = decode(qutrit, 0, 1, 0.0)
         assert not record.success
         assert record.failure_level == 0
-        assert record.probability == 1.0
+        assert record.success_probability == 0.0
 
     def test_cumulative_rule_on_the_boundary(self):
         record = decode(PureState(np.full(3, INV_SQRT3)), 0, 1, 0.9)
@@ -396,13 +396,3 @@ class TestRecords:
                 target=1, success=True, success_probability=1.0,
                 reconstructed=qubit, failure_level=0,
             )
-
-    def test_decode_record_probability_is_that_of_the_result(self):
-        qubit = PureState(np.array([1.0, 0.0]))
-        won = DecodeRecord(
-            target=2, success=True, success_probability=0.75, reconstructed=qubit
-        )
-        lost = DecodeRecord(
-            target=2, success=False, success_probability=0.75, failure_level=1
-        )
-        assert (won.probability, lost.probability) == (0.75, 0.25)

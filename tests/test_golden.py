@@ -4,13 +4,18 @@ Each digest is the sha256 of a command's stdout as recorded when the codec
 still sampled outcomes from the explicit 12-dimensional ancilla-register
 state, so any change to the numbers, their order or their formatting shows
 up here. The CSV and Markdown pins of `verify` and `mc` were recorded while
-each emitter still listed the six row fields by hand.
+each emitter still listed the six row fields by hand. One document is also
+run through `python -m qutritcodec`, the entry point the README advertises.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -86,3 +91,25 @@ def test_document_bytes_are_pinned(case):
     result = CliRunner().invoke(main, _args(case))
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == DIGESTS[case]
+
+
+def _run_module(args: list[str]) -> subprocess.CompletedProcess:
+    """`python -m qutritcodec` in a fresh interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qutritcodec", *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, timeout=120,
+    )
+
+
+def test_module_entry_point_prints_the_pinned_document():
+    result = _run_module(_args("demo generic json"))
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == DIGESTS["demo generic json"]
+
+
+def test_module_entry_point_rejects_a_nan_angle_with_a_usage_error():
+    result = _run_module(["demo", "--theta1", "nan"])
+    assert result.returncode == 2
+    assert b"Traceback" not in result.stderr

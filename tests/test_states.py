@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qutritcodec import (
     BlochAngles,
     PureState,
-    equal_up_to_global_phase,
     fidelity,
     make_qubit_state,
     project,
@@ -200,13 +199,9 @@ class TestOverlap:
 
     def test_global_phase_equality(self):
         a = PureState(np.array([INV_SQRT2, 1j * INV_SQRT2]))
-        assert equal_up_to_global_phase(a, PureState(np.exp(1j * np.pi / 3) * a.amplitudes))
-        assert equal_up_to_global_phase(
-            a, PureState(np.array([-1j * INV_SQRT2, INV_SQRT2]))
-        )
-        assert not equal_up_to_global_phase(
-            PureState(np.array([1.0, 0.0])), PureState(np.array([0.0, 1.0])), tol=1e-9
-        )
+        assert fidelity(a, PureState(np.exp(1j * np.pi / 3) * a.amplitudes)) >= 1 - 1e-12
+        assert fidelity(a, PureState(np.array([-1j * INV_SQRT2, INV_SQRT2]))) >= 1 - 1e-12
+        assert fidelity(PureState(np.array([1.0, 0.0])), PureState(np.array([0.0, 1.0]))) < 1 - 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
