@@ -14,9 +14,10 @@ cos^2(theta/2) or sin^2(theta/2). With the per-bit densities
 d[bit](theta) = (bit factor) * prior(theta), such a posterior is a sum of
 products d[b1(k)](theta1) d[b2(k)](theta2), so its normalizer (outcome
 priors, average success probabilities) and both of its marginals are 1-D
-sums. A gain report therefore builds a single n x n array, the encode
-posterior d.T @ K @ d for the 2 x 2 mask K of surviving indices, whose
-joint entropy is the only quantity that does not separate.
+sums. The one quantity that does not separate is the joint entropy of the
+encode posterior (d.T @ K) @ d / M for the 2 x 2 mask K of surviving
+indices and kept mass M; a gain report forms that rank-2 posterior a strip
+of rows at a time, so it allocates no n x n array.
 
 Gain conventions: the "encoding gain" compares the joint prior with the
 posterior after observing an encoding outcome; marginal gains do the same
@@ -59,11 +60,60 @@ class QuadratureSpec:
         return _gauss_legendre(self.nodes_per_axis)
 
 
+# Newton steps from Tricomi's guesses before the last evaluation; two bring
+# every root of P_n, 16 <= n <= 4096, within 2e-14 of its limit.
+_NEWTON_STEPS = 2
+
+
+def _legendre(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n and P_n' at x = 1 - u by the three-term recurrence, vectorized.
+
+    The recurrence runs in Reinsch's form on u and the difference
+    P_k - P_{k-1}, which keeps P_n accurate to a few ulps next to x = 1,
+    where the plain form loses digits to cancellation.
+    """
+    x = 1.0 - u
+    p = x.copy()
+    step = -u  # P_1 - P_0
+    for k in range(1, n):
+        step = (k * step - (2 * k + 1) * u * p) / (k + 1)
+        p += step
+    # p - step is P_{n-1}, and x^2 - 1 = u (u - 2)
+    return p, n * (x * p - (p - step)) / (u * (u - 2.0))
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes = 0.5 * math.pi * (x + 1.0)
-    weights = 0.5 * math.pi * w
+    """Gauss-Legendre nodes and weights on [0, pi] in O(n^2) time and O(n)
+    memory; arrays are read-only.
+
+    Newton's method on Tricomi's asymptotic guesses finds the roots x of
+    P_n in [0, 1) as u = 1 - x, which keeps the nodes next to 0 to full
+    relative precision; the other half are their mirror images (Hale &
+    Townsend, SIAM J. Sci. Comput. 35, 2013). The last evaluation gives the
+    weight 2 / ((1 - x^2) P_n'(x)^2), corrected to first order for the
+    last, sub-ulp Newton step: near x = 1 the weight changes on the scale
+    of u, so its value at the rounded root would lose up to n^2 ulps.
+    """
+    theta = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4 * n + 2)
+    u = 1.0 - np.cos(theta) * (
+        1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+    )
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(n, u)
+        u += p / dp
+    p, dp = _legendre(n, u)
+    newton = p / dp
+    one_minus_x2 = u * (2.0 - u)
+    w = 2.0 / (one_minus_x2 * dp**2) * (1.0 + 2.0 * (1.0 - u) * newton / one_minus_x2)
+    u += newton
+    if n % 2:
+        u[-1] = 1.0  # the middle root, which the mirror image must not repeat
+    nodes = 0.5 * math.pi * np.concatenate([u, (2.0 - u)[::-1][n % 2:]])
+    w = np.concatenate([w, w[::-1][n % 2:]])
+    # the weights err by a few ulps; rescaling them to their exact total of
+    # 2 takes out the part of that error that biases every integral alike
+    weights = 0.5 * math.pi * (w * (2.0 / np.sum(w)))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -87,10 +137,10 @@ def _bit_densities(theta) -> np.ndarray:
     return np.stack([_bit_weight(bit, theta) * prior for bit in (0, 1)])
 
 
-def _bit_masses(quad: QuadratureSpec) -> tuple[float, float]:
-    """Prior mass of cos^2(theta/2) and sin^2(theta/2), as 1-D sums."""
-    x, w = quad.nodes()
-    return tuple(float(np.sum(w * density)) for density in _bit_densities(x))
+def _bit_masses(w: np.ndarray, densities: np.ndarray) -> tuple[float, float]:
+    """Prior mass of cos^2(theta/2) and sin^2(theta/2), as 1-D sums of the
+    per-bit densities at the nodes with weights `w`."""
+    return tuple(float(np.sum(w * density)) for density in densities)
 
 
 def _kept_mass(kept, bit_mass) -> float:
@@ -124,13 +174,24 @@ def normalizers(quad: QuadratureSpec) -> dict[str, float]:
     3, and given j decoding succeeds with the intact block's share of the
     survivors' weight, so both are ratios of kept masses.
     """
-    bit_mass = _bit_masses(quad)
+    x, w = quad.nodes()
+    return _normalizers(_bit_masses(w, _bit_densities(x)))
+
+
+def _normalizers(bit_mass) -> dict[str, float]:
+    """`normalizers` from the two bit masses."""
     survivor_mass = [_kept_mass(survivors(j), bit_mass) for j in range(4)]
     scalars = {f"outcome_prior_{j}": mass / 3.0 for j, mass in enumerate(survivor_mass)}
     for j, a in itertools.product(range(4), (1, 2)):
         block_mass = _kept_mass(intact_block(j, a), bit_mass)
         scalars[f"success_probability_j{j}_target{a}"] = block_mass / survivor_mass[j]
     return scalars
+
+
+# Bytes per strip of the encode posterior. A strip this small is served from
+# the heap and reused, where a whole n x n array would be mapped and
+# faulted in afresh on every report.
+_STRIP_BYTES = 64 * 1024
 
 
 def _plogp(values: np.ndarray) -> np.ndarray:
@@ -141,13 +202,26 @@ def _plogp(values: np.ndarray) -> np.ndarray:
     return np.multiply(values, out, out=out)
 
 
-def _entropy(values: np.ndarray, w: np.ndarray) -> float:
-    """-sum w p log2 p over the nodes, or over the tensor grid for 2-D values."""
-    if values.ndim == 1:
-        return float(-np.sum(w * _plogp(values)))
-    # einsum reduces with numpy's pairwise summation in a fixed order, so
-    # the result does not depend on any parallel execution of the caller.
-    return float(-np.einsum("i,j,ij->", w, w, _plogp(values)))
+def _entropy(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """-sum w p log2 p over the nodes, for each row of `values`."""
+    return -np.sum(w * _plogp(values), axis=-1)
+
+
+def _joint_entropy(left: np.ndarray, right: np.ndarray, mass: float, w: np.ndarray) -> float:
+    """-sum w_i w_j p log2 p over the tensor grid for p = left @ right / mass.
+
+    p is formed a strip of rows at a time, so no n x n array is allocated.
+    einsum reduces each strip in a fixed order and the strips add up in
+    ascending order, so the result does not depend on any parallel
+    execution of the caller.
+    """
+    rows = max(1, _STRIP_BYTES // right[0].nbytes)
+    total = 0.0
+    for start in range(0, len(left), rows):
+        strip = left[start:start + rows] @ right
+        strip /= mass
+        total += np.einsum("i,j,ij->", w[start:start + rows], w, _plogp(strip))
+    return -float(total)
 
 
 def _with_gains(
@@ -188,40 +262,39 @@ def gain_report(
         raise TypeError("node doubling is gone; compare with exact_report()")
     x, w = quad.nodes()
     densities = _bit_densities(x)
-    bit_mass = _bit_masses(quad)
+    bit_mass = _bit_masses(w, densities)
     survived = survivors(outcome)
     block = intact_block(outcome, target)
     # a failed decode collapses the qutrit onto the failure level's survivor
     failure = (survived[decode_levels(outcome, target)[1]],)
-
-    def marginal_entropies(kept) -> tuple[float, float]:
-        return tuple(
-            _entropy(_kept_marginal(kept, a, densities, bit_mass), w) for a in (1, 2)
-        )
-
-    # The encode posterior's joint entropy is the one scalar that does not
-    # separate; it is the report's only n x n array.
-    mask = np.ones((2, 2))  # [b1, b2]: every index survives but the outcome
-    mask[qubit_bit(outcome, 1), qubit_bit(outcome, 2)] = 0.0
-    posterior = densities.T @ mask @ densities
-    posterior /= _kept_mass(survived, bit_mass)
-    h_prior = _entropy(prior_theta(x), w)
-
-    h_posterior = marginal_entropies(survived)
-    h_success = marginal_entropies(block)
-    h_failure = marginal_entropies(failure)
     # a plain basis measurement of one qubit reads bit 0 with its prior mass
     p_zero = bit_mass[0]
-    h_measured = sum(
-        p * _entropy(d / p, w) for p, d in zip((p_zero, 1.0 - p_zero), densities)
-    )
+
+    # one pass over the nine 1-D densities: the prior, both marginals of the
+    # encode, success and failure posteriors, and the two measured bits
+    h_prior, *h_kept, h_zero, h_one = _entropy(np.stack([
+        prior_theta(x),
+        *(
+            _kept_marginal(kept, a, densities, bit_mass)
+            for kept in (survived, block, failure) for a in (1, 2)
+        ),
+        densities[0] / p_zero,
+        densities[1] / (1.0 - p_zero),
+    ]), w).tolist()
+    h_posterior, h_success, h_failure = h_kept[0:2], h_kept[2:4], h_kept[4:6]
+
+    # The encode posterior's joint entropy is the one scalar that does not
+    # separate; the posterior is the rank-2 product (d.T @ K) @ d.
+    mask = np.ones((2, 2))  # [b1, b2]: every index survives but the outcome
+    mask[qubit_bit(outcome, 1), qubit_bit(outcome, 2)] = 0.0
+    h_joint = _joint_entropy(densities.T @ mask, densities, _kept_mass(survived, bit_mass), w)
     return _with_gains(
-        normalizers(quad),
-        encoding=2.0 * h_prior - _entropy(posterior, w),
+        _normalizers(bit_mass),
+        encoding=2.0 * h_prior - h_joint,
         marginal=[h_prior - h for h in h_posterior],
         decode=[h - h_s for h, h_s in zip(h_posterior, h_success)],
         failure=[h - h_f for h, h_f in zip(h_posterior, h_failure)],
-        direct=h_prior - h_measured,
+        direct=h_prior - (p_zero * h_zero + (1.0 - p_zero) * h_one),
     )
 
 

@@ -1,8 +1,9 @@
-"""Shared helpers: random and near-pole preparations, and four oracles. The
+"""Shared helpers: random and near-pole preparations, and five oracles. The
 explicit 12-dimensional encoding pipeline checks the codec's closed forms,
 the conditional success probability checks `decode_branch`, the scalar
-inverse-CDF sampler checks the Monte Carlo kernel's preparations, and
-brute-force quadrature checks the gain report.
+inverse-CDF sampler checks the Monte Carlo kernel's preparations,
+brute-force quadrature checks the gain report, and an extended-precision
+Gauss-Legendre rule checks the report's quadrature weights.
 
 The pipeline is plain numpy index arithmetic and does not call the codec.
 Joint states of ancilla and register use the slow-first tensor layout,
@@ -237,6 +238,29 @@ def reference_report_scalars(quad, outcome: int, target: int) -> dict[str, float
         + (1.0 - p_zero) * entropy(joint_one / (1.0 - p_zero))
     )
     return scalars
+
+
+def reference_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] in np.longdouble.
+
+    leggauss's eigenvalue nodes are polished by two Newton steps on the
+    plain three-term recurrence, and the weights are 2 / ((1 - x^2) P_n'^2)
+    at the polished nodes. With x87 extended precision (11 more bits than a
+    double) the weights are within 1e-14 (relative) of exact for n <= 1024.
+    """
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+
+    def legendre(x):
+        previous, p = np.ones_like(x), x.copy()
+        for k in range(1, n):
+            previous, p = p, ((2 * k + 1) * x * p - k * previous) / (k + 1)
+        return p, n * (x * p - previous) / ((x - 1) * (x + 1))
+
+    for _ in range(2):
+        p, dp = legendre(x)
+        x -= p / dp
+    _, dp = legendre(x)
+    return x, 2 / ((1 - x) * (1 + x) * dp**2)
 
 
 @pytest.fixture

@@ -23,7 +23,9 @@ from qutritcodec import (
     prior_theta,
 )
 from qutritcodec.codec import intact_block, qubit_bit, survivors
-from conftest import likelihood, random_pair, reference_report_scalars
+from conftest import (
+    likelihood, random_pair, reference_gauss_legendre, reference_report_scalars,
+)
 
 QUAD = QuadratureSpec(nodes_per_axis=64)
 GRID = np.linspace(0.0, math.pi, 32)
@@ -39,7 +41,12 @@ def pair_at(theta1: float, theta2: float) -> QubitPair:
 
 
 def entropy(values, quad=QUAD) -> float:
-    return bayes._entropy(np.asarray(values), quad.nodes()[1])
+    return float(bayes._entropy(np.asarray(values), quad.nodes()[1]))
+
+
+def bit_masses(quad=QUAD):
+    x, w = quad.nodes()
+    return bayes._bit_masses(w, bayes._bit_densities(x))
 
 
 # Every posterior of the protocol is the prior times the weight of some kept
@@ -53,13 +60,13 @@ def posterior(kept, t1, t2, quad=QUAD):
     """Joint posterior from the per-bit densities and masses of the report."""
     d1, d2 = bayes._bit_densities(t1), bayes._bit_densities(t2)
     weight = sum(d1[qubit_bit(k, 1)] * d2[qubit_bit(k, 2)] for k in kept)
-    return weight / bayes._kept_mass(kept, bayes._bit_masses(quad))
+    return weight / bayes._kept_mass(kept, bit_masses(quad))
 
 
 def marginal(kept, qubit, theta, quad=QUAD):
     """The report's separable marginal of the same posterior."""
     densities = bayes._bit_densities(theta)
-    return bayes._kept_marginal(kept, qubit, densities, bayes._bit_masses(quad))
+    return bayes._kept_marginal(kept, qubit, densities, bit_masses(quad))
 
 
 class TestPrior:
@@ -210,10 +217,14 @@ class TestEntropy:
         assert abs(coarse - fine) <= 1e-9
 
     def test_product_density_entropy_is_additive(self):
-        prior = prior_theta(QUAD.nodes()[0])
-        assert entropy(prior[:, None] * prior[None, :]) == pytest.approx(
-            2 * entropy(prior), abs=1e-9
-        )
+        x, w = QUAD.nodes()
+        prior = prior_theta(x)
+        joint = bayes._joint_entropy(prior[:, None], prior[None, :], 1.0, w)
+        assert joint == pytest.approx(2 * entropy(prior), abs=1e-9)
+
+    def test_entropies_of_stacked_rows_are_the_rows_entropies(self):
+        rows = np.stack([prior_theta(QUAD.nodes()[0]), np.full(64, 1 / math.pi)])
+        assert bayes._entropy(rows, QUAD.nodes()[1]).tolist() == [entropy(r) for r in rows]
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -292,18 +303,81 @@ class TestQuadratureSpec:
             QuadratureSpec(nodes_per_axis=8)
 
 
-def test_a_report_builds_one_grid_array():
-    # the encode posterior is the only n x n array; _plogp's output for its
-    # entropy is the only other one alive at the same time
-    quad = QuadratureSpec(512)
-    gain_report(quad)  # fills the node cache
+RULE_SIZES = (16, 17, 64, 100, 255, 256, 1024)
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_nodes_match_leggauss(self, n):
+        x, _ = np.polynomial.legendre.leggauss(n)
+        nodes, _ = bayes._gauss_legendre(n)
+        np.testing.assert_allclose(nodes, 0.5 * math.pi * (x + 1.0), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_weights_match_the_extended_precision_rule(self, n):
+        # leggauss is no reference for the weights: near the ends of [-1, 1]
+        # its weights err by up to 1.2e-9 (relative) at 1024 nodes
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double on this platform")
+        _, reference = reference_gauss_legendre(n)
+        _, weights = bayes._gauss_legendre(n)
+        np.testing.assert_allclose(
+            weights, 0.5 * math.pi * reference.astype(float), rtol=1e-13, atol=0
+        )
+
+    @pytest.mark.parametrize("n", (*RULE_SIZES, 4096))
+    def test_symmetric_about_the_midpoint_with_weights_summing_to_pi(self, n):
+        nodes, weights = bayes._gauss_legendre(n)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(weights, weights[::-1])
+        assert np.max(np.abs(nodes + nodes[::-1] - math.pi)) <= 2 * np.spacing(math.pi)
+        assert abs(float(np.sum(weights)) - math.pi) <= 1e-14
+
+    @pytest.mark.parametrize("n", (16, 64))
+    def test_even_powers_integrate_exactly_up_to_degree_2n_minus_1(self, n):
+        nodes, weights = bayes._gauss_legendre(n)
+        y = nodes / (0.5 * math.pi) - 1.0  # back on [-1, 1]
+        for k in range(n):
+            exact = math.pi / (2 * k + 1)
+            assert abs(float(np.sum(weights * y ** (2 * k))) / exact - 1.0) <= 1e-14, k
+
+
+@pytest.mark.parametrize("nodes", (16, 100, 256, 300, 1024))  # 300: a ragged last strip
+@pytest.mark.parametrize("outcome", range(4))
+def test_strip_entropy_equals_the_whole_grid_entropy(nodes, outcome):
+    x, w = QuadratureSpec(nodes).nodes()
+    densities = bayes._bit_densities(x)
+    mask = np.ones((2, 2))
+    mask[qubit_bit(outcome, 1), qubit_bit(outcome, 2)] = 0.0
+    mass = bayes._kept_mass(survivors(outcome), bayes._bit_masses(w, densities))
+    joint = densities.T @ mask @ densities
+    joint /= mass
+    whole = float(-np.einsum("i,j,ij->", w, w, bayes._plogp(joint)))
+    assert bayes._joint_entropy(densities.T @ mask, densities, mass, w) == whole
+
+
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        gain_report(quad)
-        _, peak = tracemalloc.get_traced_memory()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 512**2 * np.dtype(float).itemsize
+
+
+def test_a_warm_report_allocates_no_grid_array():
+    # strips of at most 64 KiB take the place of the n x n encode posterior
+    quad = QuadratureSpec(512)
+    gain_report(quad)  # fills the node cache
+    peak = _traced_peak(lambda: gain_report(quad))
+    assert peak < 0.25 * 512**2 * np.dtype(float).itemsize
+
+
+def test_a_cold_report_at_the_largest_cli_nodes_stays_small():
+    # node generation included: the rule holds O(n) arrays, not leggauss's n x n
+    bayes._gauss_legendre.cache_clear()
+    peak = _traced_peak(lambda: gain_report(QuadratureSpec(4096)))
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(
