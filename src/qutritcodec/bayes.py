@@ -11,13 +11,13 @@ gives every scalar in closed form, which bounds the quadrature error.
 Every posterior is the prior times the register weight sum_k |c_k|^2 of
 some kept indices, and each |c_k|^2 is a product of per-qubit factors
 cos^2(theta/2) or sin^2(theta/2). With the per-bit densities
-d[bit](theta) = (bit factor) * prior(theta), such a posterior is a sum of
-products d[b1(k)](theta1) d[b2(k)](theta2), so its normalizer (outcome
-priors, average success probabilities) and both of its marginals are 1-D
-sums. The one quantity that does not separate is the joint entropy of the
-encode posterior (d.T @ K) @ d / M for the 2 x 2 mask K of surviving
-indices and kept mass M; a gain report forms that rank-2 posterior a strip
-of rows at a time, so it allocates no n x n array.
+d[bit](theta) = (bit factor) * prior(theta) and their masses m, a kept set
+is a 2 x 2 mask K over (b1, b2) and its posterior d.T @ K @ d / (m @ K @ m);
+integrating one qubit out leaves (K @ m) @ d or (m @ K) @ d. Every
+normalizer and marginal thus comes from one stack of masks per (outcome,
+target). Only the encode posterior's joint entropy does not separate; a
+gain report forms that rank-2 posterior a strip of rows at a time, so it
+allocates no n x n array.
 
 Gain conventions: the "encoding gain" compares the joint prior with the
 posterior after observing an encoding outcome; marginal gains do the same
@@ -124,46 +124,48 @@ def prior_theta(theta) -> np.ndarray:
     return 0.5 * np.sin(theta)
 
 
-def _bit_weight(bit: int, theta: np.ndarray) -> np.ndarray:
-    """Squared amplitude of one qubit's basis component at the given angle."""
-    half = 0.5 * np.asarray(theta, dtype=float)
-    return np.cos(half) ** 2 if bit == 0 else np.sin(half) ** 2
-
-
 def _bit_densities(theta) -> np.ndarray:
-    """Rows d[bit] = (squared amplitude of bit) * prior at the given angles."""
+    """Rows d[0] = cos^2(theta/2) * prior and d[1] = sin^2(theta/2) * prior
+    at the given angles."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    prior = prior_theta(theta)
-    return np.stack([_bit_weight(bit, theta) * prior for bit in (0, 1)])
+    half = 0.5 * theta
+    return np.stack([np.cos(half) ** 2, np.sin(half) ** 2]) * prior_theta(theta)
 
 
-def _bit_masses(w: np.ndarray, densities: np.ndarray) -> tuple[float, float]:
+def _bit_masses(w: np.ndarray, densities: np.ndarray) -> np.ndarray:
     """Prior mass of cos^2(theta/2) and sin^2(theta/2), as 1-D sums of the
     per-bit densities at the nodes with weights `w`."""
-    return tuple(float(np.sum(w * density)) for density in densities)
+    return np.sum(w * densities, axis=1)
 
 
-def _kept_mass(kept, bit_mass) -> float:
-    """Prior mass of sum_{k in kept} |c_k|^2, a sum of products of bit masses.
-
-    Kept masses and marginals sum in ascending index order, so the report
-    does not depend on the order in which `kept` lists its indices.
-    """
-    return sum(bit_mass[qubit_bit(k, 1)] * bit_mass[qubit_bit(k, 2)] for k in sorted(kept))
+# rows of a stack of kept-set masks
+_PRIOR, _ENCODE, _SUCCESS, _FAILURE, _READ_0, _READ_1 = range(6)
 
 
-def _kept_marginal(kept, qubit: int, densities: np.ndarray, bit_mass) -> np.ndarray:
-    """`qubit` marginal of the prior times the kept weight, normalized.
+@functools.lru_cache(maxsize=None)
+def _kept_masks(outcome: int, target: int) -> np.ndarray:
+    """Read-only stack of 2 x 2 indicator masks [b1, b2] of the kept sets of
+    (outcome, target): the prior, the encode posterior, a successful decode,
+    a failed decode, and qubit 1 measured as 0 and as 1."""
+    survived = survivors(outcome)
+    block = intact_block(outcome, target)
+    # a failed decode collapses the qutrit onto the failure level's survivor
+    failed = survived[decode_levels(outcome, target)[1]]
+    masks = np.zeros((6, 2, 2))
+    for k in range(4):
+        b1, b2 = qubit_bit(k, 1), qubit_bit(k, 2)
+        # which kept sets, in row order, hold register index k
+        masks[:, b1, b2] = (True, k in survived, k in block, k == failed, b1 == 0, b1 == 1)
+    masks.setflags(write=False)
+    return masks
 
-    Integrating the other qubit out of d[b1(k)] d[b2(k)] leaves that
-    qubit's bit mass, so the marginal is sum_k d[b_qubit(k)] * mass[b_other(k)]
-    over the kept mass; `densities` may be taken at any angles.
-    """
-    other = 3 - qubit
-    marginal = sum(
-        densities[qubit_bit(k, qubit)] * bit_mass[qubit_bit(k, other)] for k in sorted(kept)
-    )
-    return marginal / _kept_mass(kept, bit_mass)
+
+def _marginals(masks: np.ndarray, bit_mass: np.ndarray, densities: np.ndarray):
+    """Kept mass of each mask, and the qubit-1 marginal of each mask followed
+    by each qubit-2 marginal; `densities` may be taken at any angles."""
+    mass = masks @ bit_mass @ bit_mass
+    coefficients = np.concatenate([masks @ bit_mass, bit_mass @ masks])
+    return mass, coefficients @ densities / np.tile(mass, 2)[:, None]
 
 
 def normalizers(quad: QuadratureSpec) -> dict[str, float]:
@@ -178,13 +180,15 @@ def normalizers(quad: QuadratureSpec) -> dict[str, float]:
     return _normalizers(_bit_masses(w, _bit_densities(x)))
 
 
-def _normalizers(bit_mass) -> dict[str, float]:
+def _normalizers(bit_mass: np.ndarray) -> dict[str, float]:
     """`normalizers` from the two bit masses."""
-    survivor_mass = [_kept_mass(survivors(j), bit_mass) for j in range(4)]
-    scalars = {f"outcome_prior_{j}": mass / 3.0 for j, mass in enumerate(survivor_mass)}
-    for j, a in itertools.product(range(4), (1, 2)):
-        block_mass = _kept_mass(intact_block(j, a), bit_mass)
-        scalars[f"success_probability_j{j}_target{a}"] = block_mass / survivor_mass[j]
+    pairs = list(itertools.product(range(4), (1, 2)))
+    masks = np.stack([_kept_masks(j, a)[[_ENCODE, _SUCCESS]] for j, a in pairs])
+    # (j, a) -> (survivors' mass, intact block's mass)
+    masses = dict(zip(pairs, (masks @ bit_mass @ bit_mass).tolist()))
+    scalars = {f"outcome_prior_{j}": masses[j, 1][0] / 3.0 for j in range(4)}
+    for (j, a), (survivor_mass, block_mass) in masses.items():
+        scalars[f"success_probability_j{j}_target{a}"] = block_mass / survivor_mass
     return scalars
 
 
@@ -263,38 +267,23 @@ def gain_report(
     x, w = quad.nodes()
     densities = _bit_densities(x)
     bit_mass = _bit_masses(w, densities)
-    survived = survivors(outcome)
-    block = intact_block(outcome, target)
-    # a failed decode collapses the qutrit onto the failure level's survivor
-    failure = (survived[decode_levels(outcome, target)[1]],)
-    # a plain basis measurement of one qubit reads bit 0 with its prior mass
-    p_zero = bit_mass[0]
-
-    # one pass over the nine 1-D densities: the prior, both marginals of the
-    # encode, success and failure posteriors, and the two measured bits
-    h_prior, *h_kept, h_zero, h_one = _entropy(np.stack([
-        prior_theta(x),
-        *(
-            _kept_marginal(kept, a, densities, bit_mass)
-            for kept in (survived, block, failure) for a in (1, 2)
-        ),
-        densities[0] / p_zero,
-        densities[1] / (1.0 - p_zero),
-    ]), w).tolist()
-    h_posterior, h_success, h_failure = h_kept[0:2], h_kept[2:4], h_kept[4:6]
-
+    masks = _kept_masks(outcome, target)
+    mass, marginals = _marginals(masks, bit_mass, densities)
+    # rows [mask, qubit - 1]; measuring qubit 1 leaves qubit 2 at its prior
+    (h_prior, _), h_posterior, h_success, h_failure, (h_zero, _), (h_one, _) = (
+        _entropy(marginals, w).reshape(2, -1).T.tolist()
+    )
     # The encode posterior's joint entropy is the one scalar that does not
     # separate; the posterior is the rank-2 product (d.T @ K) @ d.
-    mask = np.ones((2, 2))  # [b1, b2]: every index survives but the outcome
-    mask[qubit_bit(outcome, 1), qubit_bit(outcome, 2)] = 0.0
-    h_joint = _joint_entropy(densities.T @ mask, densities, _kept_mass(survived, bit_mass), w)
+    h_joint = _joint_entropy(densities.T @ masks[_ENCODE], densities, mass[_ENCODE], w)
+    p_zero, p_one = (mass[[_READ_0, _READ_1]] / mass[_PRIOR]).tolist()
     return _with_gains(
         _normalizers(bit_mass),
         encoding=2.0 * h_prior - h_joint,
         marginal=[h_prior - h for h in h_posterior],
         decode=[h - h_s for h, h_s in zip(h_posterior, h_success)],
         failure=[h - h_f for h, h_f in zip(h_posterior, h_failure)],
-        direct=h_prior - (p_zero * h_zero + (1.0 - p_zero) * h_one),
+        direct=h_prior - (p_zero * h_zero + p_one * h_one),
     )
 
 

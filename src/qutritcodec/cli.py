@@ -17,7 +17,6 @@ from . import bayes, codec, montecarlo, states
 from .report import (
     FORMATS,
     ReportDocument,
-    VerifyRow,
     amplitude_pairs,
     make_row,
     render,
@@ -234,7 +233,7 @@ def decode(pair, params, outcome, target, seed, fmt, out) -> None:
     _emit(ReportDocument(command="decode", params=params, trace=trace), fmt, out)
 
 
-def _mc_rows(stats: montecarlo.TrialStats, scalars: dict[str, float]) -> list[VerifyRow]:
+def _mc_rows(stats: montecarlo.TrialStats, scalars: dict[str, float]) -> list[dict[str, Any]]:
     """Rows of a batch against the outcome priors and success probability
     named as in `bayes.normalizers`, with binomial bands."""
 
@@ -285,7 +284,7 @@ def mc(trials, seed, target_policy, nodes, fmt, out) -> None:
     _emit(document, fmt, out)
 
 
-def _verify_rows(report: dict[str, float]) -> list[VerifyRow]:
+def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
     prior_sum = sum(report[f"outcome_prior_{j}"] for j in range(4))
     scalars = {**report, "outcome_prior_sum": prior_sum}
     rows = [

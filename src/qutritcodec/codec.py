@@ -50,8 +50,9 @@ TARGET_BLOCKS: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {
 }
 
 
-def qubit_bit(index: int, target: int) -> int:
-    """Bit of qubit `target` (1 or 2) inside register index k = b1 + 2*b2."""
+def qubit_bit(index, target: int):
+    """Bit of qubit `target` (1 or 2) inside register index k = b1 + 2*b2;
+    elementwise on an integer array of indices."""
     return (index >> (target - 1)) & 1
 
 
@@ -114,7 +115,7 @@ class EncodeRecord:
     @property
     def classical_bits(self) -> tuple[int, int]:
         """The stored measurement result as two bits, low bit first."""
-        return (self.outcome & 1, (self.outcome >> 1) & 1)
+        return (qubit_bit(self.outcome, 1), qubit_bit(self.outcome, 2))
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def joint_state(pair: QubitPair) -> PureState:
     """Product state of the two qubits on the four-level register."""
     a1 = make_qubit_state(pair.q1).amplitudes
     a2 = make_qubit_state(pair.q2).amplitudes
-    amps = np.array([a1[k & 1] * a2[(k >> 1) & 1] for k in range(REGISTER_DIM)])
+    amps = np.array([a1[qubit_bit(k, 1)] * a2[qubit_bit(k, 2)] for k in range(REGISTER_DIM)])
     # The squared norm is a product of two unit norms; rounding keeps it
     # within the construction tolerance.
     return PureState(amps)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import intact_block
+from .codec import intact_block, qubit_bit
 
 UNIFORMS_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = UNIFORMS_PER_TRIAL // 4  # Philox yields 4 values per block
@@ -137,8 +137,10 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
     polar, azimuth, turns1, turns2 = (
         u.ravel()[at] for at in (polar_slot, polar_slot + 1, slot + 1, slot + 3)
     )
-    # register index k = b1 + 2*b2 carries the phase turns1 * b1 + turns2 * b2
-    delta = turns1 * ((hi & 1) - (lo & 1)) + turns2 * ((hi >> 1) - (lo >> 1)) - azimuth
+    # register index k carries the phase turns1 * b1(k) + turns2 * b2(k)
+    delta = turns1 * (qubit_bit(hi, 1) - qubit_bit(lo, 1))
+    delta += turns2 * (qubit_bit(hi, 2) - qubit_bit(lo, 2))
+    delta -= azimuth
     cross = np.sqrt((1.0 - polar) * polar * w_lo * w_hi) * np.cos(2.0 * np.pi * delta)
     fidelity = ((1.0 - polar) * w_lo + polar * w_hi + 2.0 * cross) / (w_lo + w_hi)
 

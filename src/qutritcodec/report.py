@@ -31,39 +31,16 @@ def round_sig(value: float) -> float:
     return float(f"{float(value):.{SIG_DIGITS}g}")
 
 
-@dataclass(frozen=True)
-class VerifyRow:
-    """One named comparison: computed value against a reference."""
-
-    name: str
-    computed: float
-    reference: float
-    tolerance: float
-    source: str
-    passed: bool
-
-    def as_dict(self) -> dict[str, Any]:
-        values = (self.name, self.computed, self.reference, self.tolerance, self.source)
-        return dict(zip(_ROW_FIELDS, (*values, self.passed)))
-
-
 def make_row(
     name: str, computed: float, reference: float, tolerance: float, source: str
-) -> VerifyRow:
-    """Build a row, rounding first so the stored pass flag matches the numbers."""
+) -> dict[str, Any]:
+    """One named comparison of a computed value against a reference, as its
+    document fields; rounded first so the stored pass flag matches the numbers."""
     if source not in ROW_SOURCES:
         raise ValueError(f"source must be one of {ROW_SOURCES}, got {source!r}")
-    computed = round_sig(computed)
-    reference = round_sig(reference)
-    tolerance = round_sig(tolerance)
-    return VerifyRow(
-        name=name,
-        computed=computed,
-        reference=reference,
-        tolerance=tolerance,
-        source=source,
-        passed=abs(computed - reference) <= tolerance,
-    )
+    computed, reference, tolerance = (round_sig(v) for v in (computed, reference, tolerance))
+    passed = abs(computed - reference) <= tolerance
+    return dict(zip(_ROW_FIELDS, (name, computed, reference, tolerance, source, passed)))
 
 
 def _rounded(value: Any) -> Any:
@@ -85,7 +62,7 @@ class ReportDocument:
 
     command: str
     params: dict[str, Any]
-    rows: tuple[VerifyRow, ...] | None = None
+    rows: tuple[dict[str, Any], ...] | None = None
     trace: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
@@ -96,7 +73,7 @@ class ReportDocument:
     def overall_pass(self) -> bool | None:
         if self.rows is None:
             return None
-        return all(row.passed for row in self.rows)
+        return all(row["pass"] for row in self.rows)
 
     def as_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -105,7 +82,7 @@ class ReportDocument:
             "params": _rounded(self.params),
         }
         if self.rows is not None:
-            doc["rows"] = [row.as_dict() for row in self.rows]
+            doc["rows"] = [dict(row) for row in self.rows]
             doc["overall_pass"] = self.overall_pass
         else:
             doc["trace"] = _rounded(self.trace)
@@ -132,11 +109,10 @@ def to_json(document: ReportDocument) -> str:
 def _table(document: ReportDocument) -> tuple[tuple[str, ...], list[list[str]]]:
     """Header and string cells that CSV and Markdown lay out: the rows, or
     the trace's key/value pairs."""
-    if document.rows is None:
-        return ("key", "value"), [list(pair) for pair in _flatten(_rounded(document.trace))]
-    return _ROW_FIELDS, [
-        [_format_number(value) for value in row.as_dict().values()] for row in document.rows
-    ]
+    doc = document.as_dict()
+    if "trace" in doc:
+        return ("key", "value"), [list(pair) for pair in _flatten(doc["trace"])]
+    return _ROW_FIELDS, [[_format_number(value) for value in row.values()] for row in doc["rows"]]
 
 
 def _flatten(value: Any, prefix: str = ""):

@@ -22,7 +22,6 @@ from qutritcodec import (
     outcome_weights,
     prior_theta,
 )
-from qutritcodec.codec import intact_block, qubit_bit, survivors
 from conftest import (
     likelihood, random_pair, reference_gauss_legendre, reference_report_scalars,
 )
@@ -50,23 +49,25 @@ def bit_masses(quad=QUAD):
 
 
 # Every posterior of the protocol is the prior times the weight of some kept
-# register indices: an outcome keeps its survivors, a successful decode the
-# intact block and a failed one the remaining survivor.
-def failure_kept(outcome, target):
-    return set(survivors(outcome)) - set(intact_block(outcome, target))
+# register indices, one 2 x 2 mask over (b1, b2) in the report's table: an
+# outcome keeps its survivors, a successful decode the intact block and a
+# failed one the remaining survivor; reading qubit 1 keeps its bit's indices.
+def masks(outcome=0, target=1):
+    return bayes._kept_masks(outcome, target)
 
 
-def posterior(kept, t1, t2, quad=QUAD):
+def posterior(mask, t1, t2, quad=QUAD):
     """Joint posterior from the per-bit densities and masses of the report."""
     d1, d2 = bayes._bit_densities(t1), bayes._bit_densities(t2)
-    weight = sum(d1[qubit_bit(k, 1)] * d2[qubit_bit(k, 2)] for k in kept)
-    return weight / bayes._kept_mass(kept, bit_masses(quad))
+    weight = sum(mask[b1, b2] * d1[b1] * d2[b2] for b1 in (0, 1) for b2 in (0, 1))
+    m = bit_masses(quad)
+    return weight / (m @ mask @ m)
 
 
-def marginal(kept, qubit, theta, quad=QUAD):
-    """The report's separable marginal of the same posterior."""
-    densities = bayes._bit_densities(theta)
-    return bayes._kept_marginal(kept, qubit, densities, bit_masses(quad))
+def marginal(mask, qubit, theta, quad=QUAD):
+    """The report's separable marginal of the same posterior, at any angles."""
+    _, marginals = bayes._marginals(mask[None], bit_masses(quad), bayes._bit_densities(theta))
+    return marginals[qubit - 1]
 
 
 class TestPrior:
@@ -142,23 +143,23 @@ class TestEncodePosterior:
             / 3 * np.sin(t1) * np.sin(t2)
         )
         np.testing.assert_allclose(
-            posterior(survivors(0), t1, t2), expected, atol=1e-12
+            posterior(masks()[bayes._ENCODE], t1, t2), expected, atol=1e-12
         )
 
     def test_vanishes_at_the_origin(self):
-        assert posterior(survivors(0), 0.0, 0.0)[0] == 0.0
+        assert posterior(masks()[bayes._ENCODE], 0.0, 0.0)[0] == 0.0
 
     def test_reflection_symmetry_between_first_and_last_outcome(self):
         t1, t2 = np.meshgrid(GRID, GRID, indexing="ij")
         np.testing.assert_allclose(
-            posterior(survivors(3), t1, t2),
-            posterior(survivors(0), math.pi - t1, math.pi - t2),
+            posterior(masks(3)[bayes._ENCODE], t1, t2),
+            posterior(masks(0)[bayes._ENCODE], math.pi - t1, math.pi - t2),
             atol=1e-12,
         )
 
     def test_normalization(self):
         for j in range(4):
-            density = lambda t1, t2: posterior(survivors(j), t1, t2)  # noqa: E731
+            density = lambda t1, t2: posterior(masks(j)[bayes._ENCODE], t1, t2)  # noqa: E731
             assert integral_2d(density) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -166,11 +167,11 @@ class TestDecodePosteriors:
     def test_success_joint_matches_the_product_form(self):
         t1, t2 = np.meshgrid(GRID[1:-1], GRID[1:-1], indexing="ij")
         expected = 0.5 * np.sin(t1) * np.sin(t2 / 2) ** 2 * np.sin(t2)
-        np.testing.assert_allclose(posterior(intact_block(0, 1), t1, t2), expected, atol=1e-9)
+        np.testing.assert_allclose(posterior(masks()[bayes._SUCCESS], t1, t2), expected, atol=1e-9)
 
     def test_success_marginals(self):
         x, _ = QUAD.nodes()
-        kept = intact_block(0, 1)
+        kept = masks()[bayes._SUCCESS]
         np.testing.assert_allclose(marginal(kept, 1, x), 0.5 * np.sin(x), atol=1e-9)
         np.testing.assert_allclose(
             marginal(kept, 2, x), np.sin(x / 2) ** 2 * np.sin(x), atol=1e-9
@@ -181,25 +182,25 @@ class TestDecodePosteriors:
         expected = (
             np.sin(t1 / 2) ** 2 * np.cos(t2 / 2) ** 2 * np.sin(t1) * np.sin(t2)
         )
-        np.testing.assert_allclose(posterior(failure_kept(0, 1), t1, t2), expected, atol=1e-9)
+        np.testing.assert_allclose(posterior(masks()[bayes._FAILURE], t1, t2), expected, atol=1e-9)
 
     def test_failure_weight_is_one_third(self):
         weight = 1.0 - normalizers(QUAD)["success_probability_j0_target1"]
         assert weight == pytest.approx(1 / 3, abs=1e-9)
 
     def test_failure_density_factorizes(self):
-        kept = failure_kept(0, 1)
+        kept = masks()[bayes._FAILURE]
         inner = GRID[1:-1]
         t1, t2 = np.meshgrid(inner, inner, indexing="ij")
         product = marginal(kept, 1, inner)[:, None] * marginal(kept, 2, inner)[None, :]
         np.testing.assert_allclose(posterior(kept, t1, t2), product, atol=1e-9)
 
     def test_failure_vanishes_on_the_first_axis(self):
-        values = posterior(failure_kept(0, 1), np.zeros(5), np.linspace(0.1, 3.0, 5))
+        values = posterior(masks()[bayes._FAILURE], np.zeros(5), np.linspace(0.1, 3.0, 5))
         np.testing.assert_allclose(values, 0.0, atol=1e-15)
 
     def test_normalization(self):
-        for kept in (intact_block(0, 1), failure_kept(0, 1)):
+        for kept in masks()[[bayes._SUCCESS, bayes._FAILURE]]:
             density = lambda t1, t2: posterior(kept, t1, t2)  # noqa: E731
             assert integral_2d(density) == pytest.approx(1.0, abs=1e-9)
 
@@ -347,13 +348,31 @@ class TestGaussLegendreRule:
 def test_strip_entropy_equals_the_whole_grid_entropy(nodes, outcome):
     x, w = QuadratureSpec(nodes).nodes()
     densities = bayes._bit_densities(x)
-    mask = np.ones((2, 2))
-    mask[qubit_bit(outcome, 1), qubit_bit(outcome, 2)] = 0.0
-    mass = bayes._kept_mass(survivors(outcome), bayes._bit_masses(w, densities))
+    mask = masks(outcome)[bayes._ENCODE]
+    m = bayes._bit_masses(w, densities)
+    mass = m @ mask @ m
     joint = densities.T @ mask @ densities
     joint /= mass
     whole = float(-np.einsum("i,j,ij->", w, w, bayes._plogp(joint)))
     assert bayes._joint_entropy(densities.T @ mask, densities, mass, w) == whole
+
+
+@pytest.mark.parametrize("outcome", range(4))
+@pytest.mark.parametrize("target", (1, 2))
+def test_kept_set_table_identities(outcome, target):
+    table = masks(outcome, target)
+    assert table is masks(outcome, target) and not table.flags.writeable
+    prior, encode, success, failure, read_0, read_1 = table
+    assert np.array_equal(success + failure, encode)
+    assert not np.any(success * failure)
+    assert np.array_equal(sum(masks(j, target)[bayes._ENCODE] for j in range(4)), 3 * prior)
+    assert np.array_equal(read_0 + read_1, prior)
+    for nodes in (16, 64, 256):
+        x, w = QuadratureSpec(nodes).nodes()
+        _, marginals = bayes._marginals(table, bit_masses(QuadratureSpec(nodes)),
+                                        bayes._bit_densities(x))
+        assert marginals.shape == (12, nodes)
+        assert np.max(np.abs(marginals @ w - 1.0)) <= 1e-14
 
 
 def _traced_peak(fn) -> int:
@@ -398,7 +417,7 @@ def test_report_matches_brute_force_quadrature(nodes, outcome, target):
 @pytest.mark.parametrize("target", (1, 2))
 def test_posterior_marginals_match_quadrature_of_the_joint(outcome, target):
     x, w = QUAD.nodes()
-    for kept in (intact_block(outcome, target), failure_kept(outcome, target)):
+    for kept in masks(outcome, target):
         joint = posterior(kept, x[:, None], x[None, :])
         for axis, reference in ((1, joint @ w), (2, w @ joint)):
             np.testing.assert_allclose(marginal(kept, axis, x), reference, rtol=0, atol=1e-13)

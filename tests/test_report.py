@@ -37,12 +37,12 @@ def trace_document() -> ReportDocument:
 class TestRows:
     def test_pass_flag_uses_rounded_values(self):
         row = make_row("x", 1.0000000000004, 1.0, 1e-9, "identity")
-        assert row.computed == 1.0  # rounded to 12 significant digits
-        assert row.passed
+        assert row["computed"] == 1.0  # rounded to 12 significant digits
+        assert row["pass"]
 
     def test_fail_flag(self):
         row = make_row("x", 1.1, 1.0, 1e-3, "paper")
-        assert not row.passed
+        assert not row["pass"]
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
