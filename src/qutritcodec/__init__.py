@@ -32,7 +32,6 @@ from .bayes import (
     QuadratureSpec,
     exact_report,
     gain_report,
-    normalizers,
     prior_theta,
 )
 from .montecarlo import TrialConfig, TrialStats, run_trials
@@ -59,7 +58,6 @@ __all__ = [
     "QuadratureSpec",
     "exact_report",
     "gain_report",
-    "normalizers",
     "prior_theta",
     "TrialConfig",
     "TrialStats",

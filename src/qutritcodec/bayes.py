@@ -132,12 +132,6 @@ def _bit_densities(theta) -> np.ndarray:
     return np.stack([np.cos(half) ** 2, np.sin(half) ** 2]) * prior_theta(theta)
 
 
-def _bit_masses(w: np.ndarray, densities: np.ndarray) -> np.ndarray:
-    """Prior mass of cos^2(theta/2) and sin^2(theta/2), as 1-D sums of the
-    per-bit densities at the nodes with weights `w`."""
-    return np.sum(w * densities, axis=1)
-
-
 # rows of a stack of kept-set masks
 _PRIOR, _ENCODE, _SUCCESS, _FAILURE, _READ_0, _READ_1 = range(6)
 
@@ -168,20 +162,14 @@ def _marginals(masks: np.ndarray, bit_mass: np.ndarray, densities: np.ndarray):
     return mass, coefficients @ densities / np.tile(mass, 2)[:, None]
 
 
-def normalizers(quad: QuadratureSpec) -> dict[str, float]:
+def _normalizers(bit_mass: np.ndarray) -> dict[str, float]:
     """Outcome priors `outcome_prior_{j}` and average success probabilities
-    `success_probability_j{j}_target{a}`, by name.
+    `success_probability_j{j}_target{a}`, by name, from the two bit masses.
 
     Outcome j has likelihood (1 - |c_j|^2) / 3, the survivors' weight over
     3, and given j decoding succeeds with the intact block's share of the
     survivors' weight, so both are ratios of kept masses.
     """
-    x, w = quad.nodes()
-    return _normalizers(_bit_masses(w, _bit_densities(x)))
-
-
-def _normalizers(bit_mass: np.ndarray) -> dict[str, float]:
-    """`normalizers` from the two bit masses."""
     pairs = list(itertools.product(range(4), (1, 2)))
     masks = np.stack([_kept_masks(j, a)[[_ENCODE, _SUCCESS]] for j, a in pairs])
     # (j, a) -> (survivors' mass, intact block's mass)
@@ -253,20 +241,23 @@ def gain_report(
 ) -> dict[str, float]:
     """Every scalar of the gain accounting at the given resolution, by name.
 
-    The keys are those of `normalizers`, then `encoding_gain`, then for each
-    qubit a `marginal_encoding_gain_q{a}`, `decode_gain_q{a}`,
-    `failure_gain_q{a}`, `success_total_q{a}` and `failure_total_q{a}`, then
-    `direct_gain`. Per-qubit keys name the tracked qubit, not the decode
-    target; the defaults are outcome 0 with qubit 1 as the decode target.
-    The report is not checked here: `verify` compares it with
-    `exact_report`, whose closed forms bound the quadrature error.
+    The keys are the outcome priors `outcome_prior_{j}` and the average
+    success probabilities `success_probability_j{j}_target{a}`, then
+    `encoding_gain`, then for each qubit a `marginal_encoding_gain_q{a}`,
+    `decode_gain_q{a}`, `failure_gain_q{a}`, `success_total_q{a}` and
+    `failure_total_q{a}`, then `direct_gain`. Per-qubit keys name the
+    tracked qubit, not the decode target; the defaults are outcome 0 with
+    qubit 1 as the decode target. The report is not checked here: `verify`
+    compares it with `exact_report`, whose closed forms bound the
+    quadrature error.
     """
     # accepted only while bench/run.py passes check_convergence=False
     if check_convergence:
         raise TypeError("node doubling is gone; compare with exact_report()")
     x, w = quad.nodes()
     densities = _bit_densities(x)
-    bit_mass = _bit_masses(w, densities)
+    # prior mass of cos^2(theta/2) and sin^2(theta/2)
+    bit_mass = np.sum(w * densities, axis=1)
     masks = _kept_masks(outcome, target)
     mass, marginals = _marginals(masks, bit_mass, densities)
     # rows [mask, qubit - 1]; measuring qubit 1 leaves qubit 2 at its prior

@@ -93,16 +93,6 @@ def _seed_option(fn):
     )(fn)
 
 
-def _nodes_option(fn):
-    # the cap bounds the run time, which grows as n^2 (node generation and
-    # the report's encode-posterior strips, each ~0.2 s at 4096); memory
-    # grows only as n
-    return click.option(
-        "--nodes", type=click.IntRange(bayes.MIN_NODES, 4096), default=256, show_default=True,
-        help="Quadrature nodes per axis for the reference values.",
-    )(fn)
-
-
 def _output_options(fn):
     fn = click.option(
         "--out",
@@ -233,13 +223,14 @@ def decode(pair, params, outcome, target, seed, fmt, out) -> None:
     _emit(ReportDocument(command="decode", params=params, trace=trace), fmt, out)
 
 
-def _mc_rows(stats: montecarlo.TrialStats, scalars: dict[str, float]) -> list[dict[str, Any]]:
-    """Rows of a batch against the outcome priors and success probability
-    named as in `bayes.normalizers`, with binomial bands."""
+def _mc_rows(stats: montecarlo.TrialStats) -> list[dict[str, Any]]:
+    """Rows of a batch against the closed-form outcome priors and success
+    probability of `bayes.exact_report`, with binomial bands."""
 
     def band(reference: float, sigmas: float) -> float:
         return sigmas * math.sqrt(reference * (1.0 - reference) / stats.trials)
 
+    scalars = bayes.exact_report()
     rate = scalars["success_probability_j0_target1"]
     rows = [make_row("mc_success_rate", stats.mean_success_rate, rate,
                      band(rate, MC_RATE_SIGMAS), "mc")]
@@ -265,21 +256,17 @@ def _mc_rows(stats: montecarlo.TrialStats, scalars: dict[str, float]) -> list[di
     default="always-1", show_default=True,
     help="Which qubit each trial decodes.",
 )
-@_nodes_option
 @_output_options
-def mc(trials, seed, target_policy, nodes, fmt, out) -> None:
-    """Run seeded Monte Carlo trials and compare with the quadrature values."""
+def mc(trials, seed, target_policy, fmt, out) -> None:
+    """Run seeded Monte Carlo trials and compare with the closed forms."""
     config = montecarlo.TrialConfig(
         trials=trials, master_seed=seed, target_policy=target_policy
     )
     stats = montecarlo.run_trials(config)
     document = ReportDocument(
         command="mc",
-        params={
-            "trials": trials, "seed": seed, "target_policy": target_policy,
-            "nodes": nodes,
-        },
-        rows=tuple(_mc_rows(stats, bayes.normalizers(bayes.QuadratureSpec(nodes)))),
+        params={"trials": trials, "seed": seed, "target_policy": target_policy},
+        rows=tuple(_mc_rows(stats)),
     )
     _emit(document, fmt, out)
 
@@ -302,7 +289,12 @@ def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
 
 
 @main.command()
-@_nodes_option
+# the cap bounds the run time, which grows as n^2 (node generation and the
+# report's encode-posterior strips, each ~0.2 s at 4096); memory grows only as n
+@click.option(
+    "--nodes", type=click.IntRange(bayes.MIN_NODES, 4096), default=256, show_default=True,
+    help="Quadrature nodes per axis of the gain report that the rows check.",
+)
 @click.option(
     "--trials", type=click.IntRange(min=1), default=1_000_000, show_default=True,
     help="Monte Carlo trials for the statistical rows.",
@@ -317,7 +309,7 @@ def verify(nodes, trials, seed, fmt, out) -> None:
     stats = montecarlo.run_trials(
         montecarlo.TrialConfig(trials=trials, master_seed=seed, target_policy="always-1")
     )
-    rows.extend(_mc_rows(stats, report))
+    rows.extend(_mc_rows(stats))
     document = ReportDocument(command="verify", params=params, rows=tuple(rows))
     _emit(document, fmt, out)
 

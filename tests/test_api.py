@@ -1,12 +1,16 @@
 """The public surface: the exported names are pinned and resolve, and the
-README's library example runs as written."""
+README's library and CLI examples run as written."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import qutritcodec
+from qutritcodec.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,7 +20,7 @@ PUBLIC = {
     "sample_complete_measurement",
     "DecodeRecord", "EncodeRecord", "QubitPair", "decode", "decode_branch", "decode_levels",
     "encode", "encode_branch", "joint_state", "outcome_weights",
-    "QuadratureSpec", "exact_report", "gain_report", "normalizers", "prior_theta",
+    "QuadratureSpec", "exact_report", "gain_report", "prior_theta",
     "TrialConfig", "TrialStats", "run_trials",
 }
 
@@ -36,3 +40,16 @@ def test_readme_library_example_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.count("\n") >= 2
+
+
+def test_readme_cli_examples_run(tmp_path):
+    (block,) = re.findall(r"```\n(qutritcodec .*?)```", README.read_text(), re.DOTALL)
+    lines = block.splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        line = line.replace("[--out report.json]", f"--out {tmp_path / 'report.json'}")
+        program, *args = shlex.split(line)
+        assert program == "qutritcodec"
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (line, result.output)
+    assert (tmp_path / "report.json").is_file()

@@ -18,7 +18,6 @@ from qutritcodec import (
     exact_report,
     gain_report,
     joint_state,
-    normalizers,
     outcome_weights,
     prior_theta,
 )
@@ -45,7 +44,7 @@ def entropy(values, quad=QUAD) -> float:
 
 def bit_masses(quad=QUAD):
     x, w = quad.nodes()
-    return bayes._bit_masses(w, bayes._bit_densities(x))
+    return np.sum(w * bayes._bit_densities(x), axis=1)
 
 
 # Every posterior of the protocol is the prior times the weight of some kept
@@ -119,17 +118,17 @@ class TestOutcomeLikelihood:
 class TestOutcomePrior:
     def test_uniform_quarter(self):
         for j in range(4):
-            assert normalizers(QUAD)[f"outcome_prior_{j}"] == pytest.approx(0.25, abs=1e-12)
+            assert gain_report(QUAD)[f"outcome_prior_{j}"] == pytest.approx(0.25, abs=1e-12)
 
     def test_sums_to_one(self):
-        priors = normalizers(QUAD)
+        priors = gain_report(QUAD)
         assert sum(priors[f"outcome_prior_{j}"] for j in range(4)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_node_count_independence(self):
-        coarse = normalizers(QuadratureSpec(64))
-        fine = normalizers(QuadratureSpec(256))
+        coarse = gain_report(QuadratureSpec(64))
+        fine = gain_report(QuadratureSpec(256))
         for j in range(4):
             name = f"outcome_prior_{j}"
             assert coarse[name] == pytest.approx(fine[name], abs=1e-12)
@@ -185,7 +184,7 @@ class TestDecodePosteriors:
         np.testing.assert_allclose(posterior(masks()[bayes._FAILURE], t1, t2), expected, atol=1e-9)
 
     def test_failure_weight_is_one_third(self):
-        weight = 1.0 - normalizers(QUAD)["success_probability_j0_target1"]
+        weight = 1.0 - gain_report(QUAD)["success_probability_j0_target1"]
         assert weight == pytest.approx(1 / 3, abs=1e-9)
 
     def test_failure_density_factorizes(self):
@@ -234,12 +233,12 @@ class TestEntropy:
 
 class TestAverageSuccess:
     def test_two_thirds_for_the_worked_case(self):
-        assert normalizers(QUAD)["success_probability_j0_target1"] == pytest.approx(
+        assert gain_report(QUAD)["success_probability_j0_target1"] == pytest.approx(
             2 / 3, abs=1e-9
         )
 
     def test_two_thirds_for_every_outcome_and_target(self):
-        scalars = normalizers(QUAD)
+        scalars = gain_report(QUAD)
         for j in range(4):
             per_target = [scalars[f"success_probability_j{j}_target{a}"] for a in (1, 2)]
             assert per_target == pytest.approx((2 / 3, 2 / 3), abs=1e-9)
@@ -349,7 +348,7 @@ def test_strip_entropy_equals_the_whole_grid_entropy(nodes, outcome):
     x, w = QuadratureSpec(nodes).nodes()
     densities = bayes._bit_densities(x)
     mask = masks(outcome)[bayes._ENCODE]
-    m = bayes._bit_masses(w, densities)
+    m = np.sum(w * densities, axis=1)
     mass = m @ mask @ m
     joint = densities.T @ mask @ densities
     joint /= mass
@@ -423,34 +422,40 @@ def test_posterior_marginals_match_quadrature_of_the_joint(outcome, target):
             np.testing.assert_allclose(marginal(kept, axis, x), reference, rtol=0, atol=1e-13)
 
 
-def _mpmath_reference() -> tuple[dict, dict[str, float]]:
+def _mpmath_reference() -> tuple[float, list[tuple[int, int, dict[str, float]]]]:
     # tests/reference_gains.json is written by scripts/reference_gains.py
     reference = json.loads(
         (Path(__file__).parent / "reference_gains.json").read_text()
     )
-    return reference, {name: float(v) for name, v in reference["values"].items()}
+    reports = [
+        (report["outcome"], report["target"],
+         {name: float(v) for name, v in report["values"].items()})
+        for report in reference["reports"]
+    ]
+    assert [(outcome, target) for outcome, target, _ in reports] == [(0, 1), (0, 2)]
+    return float(reference["h_prior"]), reports
 
 
 def test_report_matches_the_mpmath_reference_values():
-    reference, values = _mpmath_reference()
+    h_prior_reference, reports = _mpmath_reference()
     quad = QuadratureSpec(256)
     # p log p of the prior has x log x ends, which Gauss-Legendre resolves
     # only to 8e-10 at 256 nodes; that error cancels in every gain
     h_prior = entropy(prior_theta(quad.nodes()[0]), quad)
-    assert abs(h_prior - values.pop("h_prior")) <= 1e-9
-    computed = gain_report(quad, reference["outcome"], reference["target"])
-    assert len(values) == 8
-    for name, value in values.items():
-        assert abs(computed[name] - value) <= 1e-12, name
+    assert abs(h_prior - h_prior_reference) <= 1e-9
+    for outcome, target, values in reports:
+        computed = gain_report(quad, outcome, target)
+        assert len(values) == 8
+        for name, value in values.items():
+            assert abs(computed[name] - value) <= 1e-12, (target, name)
 
 
 def test_exact_report_matches_the_mpmath_reference_values():
-    reference, values = _mpmath_reference()
-    del values["h_prior"]  # not a report scalar
-    exact = exact_report(reference["outcome"], reference["target"])
-    assert len(values) == 8
-    for name, value in values.items():
-        assert abs(exact[name] - value) <= 1e-15, name
+    for outcome, target, values in _mpmath_reference()[1]:
+        exact = exact_report(outcome, target)
+        assert len(values) == 8
+        for name, value in values.items():
+            assert abs(exact[name] - value) <= 1e-15, (target, name)
 
 
 @pytest.mark.parametrize("outcome", range(4))
@@ -467,12 +472,6 @@ def test_every_report_shares_the_scalar_names_and_their_order():
     names = list(gain_report(QUAD))
     assert list(exact_report()) == names
     assert list(reference_report_scalars(QUAD, 0, 1)) == names
-
-
-def test_normalizers_are_the_first_twelve_report_scalars():
-    first = dict(list(gain_report(QUAD).items())[:12])
-    assert normalizers(QUAD) == first
-    assert list(normalizers(QUAD)) == list(first)
 
 
 def test_exact_report_validates_its_arguments():

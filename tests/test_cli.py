@@ -191,7 +191,7 @@ class TestMc:
         assert result.exit_code == 2
 
     def test_small_batch_rows_and_determinism(self, runner):
-        args = ["mc", "--trials", "50000", "--seed", "0", "--nodes", "64"]
+        args = ["mc", "--trials", "50000", "--seed", "0"]
         first = runner.invoke(main, args)
         assert first.exit_code == 0
         doc = json.loads(first.output)
@@ -205,23 +205,62 @@ class TestMc:
     def test_policy_flag(self, runner):
         result = runner.invoke(
             main,
-            ["mc", "--trials", "20000", "--target-policy", "random", "--nodes", "64"],
+            ["mc", "--trials", "20000", "--target-policy", "random"],
         )
         assert result.exit_code == 0
 
     def test_failing_row_exits_one(self, runner, monkeypatch):
-        true_normalizers = bayes.normalizers
+        true_exact_report = bayes.exact_report
 
-        def skewed(quad):
-            scalars = true_normalizers(quad)
+        def skewed(outcome=0, target=1):
+            scalars = true_exact_report(outcome, target)
             return {**scalars, "success_probability_j0_target1": 0.5}
 
-        monkeypatch.setattr(cli_module.bayes, "normalizers", skewed)
-        result = runner.invoke(main, ["mc", "--trials", "20000", "--nodes", "64"])
+        monkeypatch.setattr(cli_module.bayes, "exact_report", skewed)
+        result = runner.invoke(main, ["mc", "--trials", "20000"])
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["overall_pass"] is False
         assert [row["name"] for row in doc["rows"] if not row["pass"]] == ["mc_success_rate"]
+
+    def test_has_no_nodes_option(self, runner):
+        result = runner.invoke(main, ["mc", "--nodes", "64"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--nodes" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not hasattr(bayes, "normalizers")
+
+    def test_runs_no_quadrature(self, runner):
+        bayes._gauss_legendre.cache_clear()
+        assert runner.invoke(main, ["mc", "--trials", "1000"]).exit_code == 0
+        assert bayes._gauss_legendre.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("command", ["mc", "verify"])
+    def test_references_are_the_closed_forms(self, runner, monkeypatch, command):
+        # normalizers skewed in the gain report would show in any reference
+        # taken from it
+        true_gain_report = bayes.gain_report
+
+        def skewed(quad, outcome=0, target=1):
+            report = true_gain_report(quad, outcome, target)
+            return {
+                name: value + 1e-3 if name.startswith(("outcome_prior", "success_prob")) else value
+                for name, value in report.items()
+            }
+
+        monkeypatch.setattr(cli_module.bayes, "gain_report", skewed)
+        result = runner.invoke(main, [command, "--trials", "1000"])
+        # the skew fails verify's own success_probability rows
+        assert result.exit_code == (1 if command == "verify" else 0)
+        exact = bayes.exact_report()
+        expected = {
+            "mc_success_rate": exact["success_probability_j0_target1"],
+            **{f"mc_outcome_freq_{j}": exact[f"outcome_prior_{j}"] for j in range(4)},
+            "mc_min_success_fidelity": 1.0,
+        }
+        rows = json.loads(result.output)["rows"]
+        references = {row["name"]: row["reference"] for row in rows if row["source"] == "mc"}
+        assert references == {name: round_sig(value) for name, value in expected.items()}
 
 
 def skew_encoding_gain(monkeypatch, delta: float) -> None:
@@ -328,7 +367,7 @@ class TestVerify:
     def test_rejects_too_few_nodes(self, runner):
         assert runner.invoke(main, ["verify", "--nodes", "8"]).exit_code == 2
 
-    @pytest.mark.parametrize("command", ["mc", "verify"])
+    @pytest.mark.parametrize("command", ["verify"])
     def test_rejects_too_many_nodes(self, runner, command):
         # refused by the option before any array is allocated
         result = runner.invoke(main, [command, "--nodes", "4097", "--trials", "1"])
@@ -349,9 +388,7 @@ class TestVerify:
     @pytest.mark.parametrize("command", ["mc", "verify"])
     def test_no_fidelity_row_when_no_trial_succeeds(self, runner, command):
         # the single trial of seed 5 fails to decode
-        result = runner.invoke(
-            main, [command, "--trials", "1", "--seed", "5", "--nodes", "64"]
-        )
+        result = runner.invoke(main, [command, "--trials", "1", "--seed", "5"])
         assert result.exit_code == 0
         rows = {row["name"]: row for row in json.loads(result.output)["rows"]}
         assert rows["mc_success_rate"]["computed"] == 0.0
@@ -362,7 +399,7 @@ class TestFormatsAndOutput:
     def test_csv_rows(self, runner):
         result = runner.invoke(
             main,
-            ["mc", "--trials", "5000", "--nodes", "64", "--format", "csv"],
+            ["mc", "--trials", "5000", "--format", "csv"],
         )
         lines = result.output.strip().split("\n")
         assert lines[0] == "name,computed,reference,tolerance,source,pass"

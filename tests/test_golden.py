@@ -7,7 +7,10 @@ up here. The CSV and Markdown pins of `verify` and `mc` were recorded while
 each emitter still listed the six row fields by hand. The four `verify 16`
 pins were re-recorded when the O(n^2) Gauss-Legendre rule replaced
 `leggauss`: the rounding residue of `decode_cancels_encoding_q1` went from
-2.22044604925e-16 to 0.0, and no other byte changed. One document is also
+2.22044604925e-16 to 0.0, and no other byte changed. The two JSON `mc`
+pins were re-recorded when `mc` lost its `--nodes` option: the line
+`"nodes": 256` left `params` (with the comma that closed the line before
+it), and no other byte changed. One document is also
 run through `python -m qutritcodec`, the entry point the README advertises.
 """
 
@@ -62,8 +65,8 @@ DIGESTS = {
     "decode generic json": "f6d8c82539903cd6a17536be893f718da50f64a2ebb57a7325692f4e0540e650",
     "decode generic csv": "6b2b52ecb00706aad5a05dd5408c77726d930a66c615d9e23d781047390edfa4",
     "decode generic md": "2d145e12f1a17c61a066e4fc0c1540a83f123f343fb0440fd301b382a7886d26",
-    "mc always-1": "86a4fdcf47a12bebf2ed4ff79d44dade44226c69d84f6973a6a7914d94851fd9",
-    "mc random": "7e26b190e57bd90e5e48f11e22642bb022dff17ba6429e82964635ee51a00273",
+    "mc always-1": "eb1510fc4ccffcd13068cce65159ae45a7d22213163bad7e5c5508910860b085",
+    "mc random": "570088dc77d79d3e649c1df3af6e5ca3572e1c70c255a60f8c75db0301370ebc",
     "verify 16 0": "721a2f53f366bb52cb97722becf3bd2556858667ebf3b18309a0ee93844f1813",
     "verify 16 3": "5a1c773522f27b8d1329d44595c4e1fb1f5c7259fd056d60ad8807534281bbf7",
     "verify 64 0": "408e89325f41adffa2e462e58a8a9e14ebb5968ddb75f9125ea51e6018d358c8",
