@@ -21,12 +21,10 @@ from .codec import (
     EncodeRecord,
     QubitPair,
     decode,
-    decode_branch,
     decode_levels,
     encode,
     encode_branch,
     joint_state,
-    outcome_weights,
 )
 from .bayes import (
     QuadratureSpec,
@@ -49,12 +47,10 @@ __all__ = [
     "EncodeRecord",
     "QubitPair",
     "decode",
-    "decode_branch",
     "decode_levels",
     "encode",
     "encode_branch",
     "joint_state",
-    "outcome_weights",
     "QuadratureSpec",
     "exact_report",
     "gain_report",

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ class QuadratureSpec:
     nodes_per_axis: int = 256
 
     def __post_init__(self) -> None:
-        if self.nodes_per_axis < MIN_NODES:
+        if operator.index(self.nodes_per_axis) < MIN_NODES:
             raise ValueError(
                 f"nodes_per_axis must be at least {MIN_NODES}, got {self.nodes_per_axis}"
             )

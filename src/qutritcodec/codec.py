@@ -120,10 +120,10 @@ class EncodeRecord:
 
 @dataclass(frozen=True)
 class DecodeRecord:
-    """Result of one sampled decoding of a chosen qubit."""
+    """Result of one sampled decoding of a chosen qubit: the reconstructed
+    qubit on success, the level the qutrit collapsed to on failure."""
 
     target: int
-    success: bool
     success_probability: float
     reconstructed: PureState | None = None
     failure_level: int | None = None
@@ -132,14 +132,12 @@ class DecodeRecord:
         _check_target(self.target)
         if not 0.0 <= self.success_probability <= 1.0 + 1e-12:
             raise ValueError(f"probability out of range: {self.success_probability!r}")
-        if self.success:
-            if self.reconstructed is None or self.failure_level is not None:
-                raise ValueError("successful decode must carry only a reconstructed qubit")
-            if self.reconstructed.dim != 2:
-                raise ValueError("reconstructed state must be a qubit")
-        else:
-            if self.failure_level is None or self.reconstructed is not None:
-                raise ValueError("failed decode must carry only the failure level")
+        if (self.reconstructed is None) == (self.failure_level is None):
+            raise ValueError("a decode carries exactly one of reconstructed and failure_level")
+
+    @property
+    def success(self) -> bool:
+        return self.reconstructed is not None
 
 
 def joint_state(pair: QubitPair) -> PureState:
@@ -163,12 +161,6 @@ def _qutrit(probability: float, levels: np.ndarray) -> PureState | None:
     if probability <= NULL_BRANCH_EPS:
         return None
     return PureState(levels / math.sqrt(3.0 * probability))
-
-
-def outcome_weights(pair: QubitPair) -> tuple[float, float, float, float]:
-    """Probability (1 - |c_j|^2) / 3 of each encoding outcome j, as `encode` samples it."""
-    c = joint_state(pair).amplitudes
-    return tuple(_branch(c, j)[0] for j in range(REGISTER_DIM))
 
 
 def encode_branch(pair: QubitPair, outcome: int) -> tuple[float, PureState | None]:
@@ -211,35 +203,20 @@ def decode_levels(outcome: int, target: int) -> tuple[tuple[int, int], int]:
     return (low, high), kept.index(outcome ^ (1 << (target - 1)))
 
 
-def decode_branch(
-    qutrit: PureState, outcome: int, target: int
-) -> tuple[float, PureState | None]:
-    """Success probability and reconstructed qubit (absent on null weight)
-    for decoding `target` from a stored qutrit."""
-    success_levels, _ = decode_levels(outcome, target)
-    p_success, collapsed = project(qutrit, success_levels)
-    if collapsed is None:
-        return p_success, None
-    return p_success, PureState(collapsed.amplitudes[list(success_levels)])
-
-
 def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeRecord:
     """Sample the success/failure measurement and package the result.
 
-    Success is scanned first, so the trial succeeds iff u < p_success. Only
-    the stored qutrit, the recorded outcome and the chosen target enter
-    here; nothing is re-encoded, which is what lets the choice of qubit be
-    made long after encoding.
+    Success is scanned first, so the trial succeeds iff u < p_success and
+    the success branch is not null; only then is the reconstructed qubit
+    built. Only the stored qutrit, the recorded outcome and the chosen
+    target enter here; nothing is re-encoded, which is what lets the choice
+    of qubit be made long after encoding.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
-    p_success, reconstructed = decode_branch(qutrit, outcome, target)
-    if u < p_success and reconstructed is not None:
-        return DecodeRecord(
-            target=target, success=True, success_probability=p_success,
-            reconstructed=reconstructed,
-        )
-    return DecodeRecord(
-        target=target, success=False, success_probability=p_success,
-        failure_level=decode_levels(outcome, target)[1],
-    )
+    success_levels, failure_level = decode_levels(outcome, target)
+    p_success, collapsed = project(qutrit, success_levels)
+    if u < p_success and collapsed is not None:
+        reconstructed = PureState(collapsed.amplitudes[list(success_levels)])
+        return DecodeRecord(target, p_success, reconstructed=reconstructed)
+    return DecodeRecord(target, p_success, failure_level=failure_level)

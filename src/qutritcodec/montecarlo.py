@@ -20,6 +20,7 @@ logical |0> and |1>.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,9 @@ class TrialConfig:
     target_policy: str = "always-1"
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
+        if operator.index(self.trials) < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not 0 <= self.master_seed <= MAX_SEED:
+        if not 0 <= operator.index(self.master_seed) <= MAX_SEED:
             raise ValueError(f"master_seed must be a 64-bit integer, got {self.master_seed}")
         if self.target_policy not in TARGET_POLICIES:
             raise ValueError(

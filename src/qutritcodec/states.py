@@ -13,6 +13,7 @@ oracle (tests/conftest.py) spells that state out.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -98,7 +99,7 @@ def project(
     probability does not exceed NULL_BRANCH_EPS, since renormalizing a
     numerically null branch would only amplify rounding noise.
     """
-    idx = sorted({int(level) for level in levels})
+    idx = sorted({operator.index(level) for level in levels})
     if not idx or idx[0] < 0 or idx[-1] >= state.dim:
         raise ValueError(f"levels must be a nonempty subset of 0..{state.dim - 1}, got {idx}")
     probability = float(np.sum(np.abs(state.amplitudes[idx]) ** 2))
@@ -119,6 +120,9 @@ def sample_complete_measurement(weights: Sequence[float], u: float) -> int:
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
+    # NaN fails this comparison too
+    if not all(weight >= 0.0 for weight in weights):
+        raise ValueError(f"weights must be nonnegative, got {tuple(weights)!r}")
     total = sum(weights)
     if abs(total - 1.0) > COMPLETENESS_ATOL:
         raise ValueError(f"measurement is not complete: total probability {total!r}")

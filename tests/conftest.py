@@ -1,9 +1,10 @@
-"""Shared helpers: random and near-pole preparations, and five oracles. The
-explicit 12-dimensional encoding pipeline checks the codec's closed forms,
-the conditional success probability checks `decode_branch`, the scalar
-inverse-CDF sampler checks the Monte Carlo kernel's preparations,
-brute-force quadrature checks the gain report, and an extended-precision
-Gauss-Legendre rule checks the report's quadrature weights.
+"""Shared helpers: random, near-pole and unit-state strategies, and five
+oracles. The explicit 12-dimensional encoding pipeline checks the codec's
+closed forms, the conditional success probability checks the success
+probability of `decode`, the scalar inverse-CDF sampler checks the Monte
+Carlo kernel's preparations, brute-force quadrature checks the gain report,
+and an extended-precision Gauss-Legendre rule checks the report's
+quadrature weights.
 
 The pipeline is plain numpy index arithmetic and does not call the codec.
 Joint states of ancilla and register use the slow-first tensor layout,
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from qutritcodec import BlochAngles, PureState, QubitPair, make_qubit_state, project
@@ -61,6 +63,25 @@ def near_pole_pairs() -> st.SearchStrategy[QubitPair]:
         q1=st.builds(BlochAngles, theta=near_pole_theta(), phi=phi),
         q2=st.builds(BlochAngles, theta=theta2, phi=phi),
     )
+
+
+@st.composite
+def unit_states(draw, dims=(2, 3, 4, 12)):
+    """Random unit states of a dimension drawn from `dims`."""
+    dim = draw(st.sampled_from(dims))
+    parts = draw(
+        st.lists(
+            st.tuples(
+                st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
+            ),
+            min_size=dim,
+            max_size=dim,
+        )
+    )
+    vec = np.array([complex(re, im) for re, im in parts])
+    norm = np.linalg.norm(vec)
+    assume(norm > 1e-3)
+    return PureState(vec / norm)
 
 
 def ancilla() -> np.ndarray:

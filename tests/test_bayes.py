@@ -15,10 +15,10 @@ from qutritcodec import (
     BlochAngles,
     QuadratureSpec,
     QubitPair,
+    encode,
     exact_report,
     gain_report,
     joint_state,
-    outcome_weights,
     prior_theta,
 )
 from conftest import (
@@ -83,7 +83,7 @@ class TestOutcomeLikelihood:
     # the brute-force oracle's likelihood, checked against the codec's weights
     def test_impossible_result(self):
         assert likelihood(0, 0.0, 0.0) == 0.0
-        assert outcome_weights(pair_at(0.0, 0.0))[0] == 0.0
+        assert encode(pair_at(0.0, 0.0), 0.0).weights[0] == 0.0
 
     def test_closed_form_for_first_outcome(self):
         t1, t2 = np.meshgrid(GRID, GRID, indexing="ij")
@@ -92,7 +92,7 @@ class TestOutcomeLikelihood:
 
     def test_vanishes_where_the_branch_is_certainly_other(self):
         assert likelihood(2, 0.0, math.pi) == pytest.approx(0.0, abs=1e-30)
-        assert outcome_weights(pair_at(0.0, math.pi))[2] == pytest.approx(0.0, abs=1e-30)
+        assert encode(pair_at(0.0, math.pi), 0.0).weights[2] == pytest.approx(0.0, abs=1e-30)
 
     def test_likelihoods_sum_to_one(self):
         t1, t2 = np.meshgrid(GRID, GRID, indexing="ij")
@@ -103,7 +103,7 @@ class TestOutcomeLikelihood:
         for _ in range(20):
             pair = random_pair(rng)
             c = joint_state(pair).amplitudes
-            weights = outcome_weights(pair)
+            weights = encode(pair, 0.0).weights
             for j in range(4):
                 expected = (1 - abs(c[j]) ** 2) / 3
                 got = likelihood(j, pair.q1.theta, pair.q2.theta)
@@ -301,6 +301,10 @@ class TestQuadratureSpec:
     def test_quadrature_spec_floor(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_axis=8)
+
+    def test_rejects_fractional_nodes(self):
+        with pytest.raises(TypeError):
+            QuadratureSpec(20.5)
 
 
 RULE_SIZES = (16, 17, 64, 100, 255, 256, 1024)

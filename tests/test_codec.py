@@ -3,6 +3,7 @@ trips, and the 12-dimensional oracle the closed forms are checked against."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,14 +18,12 @@ from qutritcodec import (
     PureState,
     QubitPair,
     decode,
-    decode_branch,
     decode_levels,
     encode,
     encode_branch,
     fidelity,
     joint_state,
     make_qubit_state,
-    outcome_weights,
     project,
 )
 from qutritcodec import codec
@@ -41,6 +40,7 @@ from conftest import (
     random_pair,
     register,
     unit_interval,
+    unit_states,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -224,9 +224,8 @@ def test_encode_samples_the_weights_it_reports(rng, monkeypatch):
     for _ in range(50):
         pair = random_pair(rng)
         record = encode(pair, float(rng.random()))
-        weights = outcome_weights(pair)
+        weights = tuple(encode_branch(pair, j)[0] for j in range(4))
         assert sampled.pop() == weights
-        assert weights == tuple(encode_branch(pair, j)[0] for j in range(4))
         assert record.weights == weights
         assert record.probability == weights[record.outcome]
 
@@ -261,23 +260,25 @@ class TestDecodeProjectors:
 
 
 class TestDecodeBranch:
+    # the success branch of a decode, read at u = 0 where any branch with
+    # more than null weight succeeds
     def test_certain_success_recovers_first_qubit(self):
-        qutrit = PureState(np.array([0, INV_SQRT2, INV_SQRT2]))
-        p_success, reconstructed = decode_branch(qutrit, 0, 1)
-        assert p_success == pytest.approx(1.0, abs=1e-15)
+        record = decode(PureState(np.array([0, INV_SQRT2, INV_SQRT2])), 0, 1, 0.0)
+        assert record.success_probability == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(
-            reconstructed.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15
+            record.reconstructed.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15
         )
 
     def test_certain_failure(self):
-        qutrit = PureState(np.array([1.0, 0.0, 0.0]))
-        p_success, reconstructed = decode_branch(qutrit, 0, 1)
-        assert p_success == 0.0
-        assert reconstructed is None
+        # outcome 3 leaves qubit 2's intact block on levels 0 and 2
+        record = decode(PureState(np.array([0.0, 1.0, 0.0])), 3, 2, 0.0)
+        assert record.success_probability == 0.0
+        assert record.reconstructed is None
+        assert record.failure_level == 1
 
     def test_uniform_qutrit_gives_two_thirds(self):
-        p_success, _ = decode_branch(PureState(np.full(3, INV_SQRT3)), 0, 1)
-        assert p_success == pytest.approx(2 / 3, abs=1e-15)
+        record = decode(PureState(np.full(3, INV_SQRT3)), 0, 1, 0.0)
+        assert record.success_probability == pytest.approx(2 / 3, abs=1e-15)
 
 
 class TestDecode:
@@ -307,6 +308,26 @@ class TestDecode:
             assert result.target == target
 
 
+@given(unit_states(dims=(3,)), st.integers(0, 3), st.sampled_from((1, 2)), unit_interval)
+@settings(max_examples=300, deadline=None)
+def test_decode_is_the_two_outcome_measurement(qutrit, outcome, target, u):
+    record = decode(qutrit, outcome, target, u)
+    success_levels, failure_level = decode_levels(outcome, target)
+    kept = qutrit.amplitudes[list(success_levels)]
+    assert record.success_probability == pytest.approx(np.vdot(kept, kept).real, abs=1e-15)
+    realizable = record.success_probability > NULL_BRANCH_EPS
+    assert record.success == (realizable and u < record.success_probability)
+    if record.success:
+        np.testing.assert_allclose(
+            record.reconstructed.amplitudes, kept / np.linalg.norm(kept), atol=1e-15, rtol=0
+        )
+    else:
+        assert record.failure_level == failure_level
+    if record.success_probability < 1.0:
+        # the rule is strict: u equal to the success probability fails
+        assert not decode(qutrit, outcome, target, record.success_probability).success
+
+
 class TestConditionalSuccess:
     def test_worked_value(self):
         value = conditional_success_probability(
@@ -322,7 +343,7 @@ class TestConditionalSuccess:
         with pytest.raises(ValueError, match="cannot occur"):
             conditional_success_probability(pair_of(0, 0, 0, 0), 0, 1)
 
-    def test_agrees_with_decode_branch(self, rng):
+    def test_agrees_with_decode(self, rng):
         for _ in range(200):
             pair = random_pair(rng)
             for j in range(4):
@@ -331,7 +352,7 @@ class TestConditionalSuccess:
                     continue
                 for target in (1, 2):
                     closed = conditional_success_probability(pair, j, target)
-                    sampled, _ = decode_branch(qutrit, j, target)
+                    sampled = decode(qutrit, j, target, 0.0).success_probability
                     assert closed == pytest.approx(sampled, abs=1e-12)
 
 
@@ -344,11 +365,11 @@ def test_round_trip_reconstructs_the_chosen_qubit(rng):
         probability, qutrit = encode_branch(pair, j)
         if probability <= 1e-6:
             continue
-        p_success, reconstructed = decode_branch(qutrit, j, target)
-        if p_success <= 1e-6:
+        result = decode(qutrit, j, target, 0.0)
+        if result.success_probability <= 1e-6:
             continue
         original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
-        assert fidelity(reconstructed, original) >= 1 - 1e-12
+        assert fidelity(result.reconstructed, original) >= 1 - 1e-12
         collected += 1
 
 
@@ -366,7 +387,7 @@ def test_near_pole_preparations_encode_and_decode_exactly(pair, u_encode, u_deco
             continue
         assert phase_aligned_max_diff(qutrit, expected) <= 1e-12
         for target in (1, 2):
-            p_success, _ = decode_branch(qutrit, j, target)
+            p_success = decode(qutrit, j, target, 0.0).success_probability
             closed = conditional_success_probability(pair, j, target)
             assert closed == pytest.approx(p_success, abs=1e-12)
 
@@ -385,14 +406,16 @@ class TestRecords:
 
     def test_decode_record_exclusive_fields(self):
         qubit = PureState(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            DecodeRecord(target=1, success=True, success_probability=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one"):
+            DecodeRecord(target=1, success_probability=1.0)
+        with pytest.raises(ValueError, match="exactly one"):
             DecodeRecord(
-                target=1, success=False, success_probability=1.0, reconstructed=qubit
+                target=1, success_probability=1.0, reconstructed=qubit, failure_level=0
             )
-        with pytest.raises(ValueError):
-            DecodeRecord(
-                target=1, success=True, success_probability=1.0,
-                reconstructed=qubit, failure_level=0,
-            )
+        assert DecodeRecord(target=1, success_probability=1.0, reconstructed=qubit).success
+        assert not DecodeRecord(target=1, success_probability=1.0, failure_level=0).success
+
+    def test_decode_record_success_is_derived(self):
+        fields = [field.name for field in dataclasses.fields(DecodeRecord)]
+        assert fields == ["target", "success_probability", "reconstructed", "failure_level"]
+        assert isinstance(DecodeRecord.success, property)

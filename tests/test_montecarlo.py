@@ -267,6 +267,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrialConfig(trials=1, master_seed=2**64)
 
+    def test_rejects_a_fractional_seed(self):
+        with pytest.raises(TypeError):
+            TrialConfig(trials=1, master_seed=1.5)
+
+    def test_rejects_fractional_trials(self):
+        with pytest.raises(TypeError):
+            TrialConfig(trials=2.5)
+
 
 def test_intact_block_rows_put_the_low_target_bit_first():
     for outcome in range(4):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutritcodec import (
@@ -18,7 +18,7 @@ from qutritcodec import (
     project,
     sample_complete_measurement,
 )
-from conftest import ancilla, encoding_indices, permute
+from conftest import ancilla, encoding_indices, permute, unit_states
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -60,6 +60,10 @@ class TestConstruction:
             project(state, {3})
         with pytest.raises(ValueError, match="nonempty subset"):
             project(state, [-1])
+
+    def test_projector_levels_must_be_integers(self):
+        with pytest.raises(TypeError):
+            project(PureState(np.array([1.0, 0.0, 0.0])), [1.7])
 
     def test_permutation_validation(self):
         with pytest.raises(ValueError, match="bijection"):
@@ -154,6 +158,15 @@ class TestSampling:
         # rounding leaves the total below u: the last realizable outcome
         assert sample_complete_measurement([0.5, 0.5 - 1e-11, 0.0], 1.0 - 1e-12) == 1
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(math.nan, 0.5, 0.5, 0.0), (math.nan,) * 4, (1.5, -0.5, 0.0, 0.0)],
+        ids=["one-nan", "all-nan", "negative"],
+    )
+    def test_invalid_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_complete_measurement(weights, 0.5)
+
     def test_incomplete_family_rejected(self):
         with pytest.raises(ValueError, match="not complete"):
             sample_complete_measurement([0.5, 0.25], 0.5)
@@ -232,27 +245,6 @@ def test_encoding_family_is_complete_on_random_states(rng):
         state = _random_state(rng, 12)
         total = sum(project(state, indices)[0] for indices in family)
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-# hypothesis strategies for the algebraic properties
-
-
-@st.composite
-def unit_states(draw, dims=(2, 3, 4, 12)):
-    dim = draw(st.sampled_from(dims))
-    parts = draw(
-        st.lists(
-            st.tuples(
-                st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
-            ),
-            min_size=dim,
-            max_size=dim,
-        )
-    )
-    vec = np.array([complex(re, im) for re, im in parts])
-    norm = np.linalg.norm(vec)
-    assume(norm > 1e-3)
-    return PureState(vec / norm)
 
 
 @given(unit_states(), st.data())
