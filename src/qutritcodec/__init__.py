@@ -32,7 +32,7 @@ from .bayes import (
     gain_report,
     prior_theta,
 )
-from .montecarlo import TrialConfig, TrialStats, run_trials
+from .montecarlo import TrialStats, run_trials
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "exact_report",
     "gain_report",
     "prior_theta",
-    "TrialConfig",
     "TrialStats",
     "run_trials",
 ]

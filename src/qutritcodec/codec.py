@@ -19,6 +19,12 @@ level, which carries j's partner j ^ (1 << (a - 1)) in the damaged block
 (failure). `decode_levels` finds these levels within `survivors(j)`. The
 choice of qubit needs nothing but the stored qutrit and the two classical
 bits recording the encoding outcome, so it can be deferred indefinitely.
+
+The success probability 2/3 holds for every preparation, not only on
+average: for either target a, sum_j P(j) P(success | j, a) is the sum of
+the four intact blocks' weights over 3. An intact block's weight is the
+other qubit's weight at one bit value, and each bit value occurs for two
+outcomes, so the sum is 2/3 for any angles.
 """
 
 from __future__ import annotations

@@ -39,25 +39,6 @@ _KERNEL_TRIALS = 1 << 13
 
 
 @dataclass(frozen=True)
-class TrialConfig:
-    """How many trials to run, from which seed, decoding which qubit."""
-
-    trials: int
-    master_seed: int = 0
-    target_policy: str = "always-1"
-
-    def __post_init__(self) -> None:
-        if operator.index(self.trials) < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not 0 <= operator.index(self.master_seed) <= MAX_SEED:
-            raise ValueError(f"master_seed must be a 64-bit integer, got {self.master_seed}")
-        if self.target_policy not in TARGET_POLICIES:
-            raise ValueError(
-                f"target_policy must be one of {TARGET_POLICIES}, got {self.target_policy!r}"
-            )
-
-
-@dataclass(frozen=True)
 class TrialStats:
     """Aggregated counters and fidelity extremes of one batch of trials."""
 
@@ -149,30 +130,35 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
     return counts, won.size, fidelity
 
 
-def run_trials(config: TrialConfig) -> TrialStats:
-    """Run the configured trials and aggregate deterministic statistics.
+def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1") -> TrialStats:
+    """Run `trials` trials from `master_seed`, each decoding the qubit that
+    `target_policy` names, and aggregate deterministic statistics.
 
     Blocks of trials are processed in ascending order and every reduction
     (counts, minima, numpy pairwise sums) is order-fixed, so the result is
     identical for any block size and across reruns.
     """
+    if operator.index(trials) < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 <= operator.index(master_seed) <= MAX_SEED:
+        raise ValueError(f"master_seed must be a 64-bit integer, got {master_seed}")
+    if target_policy not in TARGET_POLICIES:
+        raise ValueError(f"target_policy must be one of {TARGET_POLICIES}, got {target_policy!r}")
     counts = np.zeros(4, dtype=np.int64)
     success_count = 0
     block_minima = []  # of the fidelities of successful trials
-    generator = _philox(config.master_seed, 0)
+    generator = _philox(master_seed, 0)
     # one slab for every block, so its pages are faulted in once per call
-    slab = np.empty((min(_KERNEL_TRIALS, config.trials), UNIFORMS_PER_TRIAL))
-    for start in range(0, config.trials, _KERNEL_TRIALS):
-        u = generator.random(out=slab[: min(_KERNEL_TRIALS, config.trials - start)])
-        block_counts, block_success, success_fidelities = _run_chunk(
-            u, start, config.target_policy
-        )
+    slab = np.empty((min(_KERNEL_TRIALS, trials), UNIFORMS_PER_TRIAL))
+    for start in range(0, trials, _KERNEL_TRIALS):
+        u = generator.random(out=slab[: min(_KERNEL_TRIALS, trials - start)])
+        block_counts, block_success, success_fidelities = _run_chunk(u, start, target_policy)
         counts += block_counts
         success_count += block_success
         if success_fidelities.size:
             block_minima.append(float(success_fidelities.min()))
     return TrialStats(
-        trials=config.trials,
+        trials=trials,
         outcome_counts=tuple(int(c) for c in counts),
         success_count=success_count,
         min_success_fidelity=min(block_minima) if block_minima else None,

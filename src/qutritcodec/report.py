@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from typing import Any
 
 SCHEMA_VERSION = "1"
@@ -56,37 +55,27 @@ def _rounded(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """Either a row table (verify, mc) or a trace object (demo, encode, decode)."""
-
-    command: str
-    params: dict[str, Any]
-    rows: tuple[dict[str, Any], ...] | None = None
-    trace: dict[str, Any] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.rows is None) == (self.trace is None):
-            raise ValueError("a document carries either rows or a trace, not both")
-
-    @property
-    def overall_pass(self) -> bool | None:
-        if self.rows is None:
-            return None
-        return all(row["pass"] for row in self.rows)
-
-    def as_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "params": _rounded(self.params),
-        }
-        if self.rows is not None:
-            doc["rows"] = [dict(row) for row in self.rows]
-            doc["overall_pass"] = self.overall_pass
-        else:
-            doc["trace"] = _rounded(self.trace)
-        return doc
+def document(
+    command: str,
+    params: dict[str, Any],
+    rows: list[dict[str, Any]] | None = None,
+    trace: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The JSON object of one command: either a row table (verify, mc) with
+    its overall pass flag, or a trace object (demo, encode, decode)."""
+    if (rows is None) == (trace is None):
+        raise ValueError("a document carries either rows or a trace, not both")
+    doc: dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "params": _rounded(params),
+    }
+    if rows is not None:
+        doc["rows"] = [dict(row) for row in rows]
+        doc["overall_pass"] = all(row["pass"] for row in rows)
+    else:
+        doc["trace"] = _rounded(trace)
+    return doc
 
 
 def amplitude_pairs(amplitudes) -> list[list[float]]:
@@ -102,14 +91,13 @@ def _format_number(value: Any) -> str:
     return str(value)
 
 
-def to_json(document: ReportDocument) -> str:
-    return json.dumps(document.as_dict(), indent=2) + "\n"
+def to_json(doc: dict[str, Any]) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _table(document: ReportDocument) -> tuple[tuple[str, ...], list[list[str]]]:
+def _table(doc: dict[str, Any]) -> tuple[tuple[str, ...], list[list[str]]]:
     """Header and string cells that CSV and Markdown lay out: the rows, or
     the trace's key/value pairs."""
-    doc = document.as_dict()
     if "trace" in doc:
         return ("key", "value"), [list(pair) for pair in _flatten(doc["trace"])]
     return _ROW_FIELDS, [[_format_number(value) for value in row.values()] for row in doc["rows"]]
@@ -125,8 +113,8 @@ def _flatten(value: Any, prefix: str = ""):
         yield (prefix.rstrip("."), _format_number(value))
 
 
-def to_csv(document: ReportDocument) -> str:
-    header, cells = _table(document)
+def to_csv(doc: dict[str, Any]) -> str:
+    header, cells = _table(doc)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -134,13 +122,13 @@ def to_csv(document: ReportDocument) -> str:
     return buffer.getvalue()
 
 
-def to_markdown(document: ReportDocument) -> str:
-    header, cells = _table(document)
-    lines = [f"# {document.command}", ""]
+def to_markdown(doc: dict[str, Any]) -> str:
+    header, cells = _table(doc)
+    lines = [f"# {doc['command']}", ""]
     for cell_row in (header, ["---"] * len(header), *cells):
         lines.append("| " + " | ".join(cell_row) + " |")
-    if document.rows is not None:
-        lines += ["", f"overall pass: {_format_number(document.overall_pass)}"]
+    if "rows" in doc:
+        lines += ["", f"overall pass: {_format_number(doc['overall_pass'])}"]
     return "\n".join(lines) + "\n"
 
 
@@ -149,7 +137,7 @@ _EMITTERS = {"json": to_json, "csv": to_csv, "md": to_markdown}
 FORMATS = tuple(_EMITTERS)
 
 
-def render(document: ReportDocument, fmt: str) -> str:
+def render(doc: dict[str, Any], fmt: str) -> str:
     if fmt not in _EMITTERS:
         raise ValueError(f"unknown format {fmt!r}")
-    return _EMITTERS[fmt](document)
+    return _EMITTERS[fmt](doc)

@@ -13,7 +13,6 @@ import pytest
 
 from qutritcodec import (
     QuadratureSpec,
-    TrialConfig,
     decode,
     encode_branch,
     fidelity,
@@ -39,7 +38,7 @@ def report_512():
 
 @pytest.fixture(scope="session")
 def mc_stats():
-    return run_trials(TrialConfig(trials=TRIALS, master_seed=MC_SEED))
+    return run_trials(TRIALS, master_seed=MC_SEED)
 
 
 def check(label: str, ok: bool, detail: str) -> bool:
@@ -170,7 +169,7 @@ def test_09_monte_carlo(mc_stats):
     frequencies = [c / TRIALS for c in mc_stats.outcome_counts]
     freq_dev = max(abs(f - 0.25) for f in frequencies)
     rate_dev = abs(mc_stats.mean_success_rate - 2 / 3)
-    rerun = run_trials(TrialConfig(trials=TRIALS, master_seed=MC_SEED))
+    rerun = run_trials(TRIALS, master_seed=MC_SEED)
     ok = (
         freq_dev <= 0.0015
         and rate_dev <= 0.0017

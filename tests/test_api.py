@@ -3,6 +3,7 @@ README's library and CLI examples run as written."""
 
 from __future__ import annotations
 
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import qutritcodec
+import qutritcodec.report
 from qutritcodec.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,17 +23,29 @@ PUBLIC = {
     "DecodeRecord", "EncodeRecord", "QubitPair", "decode", "decode_levels",
     "encode", "encode_branch", "joint_state",
     "QuadratureSpec", "exact_report", "gain_report", "prior_theta",
-    "TrialConfig", "TrialStats", "run_trials",
+    "TrialStats", "run_trials",
 }
 
 
 def test_the_public_surface_is_pinned():
     # a new export, test-only helpers included, needs a deliberate edit here
     assert set(qutritcodec.__all__) == PUBLIC
-    assert len(PUBLIC) == 21
+    assert len(PUBLIC) == 20
     # folded into decode and EncodeRecord.weights
     assert not hasattr(qutritcodec.codec, "decode_branch")
     assert not hasattr(qutritcodec.codec, "outcome_weights")
+    # commands pass plain values: run_trials' arguments and report.document's dict
+    assert not hasattr(qutritcodec.montecarlo, "TrialConfig")
+    assert not hasattr(qutritcodec.report, "ReportDocument")
+
+
+def test_run_trials_takes_its_three_arguments():
+    parameters = inspect.signature(qutritcodec.run_trials).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        ("trials", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("master_seed", inspect.Parameter.POSITIONAL_OR_KEYWORD, 0),
+        ("target_policy", inspect.Parameter.POSITIONAL_OR_KEYWORD, "always-1"),
+    ]
 
 
 def test_every_exported_name_resolves():

@@ -394,6 +394,16 @@ class TestVerify:
         assert rows["mc_success_rate"]["computed"] == 0.0
         assert "mc_min_success_fidelity" not in rows
 
+    @pytest.mark.parametrize("command", ["mc", "verify"])
+    def test_fidelity_row_when_the_only_trial_succeeds(self, runner, command):
+        # the single trial of seed 0 decodes, so its block's one success is
+        # also its minimum
+        result = runner.invoke(main, [command, "--trials", "1", "--seed", "0"])
+        assert result.exit_code == 0
+        rows = {row["name"]: row for row in json.loads(result.output)["rows"]}
+        assert rows["mc_success_rate"]["computed"] == 1.0
+        assert rows["mc_min_success_fidelity"]["pass"]
+
 
 class TestFormatsAndOutput:
     def test_csv_rows(self, runner):

@@ -34,6 +34,7 @@ from conftest import (
     conditional_success_probability,
     encoding_indices,
     near_pole_pairs,
+    near_pole_theta,
     phase_aligned_max_diff,
     pipeline_encode,
     pipeline_weights,
@@ -397,6 +398,35 @@ def test_near_pole_preparations_encode_and_decode_exactly(pair, u_encode, u_deco
         if result.success:
             original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
             assert fidelity(result.reconstructed, original) >= 1 - 1e-12
+
+
+# every theta, with the poles, the smallest positive double and the double
+# just below pi drawn on purpose
+_any_theta = st.one_of(
+    st.floats(0.0, math.pi),
+    st.sampled_from([0.0, math.pi, 1e-300, math.nextafter(math.pi, 0.0)]),
+    near_pole_theta(),
+)
+_any_angles = st.builds(
+    BlochAngles, theta=_any_theta, phi=st.floats(0.0, 2 * math.pi, exclude_max=True)
+)
+
+
+@given(st.builds(QubitPair, q1=_any_angles, q2=_any_angles))
+@settings(max_examples=300, deadline=None)
+def test_two_thirds_holds_for_every_preparation(pair):
+    # sum_j P(j) P(success | j, a) is the four intact blocks' weights over 3;
+    # each is the other qubit's weight at one bit value, and each bit value
+    # occurs for two outcomes, so the sum is 2/3 for any angles, not only on
+    # average over the prior
+    branches = [encode_branch(pair, j) for j in range(4)]
+    for target in (1, 2):
+        total = sum(
+            probability * decode(qutrit, j, target, 0.0).success_probability
+            for j, (probability, qutrit) in enumerate(branches)
+            if qutrit is not None
+        )
+        assert abs(total - 2 / 3) <= 2e-15
 
 
 class TestRecords:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutritcodec import (
-    TrialConfig,
     TrialStats,
     decode,
     encode,
@@ -75,31 +74,36 @@ class TestTrialUniforms:
 
 class TestDeterminism:
     def test_reruns_are_bit_identical(self):
-        config = TrialConfig(trials=20_000, master_seed=99, target_policy="random")
-        assert run_trials(config) == run_trials(config)
+        config = dict(trials=20_000, master_seed=99, target_policy="random")
+        assert run_trials(**config) == run_trials(**config)
 
     def test_chunk_size_does_not_matter(self, monkeypatch):
         # every block size here ends the 20000 trials in a short block
-        config = TrialConfig(trials=20_000, master_seed=5, target_policy="alternate")
-        stats = run_trials(config)
+        stats = run_trials(20_000, master_seed=5, target_policy="alternate")
         for kernel_trials in (999, 4096):
             monkeypatch.setattr(montecarlo, "_KERNEL_TRIALS", kernel_trials)
-            assert run_trials(config) == stats
+            assert run_trials(20_000, master_seed=5, target_policy="alternate") == stats
 
     def test_single_trial(self):
-        config = TrialConfig(trials=1, master_seed=0)
-        stats = run_trials(config)
-        assert stats == run_trials(config)
+        stats = run_trials(1, master_seed=0)
+        assert stats == run_trials(1, master_seed=0)
         assert sum(stats.outcome_counts) == 1
         assert stats.success_count in (0, 1)
 
 
 class TestAgainstScalarPipeline:
-    @pytest.mark.parametrize("policy", ["always-1", "always-2", "alternate", "random"])
-    def test_vectorized_trials_match_scalar_codec(self, policy):
-        trials = 200
-        seed = 31415
-        stats = run_trials(TrialConfig(trials, seed, policy))
+    # seed 0's single trial succeeds: a block whose only success is its
+    # minimum still reaches min_success_fidelity
+    @pytest.mark.parametrize(
+        "trials, seed, policy",
+        [
+            *(pytest.param(200, 31415, policy, id=policy)
+              for policy in ("always-1", "always-2", "alternate", "random")),
+            pytest.param(1, 0, "always-1", id="one-trial"),
+        ],
+    )
+    def test_vectorized_trials_match_scalar_codec(self, trials, seed, policy):
+        stats = run_trials(trials, seed, policy)
 
         u = _philox(seed, 0).random((trials, UNIFORMS_PER_TRIAL))
         counts = [0, 0, 0, 0]
@@ -189,12 +193,12 @@ def test_kernel_decodes_near_pole_trials_like_the_closed_form(
 
 @pytest.mark.parametrize("outcome, target", [(j, a) for j in range(4) for a in (1, 2)])
 def test_fidelity_row_catches_a_swapped_decode_level(monkeypatch, outcome, target):
-    config = TrialConfig(20_000, 0, f"always-{target}")
-    assert run_trials(config).min_success_fidelity >= 1 - 1e-12
+    config = (20_000, 0, f"always-{target}")
+    assert run_trials(*config).min_success_fidelity >= 1 - 1e-12
     swapped = montecarlo._INTACT.copy()
     swapped[outcome, target - 1] = swapped[outcome, target - 1, ::-1]
     monkeypatch.setattr(montecarlo, "_INTACT", swapped)
-    assert run_trials(config).min_success_fidelity < 1 - 1e-12
+    assert run_trials(*config).min_success_fidelity < 1 - 1e-12
 
 
 # run_trials(10**6) counts recorded with a complex-amplitude kernel that
@@ -218,14 +222,14 @@ PINNED_SUCCESSES = {
 
 @pytest.mark.parametrize("seed, policy", sorted(PINNED_SUCCESSES))
 def test_counts_are_pinned_for_a_given_seed(seed, policy):
-    stats = run_trials(TrialConfig(10**6, seed, policy))
+    stats = run_trials(10**6, seed, policy)
     assert stats.outcome_counts == PINNED_OUTCOMES[seed]
     assert stats.success_count == PINNED_SUCCESSES[seed, policy]
 
 
 @pytest.fixture(scope="module")
 def stats() -> TrialStats:
-    return run_trials(TrialConfig(trials=100_000, master_seed=0))
+    return run_trials(100_000, master_seed=0)
 
 
 class TestStatistics:
@@ -248,7 +252,7 @@ class TestStatistics:
 
     @pytest.mark.parametrize("policy", ["always-2", "alternate", "random"])
     def test_other_policies_also_succeed_at_two_thirds(self, policy):
-        stats = run_trials(TrialConfig(trials=50_000, master_seed=0, target_policy=policy))
+        stats = run_trials(50_000, master_seed=0, target_policy=policy)
         sigma = math.sqrt((2 / 3) * (1 / 3) / stats.trials)
         assert abs(stats.mean_success_rate - 2 / 3) <= 3 * sigma
         assert stats.min_success_fidelity >= 1 - 1e-12
@@ -256,24 +260,24 @@ class TestStatistics:
 
 class TestConfigValidation:
     def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            TrialConfig(trials=0)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_trials(trials=0)
 
     def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            TrialConfig(trials=1, target_policy="both")
+        with pytest.raises(ValueError, match="target_policy must be one of"):
+            run_trials(trials=1, target_policy="both")
 
     def test_rejects_oversized_seed(self):
-        with pytest.raises(ValueError):
-            TrialConfig(trials=1, master_seed=2**64)
+        with pytest.raises(ValueError, match="master_seed must be a 64-bit integer"):
+            run_trials(trials=1, master_seed=2**64)
 
     def test_rejects_a_fractional_seed(self):
         with pytest.raises(TypeError):
-            TrialConfig(trials=1, master_seed=1.5)
+            run_trials(trials=1, master_seed=1.5)
 
     def test_rejects_fractional_trials(self):
         with pytest.raises(TypeError):
-            TrialConfig(trials=2.5)
+            run_trials(trials=2.5)
 
 
 def test_intact_block_rows_put_the_low_target_bit_first():

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from qutritcodec.report import (
-    ReportDocument,
     amplitude_pairs,
+    document,
     make_row,
     render,
     round_sig,
@@ -18,18 +18,18 @@ from qutritcodec.report import (
 )
 
 
-def rows_document() -> ReportDocument:
-    rows = (
+def rows_document() -> dict:
+    rows = [
         make_row("alpha", 0.6666666666666666, 2 / 3, 1e-9, "paper"),
         make_row("beta", 0.25, 0.25, 1e-12, "identity"),
-    )
-    return ReportDocument(command="verify", params={"nodes": 64}, rows=rows)
+    ]
+    return document("verify", {"nodes": 64}, rows=rows)
 
 
-def trace_document() -> ReportDocument:
-    return ReportDocument(
-        command="demo",
-        params={"seed": 3},
+def trace_document() -> dict:
+    return document(
+        "demo",
+        {"seed": 3},
         trace={"outcome": 2, "qutrit_amplitudes": [[0.0, 0.0], [1.0, 0.0]]},
     )
 
@@ -56,27 +56,31 @@ class TestRows:
 class TestDocuments:
     def test_rows_or_trace_exactly_one(self):
         with pytest.raises(ValueError):
-            ReportDocument(command="x", params={})
+            document("x", {})
         with pytest.raises(ValueError):
-            ReportDocument(
-                command="x", params={}, rows=(), trace={"k": 1}
-            )
+            document("x", {}, rows=[], trace={"k": 1})
 
     def test_overall_pass(self):
         doc = rows_document()
-        assert doc.overall_pass is True
-        failing = ReportDocument(
-            command="verify",
-            params={},
-            rows=(make_row("x", 2.0, 1.0, 1e-3, "paper"),),
-        )
-        assert failing.overall_pass is False
+        assert doc["overall_pass"] is True
+        failing = document("verify", {}, rows=[make_row("x", 2.0, 1.0, 1e-3, "paper")])
+        assert failing["overall_pass"] is False
+        # an empty table has no failing row
+        assert document("verify", {}, rows=[])["overall_pass"] is True
+
+    def test_key_order_and_rounding(self):
+        doc = document("mc", {"tolerance": 0.1 + 0.2}, rows=[])
+        assert list(doc) == ["schema_version", "command", "params", "rows", "overall_pass"]
+        assert doc["params"] == {"tolerance": 0.3}
+        trace = document("demo", {}, trace={"p": [1 / 3, True, 2]})
+        assert list(trace) == ["schema_version", "command", "params", "trace"]
+        assert trace["trace"] == {"p": [0.333333333333, True, 2]}
 
     def test_json_round_trip(self):
         doc = rows_document()
-        assert json.loads(to_json(doc)) == doc.as_dict()
+        assert json.loads(to_json(doc)) == doc
         trace = trace_document()
-        assert json.loads(to_json(trace)) == trace.as_dict()
+        assert json.loads(to_json(trace)) == trace
 
     def test_schema_shape(self):
         parsed = json.loads(to_json(rows_document()))
