@@ -165,7 +165,7 @@ def demo(pair, params, seed, fmt, out) -> None:
     stream = montecarlo._philox(seed, 0)
     record = codec.encode(pair, float(stream.random()))
     trace = {
-        "joint_amplitudes": amplitude_pairs(codec.joint_state(pair).amplitudes),
+        "joint_amplitudes": amplitude_pairs(record.joint.amplitudes),
         **_encode_trace(record),
         "decode": {
             f"target_{target}": _decode_entry(

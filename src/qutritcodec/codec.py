@@ -12,6 +12,10 @@ Conventions used throughout:
   closed forms; the test suite's oracle builds the 12-dimensional
   ancilla-register state, projects and relabels it, and checks them.
 
+`encode` builds the register state once and keeps it in `EncodeRecord.joint`,
+next to the weights sampled from it, so that a trace prints the state that
+was measured without building it again.
+
 Decoding either qubit is probabilistic: a two-outcome measurement on the
 qutrit either lands in the two levels that carry the chosen qubit's intact
 block (success, exact reconstruction) or collapses to the single remaining
@@ -29,6 +33,7 @@ outcomes, so the sum is 2/3 for any angles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,12 +104,14 @@ class EncodeRecord:
     """Result of one sampled encoding: the qutrit plus the classical outcome.
 
     The outcome must be stored alongside the qutrit (two classical bits);
-    decoding cannot infer it from the quantum state.
+    decoding cannot infer it from the quantum state. `joint` is the register
+    state the outcome was sampled from.
     """
 
     outcome: int
     weights: tuple[float, float, float, float]  # every outcome's, as sampled
     qutrit: PureState
+    joint: PureState
 
     def __post_init__(self) -> None:
         _check_outcome(self.outcome)
@@ -112,6 +119,8 @@ class EncodeRecord:
             raise ValueError(f"probability out of range: {self.probability!r}")
         if self.qutrit is None or self.qutrit.dim != QUTRIT_DIM:
             raise ValueError("encode record needs a qutrit state")
+        if self.joint is None or self.joint.dim != REGISTER_DIM:
+            raise ValueError("encode record needs a four-level register state")
 
     @property
     def probability(self) -> float:
@@ -187,16 +196,18 @@ def encode(pair: QubitPair, u: float) -> EncodeRecord:
     The outcome is sampled from the four branch weights of `encode_branch`
     by the strict cumulative rule, and only the chosen qutrit is built.
     """
-    c = joint_state(pair).amplitudes
-    branches = [_branch(c, j) for j in range(REGISTER_DIM)]
+    joint = joint_state(pair)
+    branches = [_branch(joint.amplitudes, j) for j in range(REGISTER_DIM)]
     weights = tuple(weight for weight, _ in branches)
     outcome = sample_complete_measurement(weights, u)
-    return EncodeRecord(outcome=outcome, weights=weights, qutrit=_qutrit(*branches[outcome]))
+    qutrit = _qutrit(*branches[outcome])
+    return EncodeRecord(outcome=outcome, weights=weights, qutrit=qutrit, joint=joint)
 
 
+@functools.cache
 def decode_levels(outcome: int, target: int) -> tuple[tuple[int, int], int]:
     """Qutrit levels read as logical |0> and |1> when decoding `target`, and
-    the failure level.
+    the failure level; cached over the 8 (outcome, target) pairs.
 
     The success pair carries the block of `target` that the encoding outcome
     left intact, in the order of the target's bit in that index, so success

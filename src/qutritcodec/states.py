@@ -64,9 +64,10 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a nonempty one-dimensional sequence")
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        # a complex value is finite iff both of its parts are
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must all be finite")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(f"state must be unit norm, got squared norm {norm_sq!r}")
         amps.setflags(write=False)

@@ -65,6 +65,18 @@ def near_pole_pairs() -> st.SearchStrategy[QubitPair]:
     )
 
 
+def any_pairs() -> st.SearchStrategy[QubitPair]:
+    """Both qubits anywhere, with the poles, the smallest positive double,
+    the double just below pi and near-pole angles drawn on purpose."""
+    theta = st.one_of(
+        st.floats(0.0, math.pi),
+        st.sampled_from([0.0, math.pi, 1e-300, math.nextafter(math.pi, 0.0)]),
+        near_pole_theta(),
+    )
+    angles = st.builds(BlochAngles, theta=theta, phi=st.floats(0.0, 2 * math.pi, exclude_max=True))
+    return st.builds(QubitPair, q1=angles, q2=angles)
+
+
 @st.composite
 def unit_states(draw, dims=(2, 3, 4, 12)):
     """Random unit states of a dimension drawn from `dims`."""

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import qutritcodec.bayes as bayes
 import qutritcodec.cli as cli_module
+import qutritcodec.codec as codec
 from qutritcodec.cli import main
-from qutritcodec.report import round_sig
+from qutritcodec.report import amplitude_pairs, round_sig
 from qutritcodec.states import BlochAngles
-from conftest import near_pole_pairs
+from conftest import any_pairs, near_pole_pairs
 
 HALF_PI = repr(math.pi / 2)
 PI = repr(math.pi)
@@ -120,6 +121,25 @@ def _angle_args(pair) -> list[str]:
         "--theta1", repr(pair.q1.theta), "--phi1", repr(pair.q1.phi),
         "--theta2", repr(pair.q2.theta), "--phi2", repr(pair.q2.phi),
     ]
+
+
+@given(pair=any_pairs(), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_demo_builds_the_register_state_once(pair, seed):
+    calls = []
+    build = codec.joint_state
+
+    def counted(pair):
+        calls.append(pair)
+        return build(pair)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "joint_state", counted)
+        result = CliRunner().invoke(main, ["demo", *_angle_args(pair), "--seed", str(seed)])
+    assert result.exit_code == 0, result.output
+    assert calls == [pair]
+    printed = json.loads(result.output)["trace"]["joint_amplitudes"]
+    assert printed == [list(map(round_sig, a)) for a in amplitude_pairs(build(pair).amplitudes)]
 
 
 class TestNearPolePreparations:

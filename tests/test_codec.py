@@ -31,10 +31,10 @@ from qutritcodec.states import NULL_BRANCH_EPS
 from conftest import (
     RELABEL,
     ancilla,
+    any_pairs,
     conditional_success_probability,
     encoding_indices,
     near_pole_pairs,
-    near_pole_theta,
     phase_aligned_max_diff,
     pipeline_encode,
     pipeline_weights,
@@ -193,6 +193,8 @@ class TestEncode:
         assert 0 <= record.outcome <= 3
         bits = record.classical_bits
         assert record.outcome == bits[0] + 2 * bits[1]
+        # the register state the outcome was sampled from, not a rebuilt copy
+        np.testing.assert_array_equal(record.joint.amplitudes, joint_state(pair).amplitudes)
 
 
 _angles = st.builds(
@@ -254,10 +256,15 @@ class TestDecodeProjectors:
                 assert [(k >> (target - 1)) & 1 for k in index] == [0, 1]
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            decode_levels(5, 1)
-        with pytest.raises(ValueError):
-            decode_levels(0, 3)
+        # a cached function must raise on every call, not only on the first
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                decode_levels(5, 1)
+            with pytest.raises(ValueError):
+                decode_levels(0, 3)
+
+    def test_levels_are_computed_once_per_pair(self):
+        assert decode_levels(2, 1) is decode_levels(2, 1)
 
 
 class TestDecodeBranch:
@@ -400,19 +407,7 @@ def test_near_pole_preparations_encode_and_decode_exactly(pair, u_encode, u_deco
             assert fidelity(result.reconstructed, original) >= 1 - 1e-12
 
 
-# every theta, with the poles, the smallest positive double and the double
-# just below pi drawn on purpose
-_any_theta = st.one_of(
-    st.floats(0.0, math.pi),
-    st.sampled_from([0.0, math.pi, 1e-300, math.nextafter(math.pi, 0.0)]),
-    near_pole_theta(),
-)
-_any_angles = st.builds(
-    BlochAngles, theta=_any_theta, phi=st.floats(0.0, 2 * math.pi, exclude_max=True)
-)
-
-
-@given(st.builds(QubitPair, q1=_any_angles, q2=_any_angles))
+@given(any_pairs())
 @settings(max_examples=300, deadline=None)
 def test_two_thirds_holds_for_every_preparation(pair):
     # sum_j P(j) P(success | j, a) is the four intact blocks' weights over 3;
@@ -431,8 +426,18 @@ def test_two_thirds_holds_for_every_preparation(pair):
 
 class TestRecords:
     def test_encode_record_requires_qutrit(self):
-        with pytest.raises(ValueError):
-            EncodeRecord(outcome=0, weights=(0.5, 0.5, 0.0, 0.0), qutrit=None)
+        joint = joint_state(pair_of(0, 0, 0, 0))
+        with pytest.raises(ValueError, match="qutrit"):
+            EncodeRecord(outcome=0, weights=(0.5, 0.5, 0.0, 0.0), qutrit=None, joint=joint)
+
+    def test_encode_record_requires_a_four_level_joint_state(self):
+        qutrit = PureState(np.array([1.0, 0.0, 0.0]))
+        for joint in (None, qutrit, PureState(np.eye(12)[0])):
+            with pytest.raises(ValueError, match="four-level register"):
+                EncodeRecord(outcome=1, weights=(0.0, 1.0, 0.0, 0.0), qutrit=qutrit, joint=joint)
+        record = EncodeRecord(outcome=1, weights=(0.0, 1.0, 0.0, 0.0), qutrit=qutrit,
+                              joint=joint_state(pair_of(0, 0, 0, 0)))
+        assert record.joint.dim == 4
 
     def test_decode_record_exclusive_fields(self):
         qubit = PureState(np.array([1.0, 0.0]))

@@ -10,7 +10,11 @@ pins were re-recorded when the O(n^2) Gauss-Legendre rule replaced
 2.22044604925e-16 to 0.0, and no other byte changed. The two JSON `mc`
 pins were re-recorded when `mc` lost its `--nodes` option: the line
 `"nodes": 256` left `params` (with the comma that closed the line before
-it), and no other byte changed. One document is also
+it), and no other byte changed. The three `nearpole` pins (both qubits
+within 1e-9 rad of a pole, one outcome weight near 3e-19) were recorded
+before `codec.encode` began handing its register state to `demo` and
+before `PureState` checked finiteness and norm with one numpy call each,
+so they hold those changes to the same bytes. One document is also
 run through `python -m qutritcodec`, the entry point the README advertises.
 """
 
@@ -35,6 +39,8 @@ PREPARATIONS = {
                ["--outcome", "0", "--target", "2"]),
     "generic": (["--theta1", "1.2", "--phi1", "0.4", "--theta2", "2.0", "--phi2", "5.1"], "8",
                 ["--outcome", "2", "--target", "1"]),
+    "nearpole": (["--theta1", "1e-9", "--phi1", "0.7", "--theta2", "3.141592652", "--phi2", "2.5"],
+                 "3", ["--outcome", "0", "--target", "2"]),
 }
 
 DIGESTS = {
@@ -65,6 +71,9 @@ DIGESTS = {
     "decode generic json": "f6d8c82539903cd6a17536be893f718da50f64a2ebb57a7325692f4e0540e650",
     "decode generic csv": "6b2b52ecb00706aad5a05dd5408c77726d930a66c615d9e23d781047390edfa4",
     "decode generic md": "2d145e12f1a17c61a066e4fc0c1540a83f123f343fb0440fd301b382a7886d26",
+    "demo nearpole json": "c1a586460243d06a4ccc40b411f6deb1731a8b000d5beef89db7fbffea6c0cbf",
+    "encode nearpole json": "0d4bca8aaefe6e00012e772026eb20b89630aa21907bbe165e97088bbfa1ec98",
+    "decode nearpole json": "4895b5c30970122458de08ec2c3281b63d9cde669c5909e2b0135dac2686980f",
     "mc always-1": "eb1510fc4ccffcd13068cce65159ae45a7d22213163bad7e5c5508910860b085",
     "mc random": "570088dc77d79d3e649c1df3af6e5ca3572e1c70c255a60f8c75db0301370ebc",
     "verify 16 0": "721a2f53f366bb52cb97722becf3bd2556858667ebf3b18309a0ee93844f1813",

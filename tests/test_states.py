@@ -33,9 +33,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             PureState(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(0.0, math.nan), complex(0.0, math.inf), complex(math.inf, math.inf)],
+        ids=["nan-imaginary-part", "inf-imaginary-part", "complex-infinity"],
+    )
+    def test_rejects_a_non_finite_part(self, bad):
+        # the real parts alone would pass the finiteness check
+        with pytest.raises(ValueError, match="must all be finite"):
+            PureState(np.array([1.0, bad]))
+
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonempty one-dimensional"):
             PureState(np.array([]))
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="nonempty one-dimensional"):
+            PureState(np.eye(2))
+
+    def test_rejects_the_zero_vector_as_not_unit_norm(self):
+        with pytest.raises(ValueError, match="unit norm, got squared norm 0.0"):
+            PureState(np.zeros(3))
 
     def test_amplitudes_are_frozen(self):
         state = PureState(np.array([1.0, 0.0]))
