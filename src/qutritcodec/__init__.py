@@ -17,9 +17,7 @@ from .states import (
     sample_complete_measurement,
 )
 from .codec import (
-    DecodeRecord,
     EncodeRecord,
-    QubitPair,
     decode,
     decode_levels,
     encode,
@@ -43,9 +41,7 @@ __all__ = [
     "make_qubit_state",
     "project",
     "sample_complete_measurement",
-    "DecodeRecord",
     "EncodeRecord",
-    "QubitPair",
     "decode",
     "decode_levels",
     "encode",

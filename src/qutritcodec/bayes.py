@@ -137,7 +137,7 @@ def _bit_densities(theta) -> np.ndarray:
 _PRIOR, _ENCODE, _SUCCESS, _FAILURE, _READ_0, _READ_1 = range(6)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _kept_masks(outcome: int, target: int) -> np.ndarray:
     """Read-only stack of 2 x 2 indicator masks [b1, b2] of the kept sets of
     (outcome, target): the prior, the encode posterior, a successful decode,

@@ -67,7 +67,7 @@ def _preparation_options(fn):
             except ValueError as error:
                 raise click.BadParameter(str(error), param_hint=f"'--theta{q}/--phi{q}'")
         params = {"theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2}
-        return fn(pair=codec.QubitPair(*qubits), params=params, **kwargs)
+        return fn(pair=tuple(qubits), params=params, **kwargs)
 
     for name in ("phi2", "theta2", "phi1", "theta1"):
         command = click.option(
@@ -137,22 +137,23 @@ def _encode_trace(record: codec.EncodeRecord) -> dict[str, Any]:
 
 
 def _decode_entry(
-    pair: codec.QubitPair, qutrit: states.PureState, outcome: int, target: int, u: float
+    pair: tuple[states.BlochAngles, states.BlochAngles],
+    qutrit: states.PureState, outcome: int, target: int, u: float,
 ) -> dict[str, Any]:
     success_levels, failure_level = codec.decode_levels(outcome, target)
-    result = codec.decode(qutrit, outcome, target, u)
+    p_success, reconstructed = codec.decode(qutrit, outcome, target, u)
     entry: dict[str, Any] = {
         "success_levels": sorted(success_levels),
         "failure_level": failure_level,
-        "success_probability": result.success_probability,
-        "success": result.success,
+        "success_probability": p_success,
+        "success": reconstructed is not None,
     }
-    if result.success:
-        entry["reconstructed_amplitudes"] = amplitude_pairs(result.reconstructed.amplitudes)
-        original = states.make_qubit_state(pair.q1 if target == 1 else pair.q2)
-        entry["fidelity"] = states.fidelity(result.reconstructed, original)
+    if reconstructed is not None:
+        entry["reconstructed_amplitudes"] = amplitude_pairs(reconstructed.amplitudes)
+        original = states.make_qubit_state(pair[target - 1])
+        entry["fidelity"] = states.fidelity(reconstructed, original)
     else:
-        entry["collapsed_level"] = result.failure_level
+        entry["collapsed_level"] = failure_level
     return entry
 
 

@@ -12,17 +12,20 @@ Conventions used throughout:
   closed forms; the test suite's oracle builds the 12-dimensional
   ancilla-register state, projects and relabels it, and checks them.
 
-`encode` builds the register state once and keeps it in `EncodeRecord.joint`,
-next to the weights sampled from it, so that a trace prints the state that
-was measured without building it again.
+A preparation is a pair (q1, q2) of `BlochAngles`. `encode` builds the
+register state once and keeps it in `EncodeRecord.joint`, next to the
+weights sampled from it, so that a trace prints the state that was measured
+without building it again.
 
 Decoding either qubit is probabilistic: a two-outcome measurement on the
 qutrit either lands in the two levels that carry the chosen qubit's intact
 block (success, exact reconstruction) or collapses to the single remaining
 level, which carries j's partner j ^ (1 << (a - 1)) in the damaged block
-(failure). `decode_levels` finds these levels within `survivors(j)`. The
-choice of qubit needs nothing but the stored qutrit and the two classical
-bits recording the encoding outcome, so it can be deferred indefinitely.
+(failure). `decode_levels` finds these levels within `survivors(j)`;
+`decode`, like `project`, returns the success probability and the qubit,
+None on failure. The choice of qubit needs nothing but the stored qutrit
+and the two classical bits recording the encoding outcome, so it can be
+deferred indefinitely.
 
 The success probability 2/3 holds for every preparation, not only on
 average: for either target a, sum_j P(j) P(success | j, a) is the sum of
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +71,15 @@ def qubit_bit(index, target: int):
     return (index >> (target - 1)) & 1
 
 
+# operator.index rejects 1.0, which would share the caches' entries for 1
 def _check_outcome(outcome: int) -> int:
-    if outcome not in (0, 1, 2, 3):
+    if operator.index(outcome) not in (0, 1, 2, 3):
         raise ValueError(f"outcome must be one of 0..3, got {outcome!r}")
     return outcome
 
 
 def _check_target(target: int) -> int:
-    if target not in (1, 2):
+    if operator.index(target) not in (1, 2):
         raise ValueError(f"target qubit must be 1 or 2, got {target!r}")
     return target
 
@@ -89,14 +94,6 @@ def intact_block(outcome: int, target: int) -> tuple[int, int]:
     """The register-index pair for `target` that outcome j leaves untouched."""
     first, second = TARGET_BLOCKS[_check_target(target)]
     return second if outcome in first else first
-
-
-@dataclass(frozen=True)
-class QubitPair:
-    """Independent preparations of the two qubits to be encoded."""
-
-    q1: BlochAngles
-    q2: BlochAngles
 
 
 @dataclass(frozen=True)
@@ -133,32 +130,10 @@ class EncodeRecord:
         return (qubit_bit(self.outcome, 1), qubit_bit(self.outcome, 2))
 
 
-@dataclass(frozen=True)
-class DecodeRecord:
-    """Result of one sampled decoding of a chosen qubit: the reconstructed
-    qubit on success, the level the qutrit collapsed to on failure."""
-
-    target: int
-    success_probability: float
-    reconstructed: PureState | None = None
-    failure_level: int | None = None
-
-    def __post_init__(self) -> None:
-        _check_target(self.target)
-        if not 0.0 <= self.success_probability <= 1.0 + 1e-12:
-            raise ValueError(f"probability out of range: {self.success_probability!r}")
-        if (self.reconstructed is None) == (self.failure_level is None):
-            raise ValueError("a decode carries exactly one of reconstructed and failure_level")
-
-    @property
-    def success(self) -> bool:
-        return self.reconstructed is not None
-
-
-def joint_state(pair: QubitPair) -> PureState:
+def joint_state(pair: tuple[BlochAngles, BlochAngles]) -> PureState:
     """Product state of the two qubits on the four-level register."""
-    a1 = make_qubit_state(pair.q1).amplitudes
-    a2 = make_qubit_state(pair.q2).amplitudes
+    a1 = make_qubit_state(pair[0]).amplitudes
+    a2 = make_qubit_state(pair[1]).amplitudes
     amps = np.array([a1[qubit_bit(k, 1)] * a2[qubit_bit(k, 2)] for k in range(REGISTER_DIM)])
     # The squared norm is a product of two unit norms; rounding keeps it
     # within the construction tolerance.
@@ -178,7 +153,9 @@ def _qutrit(probability: float, levels: np.ndarray) -> PureState | None:
     return PureState(levels / math.sqrt(3.0 * probability))
 
 
-def encode_branch(pair: QubitPair, outcome: int) -> tuple[float, PureState | None]:
+def encode_branch(
+    pair: tuple[BlochAngles, BlochAngles], outcome: int
+) -> tuple[float, PureState | None]:
     """Probability of encoding outcome j and the resulting qutrit.
 
     The probability is (1 - |c_j|^2) / 3 where c_j is the register
@@ -190,7 +167,7 @@ def encode_branch(pair: QubitPair, outcome: int) -> tuple[float, PureState | Non
     return probability, _qutrit(probability, levels)
 
 
-def encode(pair: QubitPair, u: float) -> EncodeRecord:
+def encode(pair: tuple[BlochAngles, BlochAngles], u: float) -> EncodeRecord:
     """Run the full encoding once, sampling the outcome with u in [0, 1).
 
     The outcome is sampled from the four branch weights of `encode_branch`
@@ -204,7 +181,7 @@ def encode(pair: QubitPair, u: float) -> EncodeRecord:
     return EncodeRecord(outcome=outcome, weights=weights, qutrit=qutrit, joint=joint)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def decode_levels(outcome: int, target: int) -> tuple[tuple[int, int], int]:
     """Qutrit levels read as logical |0> and |1> when decoding `target`, and
     the failure level; cached over the 8 (outcome, target) pairs.
@@ -220,8 +197,11 @@ def decode_levels(outcome: int, target: int) -> tuple[tuple[int, int], int]:
     return (low, high), kept.index(outcome ^ (1 << (target - 1)))
 
 
-def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeRecord:
-    """Sample the success/failure measurement and package the result.
+def decode(
+    qutrit: PureState, outcome: int, target: int, u: float
+) -> tuple[float, PureState | None]:
+    """Sample the success/failure measurement: the success probability and
+    the reconstructed qubit, None on failure.
 
     Success is scanned first, so the trial succeeds iff u < p_success and
     the success branch is not null; only then is the reconstructed qubit
@@ -231,9 +211,8 @@ def decode(qutrit: PureState, outcome: int, target: int, u: float) -> DecodeReco
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
-    success_levels, failure_level = decode_levels(outcome, target)
+    success_levels, _ = decode_levels(outcome, target)
     p_success, collapsed = project(qutrit, success_levels)
     if u < p_success and collapsed is not None:
-        reconstructed = PureState(collapsed.amplitudes[list(success_levels)])
-        return DecodeRecord(target, p_success, reconstructed=reconstructed)
-    return DecodeRecord(target, p_success, failure_level=failure_level)
+        return p_success, PureState(collapsed.amplitudes[list(success_levels)])
+    return p_success, None

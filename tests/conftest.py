@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from qutritcodec import BlochAngles, PureState, QubitPair, make_qubit_state, project
+from qutritcodec import BlochAngles, PureState, make_qubit_state, project
 from qutritcodec.codec import intact_block, qubit_bit
 from qutritcodec.states import NULL_BRANCH_EPS
 
@@ -32,12 +32,12 @@ from qutritcodec.states import NULL_BRANCH_EPS
 RELABEL = [4 * level + (k - level) % 4 for level in range(3) for k in range(4)]
 
 
-def random_pair(rng: np.random.Generator) -> QubitPair:
+def random_pair(rng: np.random.Generator) -> tuple[BlochAngles, BlochAngles]:
     """Haar-marginal random preparation of both qubits."""
     u = rng.random(4)
-    return QubitPair(
-        q1=BlochAngles(theta=float(np.arccos(1 - 2 * u[0])), phi=float(2 * np.pi * u[1])),
-        q2=BlochAngles(theta=float(np.arccos(1 - 2 * u[2])), phi=float(2 * np.pi * u[3])),
+    return (
+        BlochAngles(theta=float(np.arccos(1 - 2 * u[0])), phi=float(2 * np.pi * u[1])),
+        BlochAngles(theta=float(np.arccos(1 - 2 * u[2])), phi=float(2 * np.pi * u[3])),
     )
 
 
@@ -52,20 +52,19 @@ def near_pole_theta() -> st.SearchStrategy[float]:
     )
 
 
-def near_pole_pairs() -> st.SearchStrategy[QubitPair]:
+def near_pole_pairs() -> st.SearchStrategy[tuple[BlochAngles, BlochAngles]]:
     """Qubit 1 near a pole; qubit 2 near a pole, on one, or anywhere."""
     phi = st.floats(0.0, 2 * math.pi, exclude_max=True)
     theta2 = st.one_of(
         near_pole_theta(), st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)
     )
-    return st.builds(
-        QubitPair,
-        q1=st.builds(BlochAngles, theta=near_pole_theta(), phi=phi),
-        q2=st.builds(BlochAngles, theta=theta2, phi=phi),
+    return st.tuples(
+        st.builds(BlochAngles, theta=near_pole_theta(), phi=phi),
+        st.builds(BlochAngles, theta=theta2, phi=phi),
     )
 
 
-def any_pairs() -> st.SearchStrategy[QubitPair]:
+def any_pairs() -> st.SearchStrategy[tuple[BlochAngles, BlochAngles]]:
     """Both qubits anywhere, with the poles, the smallest positive double,
     the double just below pi and near-pole angles drawn on purpose."""
     theta = st.one_of(
@@ -74,7 +73,7 @@ def any_pairs() -> st.SearchStrategy[QubitPair]:
         near_pole_theta(),
     )
     angles = st.builds(BlochAngles, theta=theta, phi=st.floats(0.0, 2 * math.pi, exclude_max=True))
-    return st.builds(QubitPair, q1=angles, q2=angles)
+    return st.tuples(angles, angles)
 
 
 @st.composite
@@ -101,9 +100,10 @@ def ancilla() -> np.ndarray:
     return np.full(3, 1.0 / math.sqrt(3.0))
 
 
-def register(pair: QubitPair) -> np.ndarray:
+def register(pair: tuple[BlochAngles, BlochAngles]) -> np.ndarray:
     """Register amplitudes c_k; qubit 1 owns the low bit, so it is the fast factor."""
-    return np.kron(make_qubit_state(pair.q2).amplitudes, make_qubit_state(pair.q1).amplitudes)
+    q1, q2 = (make_qubit_state(angles).amplitudes for angles in pair)
+    return np.kron(q2, q1)
 
 
 def encoding_indices(outcome: int) -> list[int]:
@@ -120,13 +120,13 @@ def permute(amplitudes: np.ndarray, image) -> np.ndarray:
     return out
 
 
-def pipeline_weights(pair: QubitPair) -> list[float]:
+def pipeline_weights(pair: tuple[BlochAngles, BlochAngles]) -> list[float]:
     """Born weights of the four encoding projectors on the 12-dim state."""
     state = PureState(np.kron(ancilla(), register(pair)))
     return [project(state, encoding_indices(j))[0] for j in range(4)]
 
 
-def pipeline_encode(pair: QubitPair, outcome: int):
+def pipeline_encode(pair: tuple[BlochAngles, BlochAngles], outcome: int):
     """Encoding by explicit tensor, projection, relabeling and slicing."""
     state = PureState(np.kron(ancilla(), register(pair)))
     probability, collapsed = project(state, encoding_indices(outcome))
@@ -136,7 +136,9 @@ def pipeline_encode(pair: QubitPair, outcome: int):
     return probability, PureState(relabeled[(outcome + 1) % 4 :: 4])
 
 
-def conditional_success_probability(pair: QubitPair, outcome: int, target: int) -> float:
+def conditional_success_probability(
+    pair: tuple[BlochAngles, BlochAngles], outcome: int, target: int
+) -> float:
     """Probability that decoding `target` succeeds, given encoding outcome j.
 
     Closed form: the intact block's share of the surviving register weight,

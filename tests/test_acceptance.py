@@ -151,11 +151,11 @@ def test_08_round_trip_and_pipeline_equivalence():
             abs(probability - pipeline_probability),
             phase_aligned_max_diff(qutrit, pipeline_qutrit),
         )
-        result = decode(qutrit, outcome, target, 0.0)
-        if result.success_probability <= 1e-6:
+        p_success, reconstructed = decode(qutrit, outcome, target, 0.0)
+        if p_success <= 1e-6:
             continue
-        original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
-        worst_fidelity = min(worst_fidelity, fidelity(result.reconstructed, original))
+        original = make_qubit_state(pair[target - 1])
+        worst_fidelity = min(worst_fidelity, fidelity(reconstructed, original))
         collected += 1
     ok = worst_fidelity >= 1 - 1e-12 and worst_pipeline <= 1e-12
     assert check(

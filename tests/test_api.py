@@ -20,7 +20,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC = {
     "BlochAngles", "PureState", "fidelity", "make_qubit_state", "project",
     "sample_complete_measurement",
-    "DecodeRecord", "EncodeRecord", "QubitPair", "decode", "decode_levels",
+    "EncodeRecord", "decode", "decode_levels",
     "encode", "encode_branch", "joint_state",
     "QuadratureSpec", "exact_report", "gain_report", "prior_theta",
     "TrialStats", "run_trials",
@@ -30,10 +30,14 @@ PUBLIC = {
 def test_the_public_surface_is_pinned():
     # a new export, test-only helpers included, needs a deliberate edit here
     assert set(qutritcodec.__all__) == PUBLIC
-    assert len(PUBLIC) == 20
+    assert len(PUBLIC) == 18
     # folded into decode and EncodeRecord.weights
     assert not hasattr(qutritcodec.codec, "decode_branch")
     assert not hasattr(qutritcodec.codec, "outcome_weights")
+    # a preparation is a plain pair of BlochAngles, and decode returns what
+    # project returns: the success probability and the qubit or None
+    assert not hasattr(qutritcodec.codec, "QubitPair")
+    assert not hasattr(qutritcodec.codec, "DecodeRecord")
     # commands pass plain values: run_trials' arguments and report.document's dict
     assert not hasattr(qutritcodec.montecarlo, "TrialConfig")
     assert not hasattr(qutritcodec.report, "ReportDocument")

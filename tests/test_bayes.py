@@ -14,7 +14,7 @@ import qutritcodec.bayes as bayes
 from qutritcodec import (
     BlochAngles,
     QuadratureSpec,
-    QubitPair,
+    decode_levels,
     encode,
     exact_report,
     gain_report,
@@ -34,8 +34,8 @@ def integral_2d(pdf, quad=QUAD) -> float:
     return float(np.einsum("i,j,ij->", w, w, pdf(x[:, None], x[None, :])))
 
 
-def pair_at(theta1: float, theta2: float) -> QubitPair:
-    return QubitPair(BlochAngles(theta1, 1.0), BlochAngles(theta2, 2.0))
+def pair_at(theta1: float, theta2: float) -> tuple[BlochAngles, BlochAngles]:
+    return BlochAngles(theta1, 1.0), BlochAngles(theta2, 2.0)
 
 
 def entropy(values, quad=QUAD) -> float:
@@ -106,7 +106,7 @@ class TestOutcomeLikelihood:
             weights = encode(pair, 0.0).weights
             for j in range(4):
                 expected = (1 - abs(c[j]) ** 2) / 3
-                got = likelihood(j, pair.q1.theta, pair.q2.theta)
+                got = likelihood(j, pair[0].theta, pair[1].theta)
                 assert got == pytest.approx(expected, abs=1e-12)
                 assert weights[j] == pytest.approx(expected, abs=1e-12)
 
@@ -486,6 +486,25 @@ def test_exact_report_validates_its_arguments():
     for bad_target in (3, 0):
         with pytest.raises(ValueError):
             gain_report(QuadratureSpec(16), 0, bad_target)
+
+
+def test_argument_checks_do_not_depend_on_cache_history():
+    # 1.0 == 1 with the same hash, so an untyped cache warmed at (1, 1)
+    # would answer (1.0, 1) without running the checks
+    decode_levels.cache_clear()
+    bayes._kept_masks.cache_clear()
+    quad = QuadratureSpec(16)
+    calls = (decode_levels, lambda j, a: gain_report(quad, j, a), exact_report)
+    for warm in (False, True):
+        for call in calls:
+            if warm:
+                call(1, 1)
+            for _ in range(2):
+                for outcome, target in ((1.0, 1), (1, 1.0)):
+                    with pytest.raises(TypeError):
+                        call(outcome, target)
+    for call in calls:
+        assert call(np.int64(1), np.int64(1)) == call(1, 1)
 
 
 def test_node_doubling_check_is_gone():

@@ -118,8 +118,8 @@ class TestDecode:
 
 def _angle_args(pair) -> list[str]:
     return [
-        "--theta1", repr(pair.q1.theta), "--phi1", repr(pair.q1.phi),
-        "--theta2", repr(pair.q2.theta), "--phi2", repr(pair.q2.phi),
+        "--theta1", repr(pair[0].theta), "--phi1", repr(pair[0].phi),
+        "--theta2", repr(pair[1].theta), "--phi2", repr(pair[1].phi),
     ]
 
 
@@ -299,6 +299,27 @@ def verify_result():
     return CliRunner().invoke(
         main, ["verify", "--nodes", "64", "--trials", "50000", "--seed", "0"]
     )
+
+
+def test_exact_rows_hold_at_every_node_count():
+    # every odd n runs the middle-root branch of the node generator
+    names = [
+        row["name"].removeprefix("exact_")
+        for row in cli_module._verify_rows(bayes.exact_report())
+        if row["name"].startswith("exact_")
+    ]
+    cases = [(n, j, a) for n in range(bayes.MIN_NODES, 301) for j in range(4) for a in (1, 2)]
+    cases += [(n, 0, 1) for n in (512, 1024, 2048, 4096)]
+    margins = []
+    for n, outcome, target in cases:
+        report = bayes.gain_report(bayes.QuadratureSpec(n), outcome, target)
+        exact = bayes.exact_report(outcome, target)
+        worst = max(abs(report[name] - exact[name]) for name in names)
+        margins.append((cli_module.EXACT_TOL / max(worst, 1e-300), n, outcome, target))
+    margin, n, outcome, target = min(margins)
+    print(f"smallest exact-row margin {margin:.1f} at n={n}, outcome {outcome}, target {target}")
+    assert len(names) == 12
+    assert margin >= 5.0
 
 
 class TestVerify:

@@ -3,7 +3,6 @@ trips, and the 12-dimensional oracle the closed forms are checked against."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +12,8 @@ from hypothesis import strategies as st
 
 from qutritcodec import (
     BlochAngles,
-    DecodeRecord,
     EncodeRecord,
     PureState,
-    QubitPair,
     decode,
     decode_levels,
     encode,
@@ -48,10 +45,8 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
-def pair_of(theta1, phi1, theta2, phi2) -> QubitPair:
-    return QubitPair(
-        q1=BlochAngles(theta=theta1, phi=phi1), q2=BlochAngles(theta=theta2, phi=phi2)
-    )
+def pair_of(theta1, phi1, theta2, phi2) -> tuple[BlochAngles, BlochAngles]:
+    return BlochAngles(theta=theta1, phi=phi1), BlochAngles(theta=theta2, phi=phi2)
 
 
 class TestJointState:
@@ -204,7 +199,7 @@ _angles = st.builds(
 )
 
 
-@given(pair=st.one_of(st.builds(QubitPair, q1=_angles, q2=_angles), near_pole_pairs()),
+@given(pair=st.one_of(st.tuples(_angles, _angles), near_pole_pairs()),
        u=unit_interval)
 @settings(max_examples=300, deadline=None)
 def test_encode_samples_the_outcome_of_the_12_dim_pipeline(pair, u):
@@ -271,69 +266,65 @@ class TestDecodeBranch:
     # the success branch of a decode, read at u = 0 where any branch with
     # more than null weight succeeds
     def test_certain_success_recovers_first_qubit(self):
-        record = decode(PureState(np.array([0, INV_SQRT2, INV_SQRT2])), 0, 1, 0.0)
-        assert record.success_probability == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(
-            record.reconstructed.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15
-        )
+        qutrit = PureState(np.array([0, INV_SQRT2, INV_SQRT2]))
+        p_success, reconstructed = decode(qutrit, 0, 1, 0.0)
+        assert p_success == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(reconstructed.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_certain_failure(self):
         # outcome 3 leaves qubit 2's intact block on levels 0 and 2
-        record = decode(PureState(np.array([0.0, 1.0, 0.0])), 3, 2, 0.0)
-        assert record.success_probability == 0.0
-        assert record.reconstructed is None
-        assert record.failure_level == 1
+        assert decode(PureState(np.array([0.0, 1.0, 0.0])), 3, 2, 0.0) == (0.0, None)
+        assert decode_levels(3, 2)[1] == 1
 
     def test_uniform_qutrit_gives_two_thirds(self):
-        record = decode(PureState(np.full(3, INV_SQRT3)), 0, 1, 0.0)
-        assert record.success_probability == pytest.approx(2 / 3, abs=1e-15)
+        p_success, _ = decode(PureState(np.full(3, INV_SQRT3)), 0, 1, 0.0)
+        assert p_success == pytest.approx(2 / 3, abs=1e-15)
 
 
 class TestDecode:
     def test_success_for_any_u_when_certain(self):
         qutrit = PureState(np.array([0, INV_SQRT2, INV_SQRT2]))
         for u in (0.0, 0.5, 0.999999):
-            record = decode(qutrit, 0, 1, u)
-            assert record.success
+            _, reconstructed = decode(qutrit, 0, 1, u)
+            assert reconstructed is not None
 
     def test_failure_when_impossible(self):
         qutrit = PureState(np.array([1.0, 0.0, 0.0]))
-        record = decode(qutrit, 0, 1, 0.0)
-        assert not record.success
-        assert record.failure_level == 0
-        assert record.success_probability == 0.0
+        assert decode(qutrit, 0, 1, 0.0) == (0.0, None)
+        assert decode_levels(0, 1)[1] == 0
 
     def test_cumulative_rule_on_the_boundary(self):
-        record = decode(PureState(np.full(3, INV_SQRT3)), 0, 1, 0.9)
-        assert not record.success
+        p_success, reconstructed = decode(PureState(np.full(3, INV_SQRT3)), 0, 1, 0.9)
+        assert reconstructed is None
+        assert p_success == pytest.approx(2 / 3, abs=1e-15)
 
     def test_both_targets_from_one_record(self, rng):
         # decoding takes only the stored qutrit, outcome, and target
         pair = random_pair(rng)
         record = encode(pair, u=float(rng.random()))
         for target in (1, 2):
-            result = decode(record.qutrit, record.outcome, target, 0.0)
-            assert result.target == target
+            _, reconstructed = decode(record.qutrit, record.outcome, target, 0.0)
+            if reconstructed is not None:
+                original = make_qubit_state(pair[target - 1])
+                assert fidelity(reconstructed, original) >= 1 - 1e-12
 
 
 @given(unit_states(dims=(3,)), st.integers(0, 3), st.sampled_from((1, 2)), unit_interval)
 @settings(max_examples=300, deadline=None)
 def test_decode_is_the_two_outcome_measurement(qutrit, outcome, target, u):
-    record = decode(qutrit, outcome, target, u)
-    success_levels, failure_level = decode_levels(outcome, target)
+    p_success, reconstructed = decode(qutrit, outcome, target, u)
+    success_levels, _ = decode_levels(outcome, target)
     kept = qutrit.amplitudes[list(success_levels)]
-    assert record.success_probability == pytest.approx(np.vdot(kept, kept).real, abs=1e-15)
-    realizable = record.success_probability > NULL_BRANCH_EPS
-    assert record.success == (realizable and u < record.success_probability)
-    if record.success:
+    assert p_success == pytest.approx(np.vdot(kept, kept).real, abs=1e-15)
+    realizable = p_success > NULL_BRANCH_EPS
+    assert (reconstructed is not None) == (realizable and u < p_success)
+    if reconstructed is not None:
         np.testing.assert_allclose(
-            record.reconstructed.amplitudes, kept / np.linalg.norm(kept), atol=1e-15, rtol=0
+            reconstructed.amplitudes, kept / np.linalg.norm(kept), atol=1e-15, rtol=0
         )
-    else:
-        assert record.failure_level == failure_level
-    if record.success_probability < 1.0:
+    if p_success < 1.0:
         # the rule is strict: u equal to the success probability fails
-        assert not decode(qutrit, outcome, target, record.success_probability).success
+        assert decode(qutrit, outcome, target, p_success)[1] is None
 
 
 class TestConditionalSuccess:
@@ -360,7 +351,7 @@ class TestConditionalSuccess:
                     continue
                 for target in (1, 2):
                     closed = conditional_success_probability(pair, j, target)
-                    sampled = decode(qutrit, j, target, 0.0).success_probability
+                    sampled, _ = decode(qutrit, j, target, 0.0)
                     assert closed == pytest.approx(sampled, abs=1e-12)
 
 
@@ -373,11 +364,10 @@ def test_round_trip_reconstructs_the_chosen_qubit(rng):
         probability, qutrit = encode_branch(pair, j)
         if probability <= 1e-6:
             continue
-        result = decode(qutrit, j, target, 0.0)
-        if result.success_probability <= 1e-6:
+        p_success, reconstructed = decode(qutrit, j, target, 0.0)
+        if p_success <= 1e-6:
             continue
-        original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
-        assert fidelity(result.reconstructed, original) >= 1 - 1e-12
+        assert fidelity(reconstructed, make_qubit_state(pair[target - 1])) >= 1 - 1e-12
         collected += 1
 
 
@@ -395,16 +385,15 @@ def test_near_pole_preparations_encode_and_decode_exactly(pair, u_encode, u_deco
             continue
         assert phase_aligned_max_diff(qutrit, expected) <= 1e-12
         for target in (1, 2):
-            p_success = decode(qutrit, j, target, 0.0).success_probability
+            p_success, _ = decode(qutrit, j, target, 0.0)
             closed = conditional_success_probability(pair, j, target)
             assert closed == pytest.approx(p_success, abs=1e-12)
 
     record = encode(pair, u_encode)
     for target in (1, 2):
-        result = decode(record.qutrit, record.outcome, target, u_decode)
-        if result.success:
-            original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
-            assert fidelity(result.reconstructed, original) >= 1 - 1e-12
+        _, reconstructed = decode(record.qutrit, record.outcome, target, u_decode)
+        if reconstructed is not None:
+            assert fidelity(reconstructed, make_qubit_state(pair[target - 1])) >= 1 - 1e-12
 
 
 @given(any_pairs())
@@ -417,7 +406,7 @@ def test_two_thirds_holds_for_every_preparation(pair):
     branches = [encode_branch(pair, j) for j in range(4)]
     for target in (1, 2):
         total = sum(
-            probability * decode(qutrit, j, target, 0.0).success_probability
+            probability * decode(qutrit, j, target, 0.0)[0]
             for j, (probability, qutrit) in enumerate(branches)
             if qutrit is not None
         )
@@ -438,19 +427,3 @@ class TestRecords:
         record = EncodeRecord(outcome=1, weights=(0.0, 1.0, 0.0, 0.0), qutrit=qutrit,
                               joint=joint_state(pair_of(0, 0, 0, 0)))
         assert record.joint.dim == 4
-
-    def test_decode_record_exclusive_fields(self):
-        qubit = PureState(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="exactly one"):
-            DecodeRecord(target=1, success_probability=1.0)
-        with pytest.raises(ValueError, match="exactly one"):
-            DecodeRecord(
-                target=1, success_probability=1.0, reconstructed=qubit, failure_level=0
-            )
-        assert DecodeRecord(target=1, success_probability=1.0, reconstructed=qubit).success
-        assert not DecodeRecord(target=1, success_probability=1.0, failure_level=0).success
-
-    def test_decode_record_success_is_derived(self):
-        fields = [field.name for field in dataclasses.fields(DecodeRecord)]
-        assert fields == ["target", "success_probability", "reconstructed", "failure_level"]
-        assert isinstance(DecodeRecord.success, property)

@@ -19,7 +19,7 @@ from qutritcodec import (
     make_qubit_state,
     run_trials,
 )
-from qutritcodec.codec import QubitPair, decode_levels, intact_block, qubit_bit, survivors
+from qutritcodec.codec import decode_levels, intact_block, qubit_bit, survivors
 from qutritcodec import montecarlo
 from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, _philox, _run_chunk
 from conftest import sample_bloch, unit_interval
@@ -110,9 +110,7 @@ class TestAgainstScalarPipeline:
         successes = 0
         min_fidelity = None
         for t in range(trials):
-            pair = QubitPair(
-                q1=sample_bloch(u[t, 0], u[t, 1]), q2=sample_bloch(u[t, 2], u[t, 3])
-            )
+            pair = sample_bloch(u[t, 0], u[t, 1]), sample_bloch(u[t, 2], u[t, 3])
             record = encode(pair, u[t, 4])
             counts[record.outcome] += 1
             if policy == "always-1":
@@ -123,11 +121,10 @@ class TestAgainstScalarPipeline:
                 target = 1 + t % 2
             else:
                 target = 1 if u[t, 5] < 0.5 else 2
-            result = decode(record.qutrit, record.outcome, target, u[t, 6])
-            if result.success:
+            _, reconstructed = decode(record.qutrit, record.outcome, target, u[t, 6])
+            if reconstructed is not None:
                 successes += 1
-                original = make_qubit_state(pair.q1 if target == 1 else pair.q2)
-                value = fidelity(result.reconstructed, original)
+                value = fidelity(reconstructed, make_qubit_state(pair[target - 1]))
                 min_fidelity = value if min_fidelity is None else min(min_fidelity, value)
 
         assert stats.outcome_counts == tuple(counts)
