@@ -16,8 +16,8 @@ is a 2 x 2 mask K over (b1, b2) and its posterior d.T @ K @ d / (m @ K @ m);
 integrating one qubit out leaves (K @ m) @ d or (m @ K) @ d. Every
 normalizer and marginal thus comes from one stack of masks per (outcome,
 target). Only the encode posterior's joint entropy does not separate; a
-gain report forms that rank-2 posterior a strip of rows at a time, so it
-allocates no n x n array.
+gain report forms that rank-2 posterior in strips of rows, with one log per
+node pair and no n x n array, and reduces each row on its own.
 
 Gain conventions: the "encoding gain" compares the joint prior with the
 posterior after observing an encoding outcome; marginal gains do the same
@@ -163,6 +163,14 @@ def _marginals(masks: np.ndarray, bit_mass: np.ndarray, densities: np.ndarray):
     return mass, coefficients @ densities / np.tile(mass, 2)[:, None]
 
 
+@functools.lru_cache(maxsize=None)
+def _normalizer_masks() -> np.ndarray:
+    """Read-only stack [j, a - 1] of the survivors' and intact block's masks."""
+    masks = np.stack([[_kept_masks(j, a)[[_ENCODE, _SUCCESS]] for a in (1, 2)] for j in range(4)])
+    masks.setflags(write=False)
+    return masks
+
+
 def _normalizers(bit_mass: np.ndarray) -> dict[str, float]:
     """Outcome priors `outcome_prior_{j}` and average success probabilities
     `success_probability_j{j}_target{a}`, by name, from the two bit masses.
@@ -171,12 +179,10 @@ def _normalizers(bit_mass: np.ndarray) -> dict[str, float]:
     3, and given j decoding succeeds with the intact block's share of the
     survivors' weight, so both are ratios of kept masses.
     """
-    pairs = list(itertools.product(range(4), (1, 2)))
-    masks = np.stack([_kept_masks(j, a)[[_ENCODE, _SUCCESS]] for j, a in pairs])
-    # (j, a) -> (survivors' mass, intact block's mass)
-    masses = dict(zip(pairs, (masks @ bit_mass @ bit_mass).tolist()))
-    scalars = {f"outcome_prior_{j}": masses[j, 1][0] / 3.0 for j in range(4)}
-    for (j, a), (survivor_mass, block_mass) in masses.items():
+    masses = (_normalizer_masks() @ bit_mass @ bit_mass).tolist()
+    scalars = {f"outcome_prior_{j}": masses[j][0][0] / 3.0 for j in range(4)}
+    for j, a in itertools.product(range(4), (1, 2)):
+        survivor_mass, block_mass = masses[j][a - 1]
         scalars[f"success_probability_j{j}_target{a}"] = block_mass / survivor_mass
     return scalars
 
@@ -187,11 +193,13 @@ def _normalizers(bit_mass: np.ndarray) -> dict[str, float]:
 _STRIP_BYTES = 64 * 1024
 
 
-def _plogp(values: np.ndarray) -> np.ndarray:
-    if np.any(values < 0.0):
+def _plogp(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # fmin skips nan, so this is np.any(values < 0.0) in one pass
+    if np.fmin.reduce(values, axis=None, initial=np.inf) < 0.0:
         raise ValueError("density is negative at a quadrature node")
-    out = np.zeros_like(values)
-    np.log2(values, out=out, where=values > 0.0)
+    # 0 * log2 of the least normal double, 2**-1022, is exactly 0
+    out = np.maximum(values, 2.0**-1022, out=out)
+    np.log2(out, out=out)
     return np.multiply(values, out, out=out)
 
 
@@ -203,18 +211,19 @@ def _entropy(values: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _joint_entropy(left: np.ndarray, right: np.ndarray, mass: float, w: np.ndarray) -> float:
     """-sum w_i w_j p log2 p over the tensor grid for p = left @ right / mass.
 
-    p is formed a strip of rows at a time, so no n x n array is allocated.
-    einsum reduces each strip in a fixed order and the strips add up in
-    ascending order, so the result does not depend on any parallel
-    execution of the caller.
+    p is formed a strip of rows at a time in two reused buffers, so no
+    n x n array is allocated. Each row of p log2 p is reduced on its own, in
+    an order that does not depend on the strip, and the row sums are added
+    once at the end, so the result is that of the whole grid bit for bit.
     """
-    rows = max(1, _STRIP_BYTES // right[0].nbytes)
-    total = 0.0
+    rows = min(len(left), max(1, _STRIP_BYTES // right[0].nbytes))
+    left = left / mass
+    strip, plogp = np.empty((rows, len(w))), np.empty((rows, len(w)))
+    row_sums = np.empty(len(left))
     for start in range(0, len(left), rows):
-        strip = left[start:start + rows] @ right
-        strip /= mass
-        total += np.einsum("i,j,ij->", w[start:start + rows], w, _plogp(strip))
-    return -float(total)
+        p = np.matmul(left[start:start + rows], right, out=strip[:len(left) - start])
+        np.einsum("ij,j->i", _plogp(p, out=plogp[:len(p)]), w, out=row_sums[start:start + rows])
+    return -float(np.sum(w * row_sums))
 
 
 def _with_gains(

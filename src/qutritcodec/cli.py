@@ -276,8 +276,8 @@ def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
 
 
 @main.command()
-# the cap bounds the run time, which grows as n^2 (node generation and the
-# report's encode-posterior strips, each ~0.2 s at 4096); memory grows only as n
+# the cap bounds the run time, which grows as n^2 (node generation ~0.15 s and
+# the report's encode-posterior strips ~0.08 s at 4096); memory grows only as n
 @click.option(
     "--nodes", type=click.IntRange(bayes.MIN_NODES, 4096), default=256, show_default=True,
     help="Quadrature nodes per axis of the gain report that the rows check.",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,12 @@ def posterior(mask, t1, t2, quad=QUAD):
     weight = sum(mask[b1, b2] * d1[b1] * d2[b2] for b1 in (0, 1) for b2 in (0, 1))
     m = bit_masses(quad)
     return weight / (m @ mask @ m)
+
+
+def zero_safe_plogp(values):
+    """p log2 p with 0 log 0 = 0, taking no log of zero."""
+    positive = values > 0.0
+    return np.where(positive, values * np.log2(np.where(positive, values, 1.0)), 0.0)
 
 
 def marginal(mask, qubit, theta, quad=QUAD):
@@ -230,6 +237,34 @@ class TestEntropy:
         with pytest.raises(ValueError, match="negative"):
             entropy(np.sin(QUAD.nodes()[0]) - 0.5)
 
+    def test_negative_joint_density_rejected(self):
+        x, w = QUAD.nodes()
+        with pytest.raises(ValueError, match="negative"):
+            bayes._joint_entropy((np.sin(x) - 0.5)[:, None], prior_theta(x)[None, :], 1.0, w)
+
+    def test_zeros_contribute_exactly_nothing(self):
+        x, w = QUAD.nodes()
+        holed = np.where(np.arange(len(x)) % 3 == 0, 0.0, prior_theta(x))
+        # two rank terms, of which the second is zero: p has zero rows and columns
+        left = np.stack([holed, np.zeros_like(x)], axis=1)
+        right = np.stack([holed, prior_theta(x)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert bayes._entropy(holed, w) == -np.sum(w * zero_safe_plogp(holed))
+            p = left @ right
+            reference = -np.sum(w * np.einsum("ij,j->i", zero_safe_plogp(p), w))
+            assert bayes._joint_entropy(left, right, 1.0, w) == reference
+
+    def test_subnormal_density_has_a_finite_entropy(self):
+        x, w = QUAD.nodes()
+        tiny = prior_theta(x)
+        tiny[::2] = (5e-324, 1e-310, 2.2e-308, 0.0) * (len(x) // 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.all(np.isfinite(bayes._plogp(tiny)))
+            assert math.isfinite(entropy(tiny))
+            assert math.isfinite(bayes._joint_entropy(tiny[:, None], tiny[None, :], 1.0, w))
+
 
 class TestAverageSuccess:
     def test_two_thirds_for_the_worked_case(self):
@@ -346,7 +381,8 @@ class TestGaussLegendreRule:
             assert abs(float(np.sum(weights * y ** (2 * k))) / exact - 1.0) <= 1e-14, k
 
 
-@pytest.mark.parametrize("nodes", (16, 100, 256, 300, 1024))  # 300: a ragged last strip
+# 300: a ragged last strip; 4096: strips of two rows
+@pytest.mark.parametrize("nodes", (16, 100, 256, 300, 1024, 4096))
 @pytest.mark.parametrize("outcome", range(4))
 def test_strip_entropy_equals_the_whole_grid_entropy(nodes, outcome):
     x, w = QuadratureSpec(nodes).nodes()
@@ -354,10 +390,10 @@ def test_strip_entropy_equals_the_whole_grid_entropy(nodes, outcome):
     mask = masks(outcome)[bayes._ENCODE]
     m = np.sum(w * densities, axis=1)
     mass = m @ mask @ m
-    joint = densities.T @ mask @ densities
-    joint /= mass
-    whole = float(-np.einsum("i,j,ij->", w, w, bayes._plogp(joint)))
-    assert bayes._joint_entropy(densities.T @ mask, densities, mass, w) == whole
+    left = densities.T @ mask
+    # the strips' arithmetic on the whole n x n grid at once
+    row_sums = np.einsum("ij,j->i", bayes._plogp((left / mass) @ densities), w)
+    assert bayes._joint_entropy(left, densities, mass, w) == -float(np.sum(w * row_sums))
 
 
 @pytest.mark.parametrize("outcome", range(4))
@@ -400,6 +436,15 @@ def test_a_cold_report_at_the_largest_cli_nodes_stays_small():
     bayes._gauss_legendre.cache_clear()
     peak = _traced_peak(lambda: gain_report(QuadratureSpec(4096)))
     assert peak < 16 * 2**20
+
+
+def test_joint_entropy_at_the_largest_cli_nodes_allocates_no_grid_array():
+    # the whole 4096 x 4096 posterior would take 128 MiB
+    x, w = QuadratureSpec(4096).nodes()
+    densities = bayes._bit_densities(x)
+    left = densities.T @ masks()[bayes._ENCODE]
+    peak = _traced_peak(lambda: bayes._joint_entropy(left, densities, 1.0, w))
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
