@@ -48,7 +48,6 @@ from .states import (
     BlochAngles,
     PureState,
     make_qubit_state,
-    project,
     sample_complete_measurement,
 )
 
@@ -212,7 +211,9 @@ def decode(
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
     success_levels, _ = decode_levels(outcome, target)
-    p_success, collapsed = project(qutrit, success_levels)
-    if u < p_success and collapsed is not None:
-        return p_success, PureState(collapsed.amplitudes[list(success_levels)])
+    # `project`'s arithmetic on the two levels, without its collapsed qutrit
+    kept = qutrit.amplitudes[list(success_levels)]
+    p_success = float(np.sum(np.abs(kept) ** 2))
+    if u < p_success and p_success > NULL_BRANCH_EPS:
+        return p_success, PureState(kept / math.sqrt(p_success))
     return p_success, None

@@ -37,6 +37,12 @@ def make_row(
     document fields; rounded first so the stored pass flag matches the numbers."""
     if source not in ROW_SOURCES:
         raise ValueError(f"source must be one of {ROW_SOURCES}, got {source!r}")
+    if reference == 0.0 and tolerance > 0.0:
+        # a cancellation's residue is rounding whose last bit varies with the
+        # BLAS kernel; multiples of 1e-3 x tolerance still show a real
+        # deviation (+ 0.0 turns -0.0 into 0.0)
+        quantum = 1e-3 * tolerance
+        computed = round(computed / quantum, 0) * quantum + 0.0
     computed, reference, tolerance = (round_sig(v) for v in (computed, reference, tolerance))
     passed = abs(computed - reference) <= tolerance
     return dict(zip(_ROW_FIELDS, (name, computed, reference, tolerance, source, passed)))

@@ -322,6 +322,18 @@ def test_exact_rows_hold_at_every_node_count():
     assert margin >= 5.0
 
 
+def test_zero_reference_rows_print_zero_at_every_node_count():
+    # the cancellation's residue depends on the grid and the BLAS kernel
+    printed = {
+        (n, row["name"]): row["computed"]
+        for n in range(bayes.MIN_NODES, 301)
+        for row in cli_module._verify_rows(bayes.gain_report(bayes.QuadratureSpec(n)))
+        if row["source"] == "identity" and row["reference"] == 0.0
+    }
+    assert len(printed) == 301 - bayes.MIN_NODES
+    assert {key: value for key, value in printed.items() if value != 0.0} == {}
+
+
 class TestVerify:
     def test_exit_code_and_overall_pass(self, verify_result):
         assert verify_result.exit_code == 0

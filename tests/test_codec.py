@@ -327,6 +327,26 @@ def test_decode_is_the_two_outcome_measurement(qutrit, outcome, target, u):
         assert decode(qutrit, outcome, target, p_success)[1] is None
 
 
+@given(unit_states(dims=(3,)))
+@settings(max_examples=300, deadline=None)
+def test_decode_is_project_bit_for_bit(qutrit):
+    # decode reads its two levels itself; `project` is the arithmetic it keeps
+    largest_u = math.nextafter(1.0, 0.0)
+    for outcome in range(4):
+        for target in (1, 2):
+            levels, _ = decode_levels(outcome, target)
+            probability, collapsed = project(qutrit, levels)
+            below = min(max(math.nextafter(probability, 0.0), 0.0), largest_u)
+            for u in (below, min(probability, largest_u)):
+                p_success, reconstructed = decode(qutrit, outcome, target, u)
+                assert p_success == probability
+                if u < probability and collapsed is not None:
+                    expected = collapsed.amplitudes[list(levels)]
+                    assert reconstructed.amplitudes.tobytes() == expected.tobytes()
+                else:
+                    assert reconstructed is None
+
+
 class TestConditionalSuccess:
     def test_worked_value(self):
         value = conditional_success_probability(

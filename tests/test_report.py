@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -43,6 +44,16 @@ class TestRows:
     def test_fail_flag(self):
         row = make_row("x", 1.1, 1.0, 1e-3, "paper")
         assert not row["pass"]
+
+    def test_zero_reference_rounds_to_a_thousandth_of_the_tolerance(self):
+        # a cancellation's last-bit residue prints 0, a real deviation its digits
+        for residue in (2.220446049250313e-16, -2.220446049250313e-16):
+            row = make_row("x", residue, 0.0, 1e-9, "identity")
+            assert str(row["computed"]) == "0.0" and row["pass"]
+        assert make_row("x", 1.234567891e-10, 0.0, 1e-9, "identity")["computed"] == 1.23e-10
+        assert not make_row("x", -2.5e-9, 0.0, 1e-9, "identity")["pass"]
+        assert math.isnan(make_row("x", math.nan, 0.0, 1e-9, "identity")["computed"])
+        assert make_row("x", 1e-20, 0.0, 0.0, "identity")["computed"] == 1e-20
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
