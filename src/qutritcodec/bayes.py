@@ -14,10 +14,10 @@ cos^2(theta/2) or sin^2(theta/2). With the per-bit densities
 d[bit](theta) = (bit factor) * prior(theta) and their masses m, a kept set
 is a 2 x 2 mask K over (b1, b2) and its posterior d.T @ K @ d / (m @ K @ m);
 integrating one qubit out leaves (K @ m) @ d or (m @ K) @ d. Every
-normalizer and marginal thus comes from one stack of masks per (outcome,
-target). Only the encode posterior's joint entropy does not separate; a
-gain report forms that rank-2 posterior in strips of rows, with one log per
-node pair and no n x n array, and reduces each row on its own.
+normalizer and marginal comes from one read-only mask table over the eight
+(outcome, target) pairs, built at import. Only the encode posterior's joint
+entropy does not separate; a report forms that rank-2 posterior in strips of
+rows, one log per node pair and no n x n array, and sums each row alone.
 
 Gain conventions: the "encoding gain" compares the joint prior with the
 posterior after observing an encoding outcome; marginal gains do the same
@@ -30,7 +30,6 @@ posterior after a successful or failed decoding.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -137,9 +136,8 @@ def _bit_densities(theta) -> np.ndarray:
 _PRIOR, _ENCODE, _SUCCESS, _FAILURE, _READ_0, _READ_1 = range(6)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _kept_masks(outcome: int, target: int) -> np.ndarray:
-    """Read-only stack of 2 x 2 indicator masks [b1, b2] of the kept sets of
+    """Stack of 2 x 2 indicator masks [b1, b2] of the kept sets of
     (outcome, target): the prior, the encode posterior, a successful decode,
     a failed decode, and qubit 1 measured as 0 and as 1."""
     survived = survivors(outcome)
@@ -151,8 +149,12 @@ def _kept_masks(outcome: int, target: int) -> np.ndarray:
         b1, b2 = qubit_bit(k, 1), qubit_bit(k, 2)
         # which kept sets, in row order, hold register index k
         masks[:, b1, b2] = (True, k in survived, k in block, k == failed, b1 == 0, b1 == 1)
-    masks.setflags(write=False)
     return masks
+
+
+# read-only table [outcome, target - 1, row, b1, b2] of every pair's kept sets
+_MASKS = np.stack([[_kept_masks(j, a) for a in (1, 2)] for j in range(4)])
+_MASKS.setflags(write=False)
 
 
 def _marginals(masks: np.ndarray, bit_mass: np.ndarray, densities: np.ndarray):
@@ -161,30 +163,6 @@ def _marginals(masks: np.ndarray, bit_mass: np.ndarray, densities: np.ndarray):
     mass = masks @ bit_mass @ bit_mass
     coefficients = np.concatenate([masks @ bit_mass, bit_mass @ masks])
     return mass, coefficients @ densities / np.tile(mass, 2)[:, None]
-
-
-@functools.lru_cache(maxsize=None)
-def _normalizer_masks() -> np.ndarray:
-    """Read-only stack [j, a - 1] of the survivors' and intact block's masks."""
-    masks = np.stack([[_kept_masks(j, a)[[_ENCODE, _SUCCESS]] for a in (1, 2)] for j in range(4)])
-    masks.setflags(write=False)
-    return masks
-
-
-def _normalizers(bit_mass: np.ndarray) -> dict[str, float]:
-    """Outcome priors `outcome_prior_{j}` and average success probabilities
-    `success_probability_j{j}_target{a}`, by name, from the two bit masses.
-
-    Outcome j has likelihood (1 - |c_j|^2) / 3, the survivors' weight over
-    3, and given j decoding succeeds with the intact block's share of the
-    survivors' weight, so both are ratios of kept masses.
-    """
-    masses = (_normalizer_masks() @ bit_mass @ bit_mass).tolist()
-    scalars = {f"outcome_prior_{j}": masses[j][0][0] / 3.0 for j in range(4)}
-    for j, a in itertools.product(range(4), (1, 2)):
-        survivor_mass, block_mass = masses[j][a - 1]
-        scalars[f"success_probability_j{j}_target{a}"] = block_mass / survivor_mass
-    return scalars
 
 
 # Bytes per strip of the encode posterior. A strip this small is served from
@@ -226,11 +204,14 @@ def _joint_entropy(left: np.ndarray, right: np.ndarray, mass: float, w: np.ndarr
     return -float(np.sum(w * row_sums))
 
 
-def _with_gains(
-    scalars: dict[str, float], encoding, marginal, decode, failure, direct
-) -> dict[str, float]:
-    """Add the gains to `scalars` under their report names, each qubit's
-    success and failure totals with them."""
+def _with_gains(priors, success, encoding, marginal, decode, failure, direct) -> dict[str, float]:
+    """Every scalar of a report under its name, from the outcome priors, the
+    success probabilities [j][a - 1] and the gains; each qubit's success and
+    failure totals come with its gains."""
+    scalars = {f"outcome_prior_{j}": p for j, p in enumerate(priors)}
+    for j, row in enumerate(success):
+        for a, p in zip((1, 2), row):
+            scalars[f"success_probability_j{j}_target{a}"] = p
     scalars["encoding_gain"] = encoding
     for a, m, d, f in zip((1, 2), marginal, decode, failure):
         scalars[f"marginal_encoding_gain_q{a}"] = m
@@ -264,11 +245,17 @@ def gain_report(
     # accepted only while bench/run.py passes check_convergence=False
     if check_convergence:
         raise TypeError("node doubling is gone; compare with exact_report()")
+    _check_outcome(outcome)
+    _check_target(target)
     x, w = quad.nodes()
     densities = _bit_densities(x)
     # prior mass of cos^2(theta/2) and sin^2(theta/2)
     bit_mass = np.sum(w * densities, axis=1)
-    masks = _kept_masks(outcome, target)
+    # Outcome j has likelihood (1 - |c_j|^2) / 3, the survivors' weight over
+    # 3, and given j decoding succeeds with the intact block's share of the
+    # survivors' weight, so both are ratios of kept masses.
+    masses = _MASKS @ bit_mass @ bit_mass
+    masks = _MASKS[operator.index(outcome), target - 1]
     mass, marginals = _marginals(masks, bit_mass, densities)
     # rows [mask, qubit - 1]; measuring qubit 1 leaves qubit 2 at its prior
     (h_prior, _), h_posterior, h_success, h_failure, (h_zero, _), (h_one, _) = (
@@ -279,7 +266,8 @@ def gain_report(
     h_joint = _joint_entropy(densities.T @ masks[_ENCODE], densities, mass[_ENCODE], w)
     p_zero, p_one = (mass[[_READ_0, _READ_1]] / mass[_PRIOR]).tolist()
     return _with_gains(
-        _normalizers(bit_mass),
+        (masses[:, 0, _ENCODE] / 3.0).tolist(),
+        (masses[..., _SUCCESS] / masses[..., _ENCODE]).tolist(),
         encoding=2.0 * h_prior - h_joint,
         marginal=[h_prior - h for h in h_posterior],
         decode=[h - h_s for h, h_s in zip(h_posterior, h_success)],
@@ -304,11 +292,9 @@ def exact_report(outcome: int = 0, target: int = 1) -> dict[str, float]:
     m = 4.0 / 3.0 * math.log(4.0 / 3.0) - math.log(2.0 / 3.0) / 3.0 - 0.5
     marginal = m / ln2
     informative = (ln2 - 0.5 - m) / ln2
-    scalars = {f"outcome_prior_{j}": 0.25 for j in range(4)}
-    for j, a in itertools.product(range(4), (1, 2)):
-        scalars[f"success_probability_j{j}_target{a}"] = 2.0 / 3.0
     return _with_gains(
-        scalars,
+        [0.25] * 4,
+        [[2.0 / 3.0] * 2] * 4,
         encoding=(math.pi**2 / 9.0 - 4.0 / 3.0 + math.log(4.0 / 3.0)) / ln2,
         marginal=[marginal, marginal],
         decode=[-marginal if a == target else informative for a in (1, 2)],

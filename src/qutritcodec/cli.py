@@ -295,7 +295,3 @@ def verify(nodes, trials, seed, fmt, out) -> None:
     rows = _verify_rows(report)
     rows.extend(_mc_rows(montecarlo.run_trials(trials, seed, "always-1")))
     _emit(document("verify", params, rows=rows), fmt, out)
-
-
-if __name__ == "__main__":
-    main()

@@ -86,11 +86,6 @@ def make_qubit_state(angles: BlochAngles) -> PureState:
     )
 
 
-def _require_same_dim(dim_a: int, dim_b: int, what: str) -> None:
-    if dim_a != dim_b:
-        raise ValueError(f"dimension mismatch in {what}: {dim_a} vs {dim_b}")
-
-
 def project(
     state: PureState, levels: Iterable[int]
 ) -> tuple[float, PureState | None]:
@@ -139,5 +134,6 @@ def sample_complete_measurement(weights: Sequence[float], u: float) -> int:
 
 def fidelity(a: PureState, b: PureState) -> float:
     """Squared overlap |<a|b>|^2 between two pure states."""
-    _require_same_dim(a.dim, b.dim, "fidelity")
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch in fidelity: {a.dim} vs {b.dim}")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

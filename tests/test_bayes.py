@@ -53,7 +53,7 @@ def bit_masses(quad=QUAD):
 # outcome keeps its survivors, a successful decode the intact block and a
 # failed one the remaining survivor; reading qubit 1 keeps its bit's indices.
 def masks(outcome=0, target=1):
-    return bayes._kept_masks(outcome, target)
+    return bayes._MASKS[outcome, target - 1]
 
 
 def posterior(mask, t1, t2, quad=QUAD):
@@ -400,7 +400,7 @@ def test_strip_entropy_equals_the_whole_grid_entropy(nodes, outcome):
 @pytest.mark.parametrize("target", (1, 2))
 def test_kept_set_table_identities(outcome, target):
     table = masks(outcome, target)
-    assert table is masks(outcome, target) and not table.flags.writeable
+    assert not table.flags.writeable
     prior, encode, success, failure, read_0, read_1 = table
     assert np.array_equal(success + failure, encode)
     assert not np.any(success * failure)
@@ -537,7 +537,6 @@ def test_argument_checks_do_not_depend_on_cache_history():
     # 1.0 == 1 with the same hash, so an untyped cache warmed at (1, 1)
     # would answer (1.0, 1) without running the checks
     decode_levels.cache_clear()
-    bayes._kept_masks.cache_clear()
     quad = QuadratureSpec(16)
     calls = (decode_levels, lambda j, a: gain_report(quad, j, a), exact_report)
     for warm in (False, True):
@@ -549,7 +548,8 @@ def test_argument_checks_do_not_depend_on_cache_history():
                     with pytest.raises(TypeError):
                         call(outcome, target)
     for call in calls:
-        assert call(np.int64(1), np.int64(1)) == call(1, 1)
+        for one in (np.int64(1), True):
+            assert call(one, one) == call(1, 1)
 
 
 def test_node_doubling_check_is_gone():

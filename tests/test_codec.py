@@ -298,6 +298,12 @@ class TestDecode:
         assert reconstructed is None
         assert p_success == pytest.approx(2 / 3, abs=1e-15)
 
+    def test_u_out_of_range(self):
+        qutrit = PureState(np.full(3, INV_SQRT3))
+        for u in (1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+                decode(qutrit, 0, 1, u)
+
     def test_both_targets_from_one_record(self, rng):
         # decoding takes only the stored qutrit, outcome, and target
         pair = random_pair(rng)
@@ -438,6 +444,12 @@ class TestRecords:
         joint = joint_state(pair_of(0, 0, 0, 0))
         with pytest.raises(ValueError, match="qutrit"):
             EncodeRecord(outcome=0, weights=(0.5, 0.5, 0.0, 0.0), qutrit=None, joint=joint)
+
+    def test_encode_record_rejects_a_probability_out_of_range(self):
+        qutrit = PureState(np.array([1.0, 0.0, 0.0]))
+        joint = joint_state(pair_of(0, 0, 0, 0))
+        with pytest.raises(ValueError, match="probability out of range"):
+            EncodeRecord(outcome=0, weights=(1.5, 0, 0, 0), qutrit=qutrit, joint=joint)
 
     def test_encode_record_requires_a_four_level_joint_state(self):
         qutrit = PureState(np.array([1.0, 0.0, 0.0]))

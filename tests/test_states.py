@@ -235,7 +235,7 @@ class TestOverlap:
         assert fidelity(PureState(np.array([1.0, 0.0])), PureState(np.array([0.0, 1.0]))) < 1 - 1e-9
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension mismatch in fidelity: 2 vs 3"):
             fidelity(PureState(np.array([1.0, 0.0])), PureState(np.array([1.0, 0, 0])))
 
 
