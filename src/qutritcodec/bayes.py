@@ -245,8 +245,7 @@ def gain_report(
     # accepted only while bench/run.py passes check_convergence=False
     if check_convergence:
         raise TypeError("node doubling is gone; compare with exact_report()")
-    _check_outcome(outcome)
-    _check_target(target)
+    masks = _MASKS[_check_outcome(outcome), _check_target(target) - 1]
     x, w = quad.nodes()
     densities = _bit_densities(x)
     # prior mass of cos^2(theta/2) and sin^2(theta/2)
@@ -255,7 +254,6 @@ def gain_report(
     # 3, and given j decoding succeeds with the intact block's share of the
     # survivors' weight, so both are ratios of kept masses.
     masses = _MASKS @ bit_mass @ bit_mass
-    masks = _MASKS[operator.index(outcome), target - 1]
     mass, marginals = _marginals(masks, bit_mass, densities)
     # rows [mask, qubit - 1]; measuring qubit 1 leaves qubit 2 at its prior
     (h_prior, _), h_posterior, h_success, h_failure, (h_zero, _), (h_one, _) = (
@@ -287,7 +285,7 @@ def exact_report(outcome: int = 0, target: int = 1) -> dict[str, float]:
     failed one tells both. The outcome does not matter.
     """
     _check_outcome(outcome)
-    _check_target(target)
+    target = _check_target(target)
     ln2 = math.log(2.0)
     m = 4.0 / 3.0 * math.log(4.0 / 3.0) - math.log(2.0 / 3.0) / 3.0 - 0.5
     marginal = m / ln2

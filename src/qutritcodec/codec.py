@@ -36,7 +36,6 @@ outcomes, so the sum is 2/3 for any angles.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -70,29 +69,28 @@ def qubit_bit(index, target: int):
     return (index >> (target - 1)) & 1
 
 
-# operator.index rejects 1.0, which would share the caches' entries for 1
 def _check_outcome(outcome: int) -> int:
-    if operator.index(outcome) not in (0, 1, 2, 3):
+    if (checked := operator.index(outcome)) not in (0, 1, 2, 3):
         raise ValueError(f"outcome must be one of 0..3, got {outcome!r}")
-    return outcome
+    return checked
 
 
 def _check_target(target: int) -> int:
-    if operator.index(target) not in (1, 2):
+    if (checked := operator.index(target)) not in (1, 2):
         raise ValueError(f"target qubit must be 1 or 2, got {target!r}")
-    return target
+    return checked
 
 
 def survivors(outcome: int) -> tuple[int, int, int]:
     """Register indices whose amplitudes outcome j leaves on qutrit levels 0, 1, 2."""
-    _check_outcome(outcome)
+    outcome = _check_outcome(outcome)
     return tuple((level + outcome + 1) % REGISTER_DIM for level in range(QUTRIT_DIM))
 
 
 def intact_block(outcome: int, target: int) -> tuple[int, int]:
     """The register-index pair for `target` that outcome j leaves untouched."""
     first, second = TARGET_BLOCKS[_check_target(target)]
-    return second if outcome in first else first
+    return second if _check_outcome(outcome) in first else first
 
 
 @dataclass(frozen=True)
@@ -180,20 +178,19 @@ def encode(pair: tuple[BlochAngles, BlochAngles], u: float) -> EncodeRecord:
     return EncodeRecord(outcome=outcome, weights=weights, qutrit=qutrit, joint=joint)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def decode_levels(outcome: int, target: int) -> tuple[tuple[int, int], int]:
     """Qutrit levels read as logical |0> and |1> when decoding `target`, and
-    the failure level; cached over the 8 (outcome, target) pairs.
+    the failure level.
 
     The success pair carries the block of `target` that the encoding outcome
     left intact, in the order of the target's bit in that index, so success
     reproduces the original qubit without any corrective rotation. The
-    failure level carries the remaining survivor, j's partner in the damaged
-    block.
+    failure level is the third, which carries the remaining survivor, j's
+    partner in the damaged block.
     """
     kept = survivors(outcome)
     low, high = (kept.index(k) for k in intact_block(outcome, target))
-    return (low, high), kept.index(outcome ^ (1 << (target - 1)))
+    return (low, high), 3 - low - high
 
 
 def decode(
@@ -210,6 +207,8 @@ def decode(
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u!r}")
+    if qutrit.dim != QUTRIT_DIM:
+        raise ValueError(f"decode needs a qutrit, got a {qutrit.dim}-level state")
     success_levels, _ = decode_levels(outcome, target)
     # `project`'s arithmetic on the two levels, without its collapsed qutrit
     kept = qutrit.amplitudes[list(success_levels)]

@@ -22,6 +22,7 @@ from qutritcodec import (
     joint_state,
     prior_theta,
 )
+from qutritcodec import codec
 from conftest import (
     likelihood, random_pair, reference_gauss_legendre, reference_report_scalars,
 )
@@ -536,9 +537,10 @@ def test_exact_report_validates_its_arguments():
 def test_argument_checks_do_not_depend_on_cache_history():
     # 1.0 == 1 with the same hash, so an untyped cache warmed at (1, 1)
     # would answer (1.0, 1) without running the checks
-    decode_levels.cache_clear()
     quad = QuadratureSpec(16)
-    calls = (decode_levels, lambda j, a: gain_report(quad, j, a), exact_report)
+    calls = (
+        decode_levels, codec.intact_block, lambda j, a: gain_report(quad, j, a), exact_report
+    )
     for warm in (False, True):
         for call in calls:
             if warm:

@@ -96,7 +96,13 @@ class TestEncodingProjectors:
 
     def test_out_of_range(self):
         pair = pair_of(1.0, 0, 2.0, 0)
-        for call in (lambda: encode_branch(pair, 4), lambda: decode_levels(4, 1)):
+        calls = (
+            lambda: encode_branch(pair, 4),
+            lambda: decode_levels(4, 1),
+            lambda: codec.intact_block(4, 1),
+            lambda: codec.intact_block(-1, 2),
+        )
+        for call in calls:
             with pytest.raises(ValueError, match="outcome"):
                 call()
 
@@ -251,15 +257,17 @@ class TestDecodeProjectors:
                 assert [(k >> (target - 1)) & 1 for k in index] == [0, 1]
 
     def test_invalid_arguments(self):
-        # a cached function must raise on every call, not only on the first
         for _ in range(2):
             with pytest.raises(ValueError):
                 decode_levels(5, 1)
             with pytest.raises(ValueError):
                 decode_levels(0, 3)
 
-    def test_levels_are_computed_once_per_pair(self):
-        assert decode_levels(2, 1) is decode_levels(2, 1)
+    def test_rules_compute_from_plain_ints(self):
+        for one in (np.int64(1), True):
+            for indices in (codec.survivors(one), codec.intact_block(one, one)):
+                assert all(type(k) is int for k in indices)
+            assert codec.survivors(one) == codec.survivors(1)
 
 
 class TestDecodeBranch:
@@ -303,6 +311,11 @@ class TestDecode:
         for u in (1.0, -1e-300, math.nan, math.inf):
             with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
                 decode(qutrit, 0, 1, u)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rejects_a_state_that_is_not_a_qutrit(self, dim):
+        with pytest.raises(ValueError, match=f"got a {dim}-level state"):
+            decode(PureState(np.eye(dim)[0]), 0, 1, 0.5)
 
     def test_both_targets_from_one_record(self, rng):
         # decoding takes only the stored qutrit, outcome, and target
