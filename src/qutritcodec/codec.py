@@ -53,15 +53,6 @@ from .states import (
 QUTRIT_DIM = 3
 REGISTER_DIM = 4
 
-# Register-index pairs that differ only in the chosen qubit's bit, the member
-# with that bit 0 first. To read qubit `a` out of the register one needs both
-# members of a block; losing one index therefore damages exactly one block
-# per target.
-TARGET_BLOCKS: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {
-    1: ((0, 1), (2, 3)),
-    2: ((0, 2), (1, 3)),
-}
-
 
 def qubit_bit(index, target: int):
     """Bit of qubit `target` (1 or 2) inside register index k = b1 + 2*b2;
@@ -88,9 +79,15 @@ def survivors(outcome: int) -> tuple[int, int, int]:
 
 
 def intact_block(outcome: int, target: int) -> tuple[int, int]:
-    """The register-index pair for `target` that outcome j leaves untouched."""
-    first, second = TARGET_BLOCKS[_check_target(target)]
-    return second if _check_outcome(outcome) in first else first
+    """The register-index pair for `target` that outcome j leaves untouched,
+    target bit 0 first.
+
+    A block's two indices differ only in the target's bit; decoding needs
+    both. Outcome j removes index j, so the intact block flips j's other bit.
+    """
+    bit = 1 << (_check_target(target) - 1)
+    low = (REGISTER_DIM - 1) & ~(_check_outcome(outcome) | bit)
+    return low, low | bit
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ Carlo kernel's preparations, brute-force quadrature checks the gain report,
 and an extended-precision Gauss-Legendre rule checks the report's
 quadrature weights.
 
-The pipeline is plain numpy index arithmetic and does not call the codec.
+The oracles import nothing from `qutritcodec.codec`. The pipeline is plain
+numpy index arithmetic, and `intact_pair` finds a decode's intact register
+pair by searching its definition instead of reading the codec's rule.
 Joint states of ancilla and register use the slow-first tensor layout,
 combined index = 4 * (ancilla level) + (register index), with register
 index k = b1 + 2*b2. Encoding outcome j projects onto the indices that tie
@@ -25,7 +27,6 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from qutritcodec import BlochAngles, PureState, make_qubit_state, project
-from qutritcodec.codec import intact_block, qubit_bit
 from qutritcodec.states import NULL_BRANCH_EPS
 
 # the relabeling permutation: joint index k moves to RELABEL[k]
@@ -136,6 +137,14 @@ def pipeline_encode(pair: tuple[BlochAngles, BlochAngles], outcome: int):
     return probability, PureState(relabeled[(outcome + 1) % 4 :: 4])
 
 
+def intact_pair(outcome: int, target: int) -> tuple[int, int]:
+    """The register pair (k, k | bit) that differs only in `target`'s bit, with
+    that bit 0 in k, and does not hold the index j that outcome j removes."""
+    bit = 1 << (target - 1)
+    (pair,) = [(k, k | bit) for k in range(4) if not k & bit and outcome not in (k, k | bit)]
+    return pair
+
+
 def conditional_success_probability(
     pair: tuple[BlochAngles, BlochAngles], outcome: int, target: int
 ) -> float:
@@ -152,7 +161,7 @@ def conditional_success_probability(
             f"outcome {outcome} cannot occur for this preparation; "
             "conditional success probability is undefined"
         )
-    return float(sum(weights[k] for k in intact_block(outcome, target)) / denominator)
+    return float(sum(weights[k] for k in intact_pair(outcome, target)) / denominator)
 
 
 def sample_bloch(u1: float, u2: float) -> BlochAngles:
@@ -182,8 +191,8 @@ def bit_weight(bit: int, theta):
 
 
 def register_weight(k: int, t1, t2):
-    """|c_k|^2 at the given polar angles."""
-    return bit_weight(qubit_bit(k, 1), t1) * bit_weight(qubit_bit(k, 2), t2)
+    """|c_k|^2 at the given polar angles; qubit a owns bit (k >> (a - 1)) & 1."""
+    return bit_weight(k & 1, t1) * bit_weight((k >> 1) & 1, t2)
 
 
 def likelihood(outcome: int, t1, t2):
@@ -226,7 +235,7 @@ def reference_report_scalars(quad, outcome: int, target: int) -> dict[str, float
         return mass, lambda t1, t2: joint(t1, t2) / mass
 
     def conditional_success(j, a, t1, t2):
-        block = sum(register_weight(k, t1, t2) for k in intact_block(j, a))
+        block = sum(register_weight(k, t1, t2) for k in intact_pair(j, a))
         return block / (1.0 - register_weight(j, t1, t2))
 
     scalars: dict[str, float] = {}

@@ -257,11 +257,10 @@ class TestDecodeProjectors:
                 assert [(k >> (target - 1)) & 1 for k in index] == [0, 1]
 
     def test_invalid_arguments(self):
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                decode_levels(5, 1)
-            with pytest.raises(ValueError):
-                decode_levels(0, 3)
+        with pytest.raises(ValueError):
+            decode_levels(5, 1)
+        with pytest.raises(ValueError):
+            decode_levels(0, 3)
 
     def test_rules_compute_from_plain_ints(self):
         for one in (np.int64(1), True):

@@ -22,7 +22,7 @@ from qutritcodec import (
 from qutritcodec.codec import decode_levels, intact_block, qubit_bit, survivors
 from qutritcodec import montecarlo
 from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, _philox, _run_chunk
-from conftest import sample_bloch, unit_interval
+from conftest import intact_pair, sample_bloch, unit_interval
 
 
 class TestSampleBloch:
@@ -283,6 +283,7 @@ def test_intact_block_rows_put_the_low_target_bit_first():
             block = intact_block(outcome, target)
             assert qubit_bit(block[0], target) == 0
             assert qubit_bit(block[1], target) == 1
+            assert block == intact_pair(outcome, target)
 
 
 def test_codec_levels_and_the_kernel_table_read_one_relabeling_map():
