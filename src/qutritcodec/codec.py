@@ -46,7 +46,7 @@ from .states import (
     NULL_BRANCH_EPS,
     BlochAngles,
     PureState,
-    make_qubit_state,
+    _qubit_amplitudes,
     sample_complete_measurement,
 )
 
@@ -126,11 +126,10 @@ class EncodeRecord:
 
 def joint_state(pair: tuple[BlochAngles, BlochAngles]) -> PureState:
     """Product state of the two qubits on the four-level register."""
-    a1 = make_qubit_state(pair[0]).amplitudes
-    a2 = make_qubit_state(pair[1]).amplitudes
+    a1, a2 = _qubit_amplitudes(pair[0]), _qubit_amplitudes(pair[1])
     amps = np.array([a1[qubit_bit(k, 1)] * a2[qubit_bit(k, 2)] for k in range(REGISTER_DIM)])
     # The squared norm is a product of two unit norms; rounding keeps it
-    # within the construction tolerance.
+    # within the construction tolerance, which this one validation checks.
     return PureState(amps)
 
 

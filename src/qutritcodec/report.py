@@ -4,7 +4,8 @@ JSON is the normative format; CSV and Markdown render the same row model.
 Every number entering a document is rounded to SIG_DIGITS (12) significant
 digits first, so the pass flags stored in a document are consistent with the
 numbers a reader can see, and parsing an emitted JSON document reproduces it
-exactly.
+exactly. The JSON is json.dumps(doc, indent=2) byte for byte, from an
+emitter of its own, because json's C encoder skips an indented dump.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 SCHEMA_VERSION = "1"
@@ -43,20 +46,21 @@ def make_row(
         # deviation (+ 0.0 turns -0.0 into 0.0)
         quantum = 1e-3 * tolerance
         computed = round(computed / quantum, 0) * quantum + 0.0
-    computed, reference, tolerance = (round_sig(v) for v in (computed, reference, tolerance))
+    computed, reference, tolerance = map(round_sig, (computed, reference, tolerance))
     passed = abs(computed - reference) <= tolerance
-    return dict(zip(_ROW_FIELDS, (name, computed, reference, tolerance, source, passed)))
+    return {"name": name, "computed": computed, "reference": reference,
+            "tolerance": tolerance, "source": source, "pass": passed}
 
 
 def _rounded(value: Any) -> Any:
     """Round every float inside a JSON-like structure to SIG_DIGITS digits."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
+    kind = type(value)
+    # the exact types skip isinstance; a subclass, such as a numpy float, takes it
+    if kind is float or isinstance(value, float):
         return round_sig(value)
-    if isinstance(value, dict):
+    if kind is dict or isinstance(value, dict):
         return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple or isinstance(value, (list, tuple)):
         return [_rounded(v) for v in value]
     return value
 
@@ -97,8 +101,40 @@ def _format_number(value: Any) -> str:
     return str(value)
 
 
+def _emit(value: Any, indent: str, parts: list[str]) -> None:
+    """Append json.dumps(value, indent=2) nested at `indent`: json's C encoder
+    skips `indent`, so this walk prints a document's exact types itself and
+    leaves the rest (subclasses, non-str keys, non-finite floats, empty
+    containers, types json rejects) to json.dumps, re-indented."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        parts.append(float.__repr__(value))
+    elif kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif (kind is list or kind is tuple or kind is dict and {*map(type, value)} == {str}) and value:
+        inner = indent + "  "
+        separator = ",\n" + inner
+        parts.append(("{" if kind is dict else "[") + "\n" + inner)
+        for item in value:
+            if kind is dict:
+                parts.append(encode_basestring_ascii(item) + ": ")
+                item = value[item]
+            _emit(item, inner, parts)
+            parts.append(separator)
+        parts[-1] = "\n" + indent + ("}" if kind is dict else "]")  # replaces the last separator
+    else:
+        parts.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
+
+
 def to_json(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) and a newline, byte for byte."""
+    parts: list[str] = []
+    _emit(doc, "", parts)
+    return "".join(parts) + "\n"
 
 
 def _table(doc: dict[str, Any]) -> tuple[tuple[str, ...], list[list[str]]]:

@@ -78,12 +78,15 @@ class PureState:
         return self.amplitudes.size
 
 
+def _qubit_amplitudes(angles: BlochAngles) -> np.ndarray:
+    """(cos(theta/2), e^{i phi} sin(theta/2)), unvalidated: unit norm by construction."""
+    half = 0.5 * angles.theta
+    return np.array([math.cos(half), np.exp(1j * angles.phi) * math.sin(half)])
+
+
 def make_qubit_state(angles: BlochAngles) -> PureState:
     """Statevector (cos(theta/2), e^{i phi} sin(theta/2)) of one qubit."""
-    half = 0.5 * angles.theta
-    return PureState(
-        np.array([math.cos(half), np.exp(1j * angles.phi) * math.sin(half)])
-    )
+    return PureState(_qubit_amplitudes(angles))
 
 
 def project(

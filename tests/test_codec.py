@@ -70,6 +70,18 @@ class TestJointState:
             pair = random_pair(rng)
             np.testing.assert_allclose(joint_state(pair).amplitudes, register(pair), atol=1e-15)
 
+    @given(st.one_of(any_pairs(), near_pole_pairs()))
+    def test_amplitude_bytes_are_the_qubits_scalar_products(self, pair):
+        # np.kron's vectorized products round differently from these in some
+        # last bits, which would move printed documents
+        a1, a2 = (make_qubit_state(q).amplitudes for q in pair)
+        products = np.array([a1[0] * a2[0], a1[1] * a2[0], a1[0] * a2[1], a1[1] * a2[1]])
+        assert joint_state(pair).amplitudes.tobytes() == products.tobytes()
+        for q, amplitudes in zip(pair, (a1, a2)):
+            half = 0.5 * q.theta
+            formula = np.array([math.cos(half), np.exp(1j * q.phi) * math.sin(half)])
+            assert amplitudes.tobytes() == formula.tobytes()
+
 
 class TestAncilla:
     def test_uniform_levels(self):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import collections
+import enum
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qutritcodec.report import (
     amplitude_pairs,
@@ -129,3 +134,48 @@ class TestDocuments:
 
 def test_amplitude_pairs():
     assert amplitude_pairs([1 + 2j, -0.5j]) == [[1.0, 2.0], [0.0, -0.5]]
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+floats = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e15, 1e16])
+)
+# escapes, control characters, non-ASCII text and a lone surrogate
+texts = st.one_of(
+    st.text(), st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é", "\u2028", "😀", "\ud800"])
+)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**70), floats, texts,
+    # subclasses json prints by its own rules
+    st.just(Level.ONE), floats.map(np.float64),
+)
+# keys json converts to text as well as str keys
+keys = st.one_of(texts, st.integers(), floats, st.booleans(), st.none())
+json_like = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(texts, children),
+        st.dictionaries(texts, children).map(collections.OrderedDict),
+        st.dictionaries(keys, children),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonEmitter:
+    @given(json_like)
+    def test_prints_what_json_dumps_prints(self, value):
+        assert to_json(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [object(), np.int64(1)])
+    def test_raises_the_type_error_json_dumps_raises(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as raised:
+            to_json({"rows": [value]})
+        assert str(raised.value) == str(expected.value)
