@@ -1,14 +1,18 @@
 """Command-line front end: protocol traces, Monte Carlo batches, verification.
 
 Exit codes: 0 when every check passes (or a trace command completes),
-1 when a verification row fails, 2 for usage or validation errors. The
-status of a written document is decided only in `_emit`.
+1 when a verification row fails, 2 for usage or validation errors and for a
+document that stdout or `--out` cannot take, 3 when the forked half of a
+split Monte Carlo batch fails (no document is written then). The status of
+a written document is decided only in `_emit`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from typing import Any
 
 import click
@@ -23,6 +27,8 @@ IDENTITY_TOL = 1e-9
 EXACT_TOL = 1e-7
 MC_RATE_SIGMAS = 3.0
 MC_HISTOGRAM_SIGMAS = 3.5
+# 10^10 trials take about 15 minutes (0.9 s per 10^7 on two cores)
+MAX_TRIALS = 10**10
 
 # One verify row per entry: (name, report scalar, reference, tolerance,
 # source). A reference given as a string is another report scalar. The paper
@@ -105,11 +111,26 @@ def _output_options(fn):
     return fn
 
 
+class _UnwritableStdout(click.ClickException):
+    exit_code = 2
+
+
+class _WorkerFailed(click.ClickException):
+    exit_code = 3
+
+
 def _emit(doc: dict[str, Any], fmt: str, out: str | None) -> None:
-    """Write the document, then exit 1 if it holds a failing row."""
+    """Write the document, then exit 1 if it holds a failing row; exit 2 if
+    it cannot be written."""
     text = render(doc, fmt)
     if out is None:
-        click.echo(text, nl=False)
+        try:
+            click.echo(text, nl=False)
+        except OSError as error:  # a full device, a pipe its reader closed
+            # stdout still buffers the text, and the interpreter would fail
+            # again flushing it at exit: point it at the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise _UnwritableStdout(f"cannot write to stdout: {error.strerror}")
     else:
         try:
             with open(out, "w") as handle:
@@ -239,9 +260,16 @@ def _mc_rows(stats: montecarlo.TrialStats) -> list[dict[str, Any]]:
     return rows
 
 
+def _trial_stats(trials: int, seed: int, target_policy: str) -> montecarlo.TrialStats:
+    try:
+        return montecarlo.run_trials(trials, seed, target_policy)
+    except montecarlo.WorkerError as error:
+        raise _WorkerFailed(str(error))
+
+
 @main.command()
 @click.option(
-    "--trials", type=click.IntRange(min=1), default=1_000_000, show_default=True,
+    "--trials", type=click.IntRange(1, MAX_TRIALS), default=1_000_000, show_default=True,
     help="Number of Monte Carlo trials.",
 )
 @_seed_option
@@ -253,7 +281,7 @@ def _mc_rows(stats: montecarlo.TrialStats) -> list[dict[str, Any]]:
 @_output_options
 def mc(trials, seed, target_policy, fmt, out) -> None:
     """Run seeded Monte Carlo trials and compare with the closed forms."""
-    rows = _mc_rows(montecarlo.run_trials(trials, seed, target_policy))
+    rows = _mc_rows(_trial_stats(trials, seed, target_policy))
     params = {"trials": trials, "seed": seed, "target_policy": target_policy}
     _emit(document("mc", params, rows=rows), fmt, out)
 
@@ -283,7 +311,7 @@ def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
     help="Quadrature nodes per axis of the gain report that the rows check.",
 )
 @click.option(
-    "--trials", type=click.IntRange(min=1), default=1_000_000, show_default=True,
+    "--trials", type=click.IntRange(1, MAX_TRIALS), default=1_000_000, show_default=True,
     help="Monte Carlo trials for the statistical rows.",
 )
 @_seed_option
@@ -293,5 +321,5 @@ def verify(nodes, trials, seed, fmt, out) -> None:
     params = {"nodes": nodes, "trials": trials, "seed": seed}
     report = bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes))
     rows = _verify_rows(report)
-    rows.extend(_mc_rows(montecarlo.run_trials(trials, seed, "always-1")))
+    rows.extend(_mc_rows(_trial_stats(trials, seed, "always-1")))
     _emit(document("verify", params, rows=rows), fmt, out)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 import qutritcodec.bayes as bayes
 import qutritcodec.cli as cli_module
 import qutritcodec.codec as codec
+import qutritcodec.montecarlo as montecarlo
 from qutritcodec.cli import main
 from qutritcodec.report import amplitude_pairs, round_sig
 from qutritcodec.states import BlochAngles
@@ -242,6 +247,16 @@ class TestMc:
         doc = json.loads(result.output)
         assert doc["overall_pass"] is False
         assert [row["name"] for row in doc["rows"] if not row["pass"]] == ["mc_success_rate"]
+
+    @pytest.mark.parametrize("command", ["mc", "verify"])
+    def test_trials_are_capped_at_ten_to_the_ten(self, runner, monkeypatch, command):
+        stats = montecarlo.TrialStats(10**10, (0, 0, 0, 0), 0, None)
+        monkeypatch.setattr(cli_module.montecarlo, "run_trials", lambda *args: stats)
+        # accepted: the stub's batch has no success, so a row fails
+        assert runner.invoke(main, [command, "--trials", str(10**10)]).exit_code == 1
+        result = runner.invoke(main, [command, "--trials", str(10**10 + 1)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--trials'" in result.output
 
     def test_has_no_nodes_option(self, runner):
         result = runner.invoke(main, ["mc", "--nodes", "64"])
@@ -517,3 +532,48 @@ class TestFormatsAndOutput:
         trace = json.loads(result.output)["trace"]
         for probability in trace["outcome_probabilities"]:
             assert probability == float(f"{probability:.12g}")
+
+
+def _closed_pipe():
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    return open(write_fd, "w")
+
+
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return open("/dev/full", "w")
+
+
+UNWRITABLE = {"/dev/full": (_full_device, "No space left on device"),
+              "closed pipe": (_closed_pipe, "Broken pipe")}
+COMMANDS = [["demo"], ["mc", "--trials", "1000"], ["verify", "--trials", "1"]]
+
+
+@pytest.mark.parametrize("sink", UNWRITABLE)
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda args: args[0])
+def test_unwritable_stdout_exits_2_with_a_message(monkeypatch, capsys, sink, command):
+    # closing the sink flushes the text its buffer still holds, which must not fail again
+    opener, reason = UNWRITABLE[sink]
+    with opener() as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        with pytest.raises(SystemExit) as exited:
+            main(command)
+    assert exited.value.code == 2
+    assert capsys.readouterr().err == f"Error: cannot write to stdout: {reason}\n"
+
+
+@pytest.mark.parametrize("sink", UNWRITABLE)
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda args: args[0])
+def test_the_console_command_exits_2_when_stdout_fails(sink, command):
+    opener, reason = UNWRITABLE[sink]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with opener() as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "qutritcodec", *command], stdout=stdout,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+    assert result.returncode == 2
+    assert result.stderr == f"Error: cannot write to stdout: {reason}\n".encode()

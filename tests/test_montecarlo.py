@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +25,10 @@ from qutritcodec import (
 )
 from qutritcodec.codec import decode_levels, intact_block, qubit_bit, survivors
 from qutritcodec import montecarlo
-from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, _philox, _run_chunk
+from qutritcodec.cli import main
+from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, WorkerError, _philox, _run_chunk
 from conftest import intact_pair, sample_bloch, unit_interval
+from test_golden import CASES, _assert_pinned, _printed
 
 
 class TestSampleBloch:
@@ -196,6 +202,202 @@ def test_fidelity_row_catches_a_swapped_decode_level(monkeypatch, outcome, targe
     swapped[outcome, target - 1] = swapped[outcome, target - 1, ::-1]
     monkeypatch.setattr(montecarlo, "_INTACT", swapped)
     assert run_trials(*config).min_success_fidelity < 1 - 1e-12
+
+
+def count_forks(monkeypatch) -> list[float]:
+    """The times at which run_trials forks from now on."""
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(time.perf_counter())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+def split_small_batches(monkeypatch) -> None:
+    """Split every batch of 2 blocks of 999 trials or more."""
+    monkeypatch.setattr(montecarlo, "_KERNEL_TRIALS", 999)
+    monkeypatch.setattr(montecarlo, "_SPLIT_BLOCKS", 2)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[float]:
+    split_small_batches(monkeypatch)
+    return count_forks(monkeypatch)
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitBatches:
+    # 1998 trials are two whole blocks, 2997 three, and 4000 end in a block
+    # of 4; the child runs blocks [1, 2), [1, 3) and [2, 5)
+    @pytest.mark.parametrize("trials", [1998, 2997, 4000])
+    @pytest.mark.parametrize("policy", montecarlo.TARGET_POLICIES)
+    def test_the_split_gives_the_serial_stats(self, monkeypatch, policy, trials):
+        serial = run_trials(trials, 11, policy)
+        split_small_batches(monkeypatch)
+        forks = count_forks(monkeypatch)
+        assert run_trials(trials, 11, policy) == serial
+        assert len(forks) == 1
+        assert_no_child_is_left()
+
+    def test_forks_only_from_2_to_the_18_trials(self, monkeypatch):
+        forks = count_forks(monkeypatch)
+        # the halves' work is not what this counts
+        monkeypatch.setattr(montecarlo, "_run_range", lambda *args: (0, 0, 0, 0, 0, math.inf))
+        run_trials(2**18 - 1)
+        assert forks == []
+        run_trials(2**18)
+        assert len(forks) == 1
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("path", [p for p in CASES if p.stem.split("_")[0] in ("mc", "verify")],
+                             ids=lambda p: p.name)
+    def test_golden_documents_are_unchanged_when_split(self, monkeypatch, forks, path):
+        # 256-trial blocks split verify's 1000 trials too
+        monkeypatch.setattr(montecarlo, "_KERNEL_TRIALS", 256)
+        _assert_pinned(path, _printed(path))
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("head_min, tail_min, merged_min", [
+        (0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (math.inf, 0.5, 0.5), (0.5, math.inf, 0.5),
+        (math.inf, math.inf, None),
+    ])
+    def test_the_halves_records_are_merged(self, monkeypatch, forks, head_min, tail_min, merged_min):
+        def record(master_seed, policy, begin, end):
+            if begin == 0:
+                return (1, 2, 3, 4, 5, head_min)
+            return (10, 20, 30, 40, 50, tail_min)
+
+        monkeypatch.setattr(montecarlo, "_run_range", record)
+        assert run_trials(4000) == TrialStats(4000, (11, 22, 33, 44), 55, merged_min)
+        assert len(forks) == 1
+
+    def test_a_call_from_another_thread_stays_serial(self, forks):
+        results = []
+        worker = threading.Thread(target=lambda: results.append(run_trials(4000, 3, "random")))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert forks == []
+        assert results == [run_trials(4000, 3, "random")]
+        assert len(forks) == 1
+
+    def test_stays_serial_without_fork(self, monkeypatch):
+        serial = run_trials(4000, 3, "random")
+        monkeypatch.delattr(os, "fork")
+        split_small_batches(monkeypatch)
+        assert run_trials(4000, 3, "random") == serial
+
+    def test_a_failed_fork_runs_both_halves_here(self, monkeypatch):
+        serial = run_trials(4000, 3, "random")
+        split_small_batches(monkeypatch)
+
+        def failed_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failed_fork)
+        open_fds = os.listdir("/dev/fd")
+        assert run_trials(4000, 3, "random") == serial
+        assert os.listdir("/dev/fd") == open_fds
+
+
+def fail_in_child(monkeypatch):
+    """Make the upper half raise; only the forked child runs it."""
+    run_range = montecarlo._run_range
+
+    def faulty(master_seed, policy, begin, end):
+        if begin > 0:
+            raise MemoryError
+        return run_range(master_seed, policy, begin, end)
+
+    monkeypatch.setattr(montecarlo, "_run_range", faulty)
+
+
+class TestFailingHalves:
+    def test_a_failing_child_raises_with_its_exit_status(self, monkeypatch, forks):
+        fail_in_child(monkeypatch)
+        with pytest.raises(WorkerError, match="exited with status 1 after sending 0 of 48 bytes"):
+            run_trials(4000, 3, "random")
+        assert forks
+        assert_no_child_is_left()
+
+    def test_a_short_record_raises(self, monkeypatch, forks):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:-1]))
+        with pytest.raises(WorkerError, match="exited with status 0 after sending 47 of 48 bytes"):
+            run_trials(4000, 3, "random")
+        assert forks
+        assert_no_child_is_left()
+
+    def test_a_child_exiting_non_zero_after_its_record_raises(self, monkeypatch, forks):
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_(7))
+        with pytest.raises(WorkerError, match="exited with status 7 after sending 48 of 48 bytes"):
+            run_trials(4000, 3, "random")
+        assert forks
+        assert_no_child_is_left()
+
+    def test_an_interrupted_parent_kills_and_reaps_its_child(self, monkeypatch, forks):
+        def stuck_child(master_seed, policy, begin, end):
+            if begin > 0:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(montecarlo, "_run_range", stuck_child)
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(4000, 3, "random")
+        # the child was killed, not waited for
+        assert time.perf_counter() - forks[0] < 30
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("command", ["mc", "verify"])
+    def test_the_cli_exits_3_with_no_document(self, monkeypatch, forks, command):
+        fail_in_child(monkeypatch)
+        result = CliRunner().invoke(main, [command, "--trials", "4000"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("Error: Monte Carlo worker process exited with status 1")
+        assert result.stderr.count("\n") == 1
+        assert forks
+        assert_no_child_is_left()
+
+
+class _Exited(Exception):
+    """Stands in for the child's os._exit."""
+
+
+def test_the_child_branch_sends_the_upper_half_and_exits_0(monkeypatch):
+    # the child's lines, run in this process where a line tracer sees them
+    pipes = []
+    pipe = os.pipe
+
+    def kept_pipe():
+        read_fd, write_fd = pipe()
+        pipes.append((os.dup(read_fd), write_fd))
+        return read_fd, write_fd
+
+    def exit_(status):
+        raise _Exited(status)
+
+    monkeypatch.setattr(os, "pipe", kept_pipe)
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "_exit", exit_)
+    split_small_batches(monkeypatch)
+    with pytest.raises(_Exited) as exited:
+        run_trials(4000, 3, "random")
+    ((read_fd, write_fd),) = pipes
+    os.close(write_fd)
+    with open(read_fd, "rb") as reader:
+        record = montecarlo._RECORD.unpack(reader.read())
+    assert exited.value.args == (0,)
+    assert record == montecarlo._run_range(3, "random", 1998, 4000)
 
 
 # run_trials(10**6) counts recorded with a complex-amplitude kernel that
