@@ -27,7 +27,7 @@ IDENTITY_TOL = 1e-9
 EXACT_TOL = 1e-7
 MC_RATE_SIGMAS = 3.0
 MC_HISTOGRAM_SIGMAS = 3.5
-# 10^10 trials take about 15 minutes (0.9 s per 10^7 on two cores)
+# 10^10 trials take about 13 minutes (0.75 s per 10^7 on two cores)
 MAX_TRIALS = 10**10
 
 # One verify row per entry: (name, report scalar, reference, tolerance,
@@ -129,7 +129,9 @@ def _emit(doc: dict[str, Any], fmt: str, out: str | None) -> None:
         except OSError as error:  # a full device, a pipe its reader closed
             # stdout still buffers the text, and the interpreter would fail
             # again flushing it at exit: point it at the null device
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
             raise _UnwritableStdout(f"cannot write to stdout: {error.strerror}")
     else:
         try:

@@ -18,7 +18,8 @@ layout per trial:
 Statistics use only real products of the exact per-qubit weights 1 - u
 and u. One table of intact blocks both decides success and, target bit 0
 first, names the register indices that a successful decode reads as
-logical |0> and |1>.
+logical |0> and |1>; the two differ only in the target's bit, so the
+fidelity needs no azimuth uniform, though every trial still draws both.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import intact_block, qubit_bit
+from .codec import intact_block
 
 UNIFORMS_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = UNIFORMS_PER_TRIAL // 4  # Philox yields 4 values per block
@@ -107,9 +108,10 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
     cumulative = survivors[:3] / 3.0
     cumulative[1] += cumulative[0]
     cumulative[2] += cumulative[1]
-    # the first outcome whose cumulative weight exceeds u; an outcome with
-    # no surviving weight adds nothing to the cumulative and is never chosen
-    outcome = np.count_nonzero(cumulative <= u[:, 4], axis=0)
+    # the first outcome whose cumulative weight exceeds u is the count of those
+    # at or below u; an outcome with no surviving weight is never chosen
+    outcome = np.add(cumulative[0] <= u[:, 4], cumulative[1] <= u[:, 4], dtype=np.intp)
+    outcome += cumulative[2] <= u[:, 4]
 
     target = _targets(policy, start, count, u[:, 5])
 
@@ -119,25 +121,18 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
     rows = np.arange(count)
     flat_w = weights.ravel()
     lo, hi = np.take(_INTACT.reshape(8, 2), key, axis=0).T
-    block_weight = flat_w[lo * count + rows] + flat_w[hi * count + rows]
+    w_lo, w_hi = flat_w[lo * count + rows], flat_w[hi * count + rows]
+    block_weight = w_lo + w_hi
     success = u[:, 6] < block_weight / survivors.ravel()[outcome * count + rows]
 
-    # Fidelity with the target qubit, in closed form on the amplitudes that
-    # the intact block puts on logical |0> and |1>
+    # Fidelity with the target qubit, in closed form on the weights the intact
+    # block puts on logical |0> and |1>; they differ only in the target's bit,
+    # so the decoded relative phase, the target's azimuth minus itself, is 0.0
     won = np.flatnonzero(success)
-    lo, hi = lo[won], hi[won]
-    w_lo, w_hi = flat_w[lo * count + won], flat_w[hi * count + won]
-    slot = UNIFORMS_PER_TRIAL * won
-    polar_slot = slot + 2 * target[won] - 2  # the target's azimuth follows
-    polar, azimuth, turns1, turns2 = (
-        u.ravel()[at] for at in (polar_slot, polar_slot + 1, slot + 1, slot + 3)
-    )
-    # register index k carries the phase turns1 * b1(k) + turns2 * b2(k)
-    delta = turns1 * (qubit_bit(hi, 1) - qubit_bit(lo, 1))
-    delta += turns2 * (qubit_bit(hi, 2) - qubit_bit(lo, 2))
-    delta -= azimuth
-    cross = np.sqrt((1.0 - polar) * polar * w_lo * w_hi) * np.cos(2.0 * np.pi * delta)
-    fidelity = ((1.0 - polar) * w_lo + polar * w_hi + 2.0 * cross) / (w_lo + w_hi)
+    w_lo, w_hi = w_lo[won], w_hi[won]
+    polar = u.ravel()[UNIFORMS_PER_TRIAL * won + 2 * target[won] - 2]  # slot 0 or 2
+    cross = np.sqrt((1.0 - polar) * polar * w_lo * w_hi)
+    fidelity = ((1.0 - polar) * w_lo + polar * w_hi + 2.0 * cross) / block_weight[won]
 
     counts = np.bincount(outcome, minlength=4)
     return counts, won.size, fidelity

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qutritcodec.bayes as bayes
@@ -20,7 +23,7 @@ import qutritcodec.cli as cli_module
 import qutritcodec.codec as codec
 import qutritcodec.montecarlo as montecarlo
 from qutritcodec.cli import main
-from qutritcodec.report import amplitude_pairs, round_sig
+from qutritcodec.report import FORMATS, amplitude_pairs, round_sig
 from qutritcodec.states import BlochAngles
 from conftest import any_pairs, near_pole_pairs
 
@@ -546,6 +549,11 @@ def _full_device():
     return open("/dev/full", "w")
 
 
+def _open_fd_count() -> int | None:
+    """The number of this process's open descriptors, where /proc lists them."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 UNWRITABLE = {"/dev/full": (_full_device, "No space left on device"),
               "closed pipe": (_closed_pipe, "Broken pipe")}
 COMMANDS = [["demo"], ["mc", "--trials", "1000"], ["verify", "--trials", "1"]]
@@ -556,12 +564,15 @@ COMMANDS = [["demo"], ["mc", "--trials", "1000"], ["verify", "--trials", "1"]]
 def test_unwritable_stdout_exits_2_with_a_message(monkeypatch, capsys, sink, command):
     # closing the sink flushes the text its buffer still holds, which must not fail again
     opener, reason = UNWRITABLE[sink]
+    open_fds = _open_fd_count()
     with opener() as stdout, monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", stdout)
         with pytest.raises(SystemExit) as exited:
             main(command)
     assert exited.value.code == 2
     assert capsys.readouterr().err == f"Error: cannot write to stdout: {reason}\n"
+    # the null device that took the sink's place is closed with the sink
+    assert _open_fd_count() == open_fds
 
 
 @pytest.mark.parametrize("sink", UNWRITABLE)
@@ -577,3 +588,145 @@ def test_the_console_command_exits_2_when_stdout_fails(sink, command):
         )
     assert result.returncode == 2
     assert result.stderr == f"Error: cannot write to stdout: {reason}\n".encode()
+
+
+TRACE_COMMANDS = ("demo", "encode", "decode")
+_SEEDS = st.one_of(
+    st.sampled_from([-1, 0, montecarlo.MAX_SEED, montecarlo.MAX_SEED + 1]),
+    st.integers(0, montecarlo.MAX_SEED),
+)
+# at most 10^4 trials run; the cap and one past it are only parsed
+_TRIALS = st.one_of(
+    st.sampled_from([-1, 0, 1, 10**4, cli_module.MAX_TRIALS + 1]), st.integers(1, 10**4)
+)
+# no 4096-node report runs: 4097 is refused before any array is allocated
+_NODES = st.one_of(st.integers(bayes.MIN_NODES - 1, 64), st.just(4097))
+# valid angles as often as invalid ones, so that most drawn lines run
+_ANGLES = st.one_of(
+    st.floats(0.0, math.pi),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.0**-1022, math.pi, -5e-324, math.pi + 4e-16]),
+    _ANY_FLOAT,
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command line over every command and option, each drawn from values
+    at and past its bounds or left out, and whether an option alone makes
+    it a usage error."""
+    command = draw(st.sampled_from([*TRACE_COMMANDS, "mc", "verify"]))
+    args, invalid = [command], False
+
+    # a left-out --nodes or --trials would run its default, not a drawn size
+    def option(name, values, valid, required=False, omittable=True):
+        nonlocal invalid
+        present = not omittable or draw(st.sampled_from([True, True, True, False]))
+        value = draw(values) if present else None
+        if value is None:
+            invalid |= required
+        else:
+            args.extend([name, str(value)])
+            invalid |= not valid(value)
+        return value
+
+    if command in TRACE_COMMANDS:
+        for q in (1, 2):
+            theta = option(f"--theta{q}", _ANGLES, lambda value: True)
+            phi = option(f"--phi{q}", _ANGLES, lambda value: True)
+            try:
+                BlochAngles(0.0 if theta is None else theta, 0.0 if phi is None else phi)
+            except ValueError:
+                invalid = True
+    if command == "decode":
+        option("--outcome", st.integers(-1, 4), lambda j: 0 <= j <= 3, required=True)
+        option("--target", st.integers(0, 3), lambda a: 1 <= a <= 2, required=True)
+    if command == "verify":
+        option("--nodes", _NODES, lambda n: bayes.MIN_NODES <= n <= 4096, omittable=False)
+    if command in ("mc", "verify"):
+        option("--trials", _TRIALS, lambda n: 1 <= n <= cli_module.MAX_TRIALS, omittable=False)
+    if command == "mc":
+        option("--target-policy", st.sampled_from([*montecarlo.TARGET_POLICIES, "both"]),
+               lambda policy: policy in montecarlo.TARGET_POLICIES)
+    option("--seed", _SEEDS, lambda seed: 0 <= seed <= montecarlo.MAX_SEED)
+    fmt = option("--format", st.sampled_from([*FORMATS, "xml"]), lambda fmt: fmt in FORMATS)
+    return args, fmt or "json", invalid
+
+
+def _document_rows(text: str, fmt: str, command: str) -> list[tuple[str, bool]] | None:
+    """The (name, pass) pairs of a whole rows document, or None for a whole
+    trace document; fails on anything else."""
+    if fmt == "json":
+        doc = json.loads(text)
+        assert doc["command"] == command
+        if "trace" in doc:
+            return None
+        rows = [(row["name"], row["pass"]) for row in doc["rows"]]
+        assert doc["overall_pass"] is all(passed for _, passed in rows)
+        return rows
+    if fmt == "csv":
+        header, *cells = csv.reader(io.StringIO(text))
+    else:
+        lines = text.splitlines()
+        assert lines[:2] == [f"# {command}", ""]
+        table = [line[2:-2].split(" | ") for line in lines[2:] if line.startswith("| ")]
+        header, rule, *cells = table
+        assert rule == ["---"] * len(header)
+    assert cells and all(len(cell) == len(header) for cell in cells)
+    if header == ["key", "value"]:
+        assert fmt == "csv" or lines[-1].startswith("| ")
+        return None
+    assert header == ["name", "computed", "reference", "tolerance", "source", "pass"]
+    rows = [(cell[0], {"true": True, "false": False}[cell[-1]]) for cell in cells]
+    if fmt == "md":
+        assert lines[-2:] == ["", f"overall pass: {str(all(p for _, p in rows)).lower()}"]
+    return rows
+
+
+# none of seed 166's first five trials decodes, so the success-rate row fails
+_FAILING = ["--trials", "5", "--seed", "166"]
+
+
+@given(line=command_lines(), sink=st.sampled_from([None, "file", "directory", "missing"]))
+@example(line=(["mc", *_FAILING], "json", False), sink=None)
+@example(line=(["mc", *_FAILING, "--format", "csv"], "csv", False), sink=None)
+@example(line=(["verify", "--nodes", "16", *_FAILING, "--format", "md"], "md", False), sink="file")
+@settings(max_examples=300, deadline=None)
+def test_every_command_line_gives_a_document_or_a_usage_error(line, sink):
+    args, fmt, invalid = line
+    command = args[0]
+    with tempfile.TemporaryDirectory() as scratch:
+        out = {None: None, "file": Path(scratch) / "doc", "directory": Path(scratch),
+               "missing": Path(scratch) / "missing" / "doc"}[sink]
+        if out is not None:
+            args = [*args, "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        written = out.read_text() if sink == "file" and out.exists() else None
+    # no traceback: every exit is click's own
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code in (0, 1, 2), result.output
+    if invalid or sink in ("directory", "missing"):
+        assert result.exit_code == 2, result.output
+    elif command in ("demo", "encode"):
+        assert result.exit_code == 0, result.output
+    if result.exit_code == 2:
+        assert result.stdout == "" and written is None
+        assert "Usage:" in result.stderr and "Error:" in result.stderr
+        if not invalid and sink not in ("directory", "missing"):
+            assert command == "decode" and "cannot occur" in result.stderr
+        return
+    assert result.stderr == ""
+    text = result.stdout if sink is None else written
+    assert sink is None or result.stdout == ""
+    rows = _document_rows(text, fmt, command)
+    assert (rows is None) == (command in TRACE_COMMANDS)
+    if rows is None:
+        return
+    # a full document: every row a passing run would print
+    names = [name for name, _ in rows]
+    mc_rows = ["mc_success_rate", *(f"mc_outcome_freq_{j}" for j in range(4))]
+    expected = mc_rows if command == "mc" else [name for name, *_ in cli_module.VERIFY_ROWS]
+    assert names[: len(expected)] == expected
+    if names[-1] == "mc_min_success_fidelity":
+        names.pop()
+    assert names[-len(mc_rows):] == mc_rows
+    assert result.exit_code == (0 if all(passed for _, passed in rows) else 1)

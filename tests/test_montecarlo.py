@@ -204,6 +204,78 @@ def test_fidelity_row_catches_a_swapped_decode_level(monkeypatch, outcome, targe
     assert run_trials(*config).min_success_fidelity < 1 - 1e-12
 
 
+def kernel_weights(u: np.ndarray):
+    """The kernel's register weights, survivor sums and cumulative outcome
+    weights of a slab, as it computes them."""
+    count = u.shape[0]
+    factors = np.empty((2, 2, count))
+    factors[:, 1] = u[:, 0:3:2].T
+    np.subtract(1.0, factors[:, 1], out=factors[:, 0])
+    weights = factors[1][:, None] * factors[0]
+    survivors = (weights[:, ::-1] + weights.sum(axis=1)[::-1, None]).reshape(4, count)
+    cumulative = survivors[:3] / 3.0
+    cumulative[1] += cumulative[0]
+    cumulative[2] += cumulative[1]
+    return weights, survivors, cumulative
+
+
+def full_phase_chunk(u: np.ndarray, start: int, policy: str):
+    """Reference kernel with the full phase formula: outcomes counted with
+    `count_nonzero`, weights gathered again for the successful trials, and
+    the cosine of the decoded relative phase."""
+    count = u.shape[0]
+    weights, survivors, cumulative = kernel_weights(u)
+    outcome = np.count_nonzero(cumulative <= u[:, 4], axis=0)
+    target = montecarlo._targets(policy, start, count, u[:, 5])
+    rows = np.arange(count)
+    flat_w = weights.ravel()
+    lo, hi = np.take(montecarlo._INTACT.reshape(8, 2), 2 * outcome + target - 1, axis=0).T
+    block_weight = flat_w[lo * count + rows] + flat_w[hi * count + rows]
+    success = u[:, 6] < block_weight / survivors.ravel()[outcome * count + rows]
+
+    won = np.flatnonzero(success)
+    lo, hi = lo[won], hi[won]
+    w_lo, w_hi = flat_w[lo * count + won], flat_w[hi * count + won]
+    slot = UNIFORMS_PER_TRIAL * won
+    polar_slot = slot + 2 * target[won] - 2
+    polar, azimuth, turns1, turns2 = (
+        u.ravel()[at] for at in (polar_slot, polar_slot + 1, slot + 1, slot + 3)
+    )
+    # register index k carries the phase turns1 * b1(k) + turns2 * b2(k)
+    delta = turns1 * (qubit_bit(hi, 1) - qubit_bit(lo, 1))
+    delta += turns2 * (qubit_bit(hi, 2) - qubit_bit(lo, 2))
+    delta -= azimuth
+    cross = np.sqrt((1.0 - polar) * polar * w_lo * w_hi) * np.cos(2.0 * np.pi * delta)
+    fidelity = ((1.0 - polar) * w_lo + polar * w_hi + 2.0 * cross) / (w_lo + w_hi)
+    return np.bincount(outcome, minlength=4), won.size, fidelity
+
+
+@pytest.mark.parametrize("policy", montecarlo.TARGET_POLICIES)
+@pytest.mark.parametrize("seed", [0, 1, 5, 20260, 2**64 - 1])
+def test_the_kernel_gives_the_full_phase_formulas_bits(seed, policy):
+    # slabs of a whole block, of a short one at an odd start and of one
+    # trial, and one whose encoding uniforms tie with a cumulative weight
+    slabs = ((0, 8192, False), (8191, 999, False), (3, 1, False), (5, 999, True))
+    for start, trials, ties in slabs:
+        u = _philox(seed, start).random((trials, UNIFORMS_PER_TRIAL))
+        if ties:
+            u[:, 4] = kernel_weights(u)[2][np.arange(trials) % 3, np.arange(trials)]
+        counts, successes, fidelities = _run_chunk(u, start, policy)
+        expected_counts, expected_successes, expected = full_phase_chunk(u, start, policy)
+        assert counts.tolist() == expected_counts.tolist()
+        assert successes == expected_successes
+        assert fidelities.dtype == expected.dtype
+        assert fidelities.tobytes() == expected.tobytes()
+
+
+def test_an_intact_pair_differs_in_the_target_bit_alone():
+    # so the decoded relative phase is the target's azimuth minus itself: 0.0
+    for outcome in range(4):
+        for target in (1, 2):
+            low, high = intact_block(outcome, target)
+            assert low ^ high == 1 << (target - 1)
+
+
 def count_forks(monkeypatch) -> list[float]:
     """The times at which run_trials forks from now on."""
     calls = []
@@ -424,6 +496,26 @@ def test_counts_are_pinned_for_a_given_seed(seed, policy):
     stats = run_trials(10**6, seed, policy)
     assert stats.outcome_counts == PINNED_OUTCOMES[seed]
     assert stats.success_count == PINNED_SUCCESSES[seed, policy]
+
+
+# float.hex of run_trials(10**6).min_success_fidelity, recorded with the
+# kernel that still computed the decoded phase and its cosine
+PINNED_MIN_FIDELITIES = {
+    (0, "always-1"): "0x1.ffffffffffffep-1",
+    (0, "always-2"): "0x1.ffffffffffffdp-1",
+    (0, "alternate"): "0x1.ffffffffffffep-1",
+    (0, "random"): "0x1.ffffffffffffep-1",
+    (20260, "always-1"): "0x1.ffffffffffffdp-1",
+    (20260, "always-2"): "0x1.ffffffffffffdp-1",
+    (20260, "alternate"): "0x1.ffffffffffffdp-1",
+    (20260, "random"): "0x1.ffffffffffffdp-1",
+}
+
+
+@pytest.mark.parametrize("seed, policy", sorted(PINNED_MIN_FIDELITIES))
+def test_min_fidelity_is_pinned_for_a_given_seed(seed, policy):
+    stats = run_trials(10**6, seed, policy)
+    assert float.hex(stats.min_success_fidelity) == PINNED_MIN_FIDELITIES[seed, policy]
 
 
 @pytest.fixture(scope="module")
