@@ -13,7 +13,6 @@ from .states import (
     PureState,
     fidelity,
     make_qubit_state,
-    project,
     sample_complete_measurement,
 )
 from .codec import (
@@ -39,7 +38,6 @@ __all__ = [
     "PureState",
     "fidelity",
     "make_qubit_state",
-    "project",
     "sample_complete_measurement",
     "EncodeRecord",
     "decode",

@@ -22,10 +22,11 @@ qutrit either lands in the two levels that carry the chosen qubit's intact
 block (success, exact reconstruction) or collapses to the single remaining
 level, which carries j's partner j ^ (1 << (a - 1)) in the damaged block
 (failure). `decode_levels` finds these levels within `survivors(j)`;
-`decode`, like `project`, returns the success probability and the qubit,
-None on failure. The choice of qubit needs nothing but the stored qutrit
-and the two classical bits recording the encoding outcome, so it can be
-deferred indefinitely.
+`decode` returns the success probability, the Born weight of the two
+success levels, and the qubit they carry, renormalized, or None on failure.
+The choice of qubit needs nothing but the stored qutrit and the two
+classical bits recording the encoding outcome, so it can be deferred
+indefinitely.
 
 The success probability 2/3 holds for every preparation, not only on
 average: for either target a, sum_j P(j) P(success | j, a) is the sum of
@@ -206,7 +207,7 @@ def decode(
     if qutrit.dim != QUTRIT_DIM:
         raise ValueError(f"decode needs a qutrit, got a {qutrit.dim}-level state")
     success_levels, _ = decode_levels(outcome, target)
-    # `project`'s arithmetic on the two levels, without its collapsed qutrit
+    # the Born weight of the success branch, summed from its two levels alone
     kept = qutrit.amplitudes[list(success_levels)]
     p_success = float(np.sum(np.abs(kept) ** 2))
     if u < p_success and p_success > NULL_BRANCH_EPS:

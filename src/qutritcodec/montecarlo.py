@@ -226,7 +226,9 @@ def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1
         trials < _SPLIT_BLOCKS * _KERNEL_TRIALS
         or not hasattr(os, "fork")
         # a forked child holds only the calling thread; another thread's
-        # locks would stay held in it for good
+        # locks would stay held in it for good. Python threads are the only
+        # ones to count: numpy's OpenBLAS stops its helper thread before a
+        # fork (2 OS threads to 1 across os.fork() with numpy 2.4.6)
         or threading.active_count() > 1
     ):
         record = _run_range(master_seed, target_policy, 0, trials)

@@ -1,28 +1,25 @@
 """Exact pure-state linear algebra for small fixed dimensions.
 
-Everything here operates on plain complex statevectors. The only
-measurements are projections onto sets of computational-basis levels and
-complete measurements sampled from their outcome weights, so every
-operation reduces to index arithmetic plus a handful of numpy reductions.
-All values are immutable after construction and all operations are pure
-functions. The 12-dimensional ancilla-register state of the encoding is not
-built here: the codec works from its closed forms, and the test suite's
-oracle (tests/conftest.py) spells that state out.
+Plain complex statevectors, a complete measurement sampled from its outcome
+weights, and the fidelity of two states. All values are immutable after
+construction and all operations are pure functions. The protocol's
+measurements are closed forms in the codec; the 12-dimensional
+ancilla-register state of the encoding is built and projected only by the
+test suite's oracle (tests/conftest.py).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # Unit-norm tolerance enforced when a state is constructed.
 NORM_ATOL = 1e-12
-# Born weight at or below this is treated as an impossible branch: the
-# projection returns no collapsed state instead of renormalized noise.
+# Born weight at or below this is treated as an impossible branch: it is
+# never sampled, and no state is renormalized from its rounding noise.
 NULL_BRANCH_EPS = 1e-15
 # The outcome weights of a sampled measurement must sum to 1 within this
 # tolerance.
@@ -87,26 +84,6 @@ def _qubit_amplitudes(angles: BlochAngles) -> np.ndarray:
 def make_qubit_state(angles: BlochAngles) -> PureState:
     """Statevector (cos(theta/2), e^{i phi} sin(theta/2)) of one qubit."""
     return PureState(_qubit_amplitudes(angles))
-
-
-def project(
-    state: PureState, levels: Iterable[int]
-) -> tuple[float, PureState | None]:
-    """Born probability of a set of basis levels and the collapsed state.
-
-    Returns (probability, collapsed). The collapsed state is None when the
-    probability does not exceed NULL_BRANCH_EPS, since renormalizing a
-    numerically null branch would only amplify rounding noise.
-    """
-    idx = sorted({operator.index(level) for level in levels})
-    if not idx or idx[0] < 0 or idx[-1] >= state.dim:
-        raise ValueError(f"levels must be a nonempty subset of 0..{state.dim - 1}, got {idx}")
-    probability = float(np.sum(np.abs(state.amplitudes[idx]) ** 2))
-    if probability <= NULL_BRANCH_EPS:
-        return probability, None
-    collapsed = np.zeros_like(state.amplitudes)
-    collapsed[idx] = state.amplitudes[idx] / math.sqrt(probability)
-    return probability, PureState(collapsed)
 
 
 def sample_complete_measurement(weights: Sequence[float], u: float) -> int:

@@ -7,8 +7,9 @@ and an extended-precision Gauss-Legendre rule checks the report's
 quadrature weights.
 
 The oracles import nothing from `qutritcodec.codec`. The pipeline is plain
-numpy index arithmetic, and `intact_pair` finds a decode's intact register
-pair by searching its definition instead of reading the codec's rule.
+numpy index arithmetic with its own projection, `project`, and `intact_pair`
+finds a decode's intact register pair by searching its definition instead of
+reading the codec's rule.
 Joint states of ancilla and register use the slow-first tensor layout,
 combined index = 4 * (ancilla level) + (register index), with register
 index k = b1 + 2*b2. Encoding outcome j projects onto the indices that tie
@@ -20,13 +21,15 @@ register level (j + 1) mod 4, where the qutrit is read off.
 from __future__ import annotations
 
 import math
+import operator
+from typing import Iterable
 
 import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from qutritcodec import BlochAngles, PureState, make_qubit_state, project
+from qutritcodec import BlochAngles, PureState, make_qubit_state
 from qutritcodec.states import NULL_BRANCH_EPS
 
 # the relabeling permutation: joint index k moves to RELABEL[k]
@@ -110,6 +113,24 @@ def register(pair: tuple[BlochAngles, BlochAngles]) -> np.ndarray:
 def encoding_indices(outcome: int) -> list[int]:
     """Joint indices kept by the projector of encoding outcome j."""
     return [4 * level + (level + outcome + 1) % 4 for level in range(3)]
+
+
+def project(state: PureState, levels: Iterable[int]) -> tuple[float, PureState | None]:
+    """Born probability of a set of basis levels and the collapsed state.
+
+    Returns (probability, collapsed). The collapsed state is None when the
+    probability does not exceed NULL_BRANCH_EPS, since renormalizing a
+    numerically null branch would only amplify rounding noise.
+    """
+    idx = sorted({operator.index(level) for level in levels})
+    if not idx or idx[0] < 0 or idx[-1] >= state.dim:
+        raise ValueError(f"levels must be a nonempty subset of 0..{state.dim - 1}, got {idx}")
+    probability = float(np.sum(np.abs(state.amplitudes[idx]) ** 2))
+    if probability <= NULL_BRANCH_EPS:
+        return probability, None
+    collapsed = np.zeros_like(state.amplitudes)
+    collapsed[idx] = state.amplitudes[idx] / math.sqrt(probability)
+    return probability, PureState(collapsed)
 
 
 def permute(amplitudes: np.ndarray, image) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""The public surface: the exported names are pinned and resolve, and the
-README's library and CLI examples run as written."""
+"""The public surface: the exported names are pinned, resolve and are read
+by the program itself, and the README's library and CLI examples run as
+written."""
 
 from __future__ import annotations
 
+import ast
 import inspect
 import re
 import shlex
@@ -15,10 +17,11 @@ import qutritcodec.report
 from qutritcodec.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.parent / "src" / "qutritcodec"
 
 
 PUBLIC = {
-    "BlochAngles", "PureState", "fidelity", "make_qubit_state", "project",
+    "BlochAngles", "PureState", "fidelity", "make_qubit_state",
     "sample_complete_measurement",
     "EncodeRecord", "decode", "decode_levels",
     "encode", "encode_branch", "joint_state",
@@ -30,17 +33,19 @@ PUBLIC = {
 def test_the_public_surface_is_pinned():
     # a new export, test-only helpers included, needs a deliberate edit here
     assert set(qutritcodec.__all__) == PUBLIC
-    assert len(PUBLIC) == 18
+    assert len(PUBLIC) == 17
     # folded into decode and EncodeRecord.weights
     assert not hasattr(qutritcodec.codec, "decode_branch")
     assert not hasattr(qutritcodec.codec, "outcome_weights")
-    # a preparation is a plain pair of BlochAngles, and decode returns what
-    # project returns: the success probability and the qubit or None
+    # a preparation is a plain pair of BlochAngles, and decode returns a plain
+    # pair: the success probability and the qubit or None
     assert not hasattr(qutritcodec.codec, "QubitPair")
     assert not hasattr(qutritcodec.codec, "DecodeRecord")
     # commands pass plain values: run_trials' arguments and report.document's dict
     assert not hasattr(qutritcodec.montecarlo, "TrialConfig")
     assert not hasattr(qutritcodec.report, "ReportDocument")
+    # the 12-dimensional test oracle keeps the only general projection
+    assert not hasattr(qutritcodec.states, "project")
 
 
 def test_run_trials_takes_its_three_arguments():
@@ -56,6 +61,20 @@ def test_every_exported_name_resolves():
     assert len(set(qutritcodec.__all__)) == len(qutritcodec.__all__)
     for name in qutritcodec.__all__:
         assert getattr(qutritcodec, name).__module__.startswith("qutritcodec."), name
+
+
+def test_every_export_has_a_caller_in_the_program():
+    # an export only the tests use belongs to the tests; a definition, an
+    # import, a docstring or a comment is not a read
+    modules = [path for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    assert modules
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(set(qutritcodec.__all__) - read) == []
 
 
 def test_readme_library_example_runs(capsys):

@@ -21,7 +21,6 @@ from qutritcodec import (
     fidelity,
     joint_state,
     make_qubit_state,
-    project,
 )
 from qutritcodec import codec
 from qutritcodec.states import NULL_BRANCH_EPS
@@ -35,6 +34,7 @@ from conftest import (
     phase_aligned_max_diff,
     pipeline_encode,
     pipeline_weights,
+    project,
     random_pair,
     register,
     unit_interval,
@@ -360,7 +360,7 @@ def test_decode_is_the_two_outcome_measurement(qutrit, outcome, target, u):
 @given(unit_states(dims=(3,)))
 @settings(max_examples=300, deadline=None)
 def test_decode_is_project_bit_for_bit(qutrit):
-    # decode reads its two levels itself; `project` is the arithmetic it keeps
+    # the oracle's projection onto the success levels gives decode's bytes
     largest_u = math.nextafter(1.0, 0.0)
     for outcome in range(4):
         for target in (1, 2):

@@ -491,9 +491,17 @@ PINNED_SUCCESSES = {
 }
 
 
-@pytest.mark.parametrize("seed, policy", sorted(PINNED_SUCCESSES))
-def test_counts_are_pinned_for_a_given_seed(seed, policy):
-    stats = run_trials(10**6, seed, policy)
+# each pinned batch runs once and serves both pin tables
+@pytest.fixture(
+    scope="module", params=sorted(PINNED_SUCCESSES), ids=lambda key: "%s-%s" % key
+)
+def pinned_batch(request) -> tuple[int, str, TrialStats]:
+    seed, policy = request.param
+    return seed, policy, run_trials(10**6, seed, policy)
+
+
+def test_counts_are_pinned_for_a_given_seed(pinned_batch):
+    seed, policy, stats = pinned_batch
     assert stats.outcome_counts == PINNED_OUTCOMES[seed]
     assert stats.success_count == PINNED_SUCCESSES[seed, policy]
 
@@ -512,9 +520,10 @@ PINNED_MIN_FIDELITIES = {
 }
 
 
-@pytest.mark.parametrize("seed, policy", sorted(PINNED_MIN_FIDELITIES))
-def test_min_fidelity_is_pinned_for_a_given_seed(seed, policy):
-    stats = run_trials(10**6, seed, policy)
+def test_min_fidelity_is_pinned_for_a_given_seed(pinned_batch):
+    # the batches come from the success table's keys
+    assert PINNED_MIN_FIDELITIES.keys() == PINNED_SUCCESSES.keys()
+    seed, policy, stats = pinned_batch
     assert float.hex(stats.min_success_fidelity) == PINNED_MIN_FIDELITIES[seed, policy]
 
 

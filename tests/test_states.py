@@ -1,5 +1,6 @@
 """Statevector primitives: construction, measurement, overlap; and the
-tensor layout and permutation of the 12-dimensional test oracle."""
+tensor layout, projection and permutation of the 12-dimensional test
+oracle."""
 
 from __future__ import annotations
 
@@ -15,10 +16,9 @@ from qutritcodec import (
     PureState,
     fidelity,
     make_qubit_state,
-    project,
     sample_complete_measurement,
 )
-from conftest import ancilla, encoding_indices, permute, unit_states
+from conftest import ancilla, encoding_indices, permute, project, unit_states
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
