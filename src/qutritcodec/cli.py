@@ -9,6 +9,7 @@ a written document is decided only in `_emit`.
 
 from __future__ import annotations
 
+import errno
 import functools
 import math
 import os
@@ -124,6 +125,8 @@ def _emit(doc: dict[str, Any], fmt: str, out: str | None) -> None:
     it cannot be written."""
     text = render(doc, fmt)
     if out is None:
+        if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+            raise _UnwritableStdout(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
         try:
             click.echo(text, nl=False)
         except OSError as error:  # a full device, a pipe its reader closed

@@ -4,9 +4,9 @@ Randomness comes from a counter-based Philox generator keyed by the master
 seed. Trial t owns the two counter blocks 2t and 2t+1, i.e. the fixed
 8-uniform slice [8t, 8t+8) of the stream, so any split of the trial range
 reproduces the same trials bit for bit. `run_trials` relies on that to run
-the upper half of a large batch in one forked child process, and merges the
-two halves' integer counts and exact minimum into the serial result. Slot
-layout per trial:
+the upper half of a large batch in a forked child, which writes its record
+into a page shared with the parent. `_merged` sums two records' counts and
+keeps the exact minimum, per block and per half alike. Slot layout per trial:
 
     0, 1  polar/azimuth uniforms for qubit 1
     2, 3  polar/azimuth uniforms for qubit 2
@@ -25,6 +25,7 @@ fidelity needs no azimuth uniform, though every trial still draws both.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 import os
 import struct
@@ -47,8 +48,7 @@ _KERNEL_TRIALS = 1 << 13
 # batches of this many blocks or more are split over two processes: below
 # 2^18 trials, fork and waitpid (about 2.5 ms in a 50 MB process) eat the gain
 _SPLIT_BLOCKS = 32
-# the record the forked half sends: four outcome counts, the success count
-# and the least success fidelity
+# the forked half's record in the shared page: outcome counts, successes, least fidelity
 _RECORD = struct.Struct("<5qd")
 
 
@@ -138,69 +138,58 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
     return counts, won.size, fidelity
 
 
+def _merged(a: tuple, b: tuple) -> tuple:
+    """One record of two, exact under any split: counts summed, least fidelity kept."""
+    return (*(x + y for x, y in zip(a[:5], b[:5])), min(a[5], b[5]))
+
+
 def _run_range(master_seed: int, policy: str, begin: int, end: int) -> tuple:
     """Trials [begin, end) in ascending blocks, as one record: the four
     outcome counts, the success count and the least fidelity of a successful
     trial (inf when none succeeds)."""
-    counts = np.zeros(4, dtype=np.int64)
-    success_count = 0
-    min_fidelity = math.inf
+    record = (0, 0, 0, 0, 0, math.inf)
     generator = _philox(master_seed, begin)
     # one slab for every block, so its pages are faulted in once per call
     slab = np.empty((min(_KERNEL_TRIALS, end - begin), UNIFORMS_PER_TRIAL))
     for start in range(begin, end, _KERNEL_TRIALS):
         u = generator.random(out=slab[: min(_KERNEL_TRIALS, end - start)])
-        block_counts, block_success, success_fidelities = _run_chunk(u, start, policy)
-        counts += block_counts
-        success_count += block_success
-        if success_fidelities.size:
-            min_fidelity = min(min_fidelity, float(success_fidelities.min()))
-    return (*counts.tolist(), success_count, min_fidelity)
+        counts, successes, fidelity = _run_chunk(u, start, policy)
+        block = (*counts.tolist(), successes, float(fidelity.min(initial=math.inf)))
+        record = _merged(record, block)
+    return record
 
 
 class WorkerError(RuntimeError):
-    """The forked half of a split batch did not send its record."""
+    """The forked half of a split batch did not write its record."""
 
 
 def _run_split(master_seed: int, policy: str, mid: int, end: int) -> tuple:
-    """Trials [mid, end) in a forked child and [0, mid) here, merged into one
-    record. The child is always reaped, and killed first if this half raises."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: both halves run here
-        os.close(read_fd)
-        os.close(write_fd)
-        return _run_range(master_seed, policy, 0, end)
-    if pid == 0:
-        status = 1
+    """Trials [mid, end) in a forked child and [0, mid) here, merged. The child
+    is always reaped, killed first if this half raises, and read only if it exits 0."""
+    with mmap.mmap(-1, _RECORD.size) as page:  # anonymous, shared with the child
         try:
-            os.close(read_fd)
-            # one write below PIPE_BUF, which a pipe never splits
-            os.write(write_fd, _RECORD.pack(*_run_range(master_seed, policy, mid, end)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
+            pid = os.fork()
+        except OSError:  # no process to spare: both halves run here
+            return _run_range(master_seed, policy, 0, end)
+        if pid == 0:
+            status = 1
+            try:
+                _RECORD.pack_into(page, 0, *_run_range(master_seed, policy, mid, end))
+                status = 0
+            finally:
+                os._exit(status)
         try:
             head = _run_range(master_seed, policy, 0, mid)
-            data = os.read(read_fd, _RECORD.size)
         except BaseException:
             import signal  # only a failed half needs it
 
             os.kill(pid, signal.SIGKILL)
             raise
-    finally:
-        os.close(read_fd)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0 or len(data) != _RECORD.size:
-        raise WorkerError(
-            f"Monte Carlo worker process exited with status {code} "
-            f"after sending {len(data)} of {_RECORD.size} bytes"
-        )
-    tail = _RECORD.unpack(data)
-    return (*(a + b for a, b in zip(head[:5], tail[:5])), min(head[5], tail[5]))
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise WorkerError(f"Monte Carlo worker process exited with status {code}")
+        return _merged(head, _RECORD.unpack_from(page))
 
 
 def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1") -> TrialStats:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -549,13 +550,19 @@ def _full_device():
     return open("/dev/full", "w")
 
 
+def _closed_descriptor():
+    # no stream at all: with descriptor 1 closed, Python sets sys.stdout to None
+    return contextlib.nullcontext()
+
+
 def _open_fd_count() -> int | None:
     """The number of this process's open descriptors, where /proc lists them."""
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 UNWRITABLE = {"/dev/full": (_full_device, "No space left on device"),
-              "closed pipe": (_closed_pipe, "Broken pipe")}
+              "closed pipe": (_closed_pipe, "Broken pipe"),
+              "closed descriptor": (_closed_descriptor, "Bad file descriptor")}
 COMMANDS = [["demo"], ["mc", "--trials", "1000"], ["verify", "--trials", "1"]]
 
 
@@ -585,6 +592,8 @@ def test_the_console_command_exits_2_when_stdout_fails(sink, command):
         result = subprocess.run(
             [sys.executable, "-m", "qutritcodec", *command], stdout=stdout,
             stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+            # no sink would inherit this process's stdout: close it instead
+            preexec_fn=(lambda: os.close(1)) if stdout is None else None,
         )
     assert result.returncode == 2
     assert result.stderr == f"Error: cannot write to stdout: {reason}\n".encode()

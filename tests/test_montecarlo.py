@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import signal
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -379,6 +382,16 @@ class TestSplitBatches:
         assert run_trials(4000, 3, "random") == serial
         assert os.listdir("/dev/fd") == open_fds
 
+    def test_the_fork_does_not_warn(self, forks):
+        # from Python 3.12 a fork in a process with another OS thread emits a
+        # DeprecationWarning, which an error filter cannot turn into a failure
+        # (the interpreter clears the error); recorded, it can fail this test
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_trials(4000, 3, "random")
+        assert len(forks) == 1
+        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+
 
 def fail_in_child(monkeypatch):
     """Make the upper half raise; only the forked child runs it."""
@@ -395,15 +408,21 @@ def fail_in_child(monkeypatch):
 class TestFailingHalves:
     def test_a_failing_child_raises_with_its_exit_status(self, monkeypatch, forks):
         fail_in_child(monkeypatch)
-        with pytest.raises(WorkerError, match="exited with status 1 after sending 0 of 48 bytes"):
+        with pytest.raises(WorkerError, match="exited with status 1$"):
             run_trials(4000, 3, "random")
         assert forks
         assert_no_child_is_left()
 
-    def test_a_short_record_raises(self, monkeypatch, forks):
-        write = os.write
-        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:-1]))
-        with pytest.raises(WorkerError, match="exited with status 0 after sending 47 of 48 bytes"):
+    def test_a_child_killed_by_a_signal_raises(self, monkeypatch, forks):
+        run_range = montecarlo._run_range
+
+        def killed(master_seed, policy, begin, end):
+            if begin > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_range(master_seed, policy, begin, end)
+
+        monkeypatch.setattr(montecarlo, "_run_range", killed)
+        with pytest.raises(WorkerError, match="exited with status -9$"):
             run_trials(4000, 3, "random")
         assert forks
         assert_no_child_is_left()
@@ -411,7 +430,8 @@ class TestFailingHalves:
     def test_a_child_exiting_non_zero_after_its_record_raises(self, monkeypatch, forks):
         exit_ = os._exit
         monkeypatch.setattr(os, "_exit", lambda status: exit_(7))
-        with pytest.raises(WorkerError, match="exited with status 7 after sending 48 of 48 bytes"):
+        # the record is in the page, but only the exit status says so
+        with pytest.raises(WorkerError, match="exited with status 7$"):
             run_trials(4000, 3, "random")
         assert forks
         assert_no_child_is_left()
@@ -447,29 +467,25 @@ class _Exited(Exception):
 
 def test_the_child_branch_sends_the_upper_half_and_exits_0(monkeypatch):
     # the child's lines, run in this process where a line tracer sees them
-    pipes = []
-    pipe = os.pipe
+    pages = []
 
-    def kept_pipe():
-        read_fd, write_fd = pipe()
-        pipes.append((os.dup(read_fd), write_fd))
-        return read_fd, write_fd
+    class KeptPage(mmap.mmap):
+        def __exit__(self, *exc_info):
+            pages.append(self[:])
+            return super().__exit__(*exc_info)
 
     def exit_(status):
         raise _Exited(status)
 
-    monkeypatch.setattr(os, "pipe", kept_pipe)
+    monkeypatch.setattr(mmap, "mmap", KeptPage)
     monkeypatch.setattr(os, "fork", lambda: 0)
     monkeypatch.setattr(os, "_exit", exit_)
     split_small_batches(monkeypatch)
     with pytest.raises(_Exited) as exited:
         run_trials(4000, 3, "random")
-    ((read_fd, write_fd),) = pipes
-    os.close(write_fd)
-    with open(read_fd, "rb") as reader:
-        record = montecarlo._RECORD.unpack(reader.read())
+    (page,) = pages
     assert exited.value.args == (0,)
-    assert record == montecarlo._run_range(3, "random", 1998, 4000)
+    assert montecarlo._RECORD.unpack(page) == montecarlo._run_range(3, "random", 1998, 4000)
 
 
 # run_trials(10**6) counts recorded with a complex-amplitude kernel that
@@ -524,6 +540,7 @@ def test_min_fidelity_is_pinned_for_a_given_seed(pinned_batch):
     # the batches come from the success table's keys
     assert PINNED_MIN_FIDELITIES.keys() == PINNED_SUCCESSES.keys()
     seed, policy, stats = pinned_batch
+    assert type(stats.min_success_fidelity) is float
     assert float.hex(stats.min_success_fidelity) == PINNED_MIN_FIDELITIES[seed, policy]
 
 
