@@ -3,8 +3,10 @@
 Exit codes: 0 when every check passes (or a trace command completes),
 1 when a verification row fails, 2 for usage or validation errors and for a
 document that stdout or `--out` cannot take, 3 when the forked half of a
-split Monte Carlo batch fails (no document is written then). The status of
-a written document is decided only in `_emit`.
+split Monte Carlo batch fails (no document is written then). Each command
+body returns its document: a closed stdout or a missing `--out` directory
+is found before the body runs, and the status of a written document is
+decided in `_emit`.
 """
 
 from __future__ import annotations
@@ -84,34 +86,6 @@ def _preparation_options(fn):
     return command
 
 
-def _seed_option(fn):
-    return click.option(
-        "--seed",
-        type=click.IntRange(0, montecarlo.MAX_SEED),
-        default=0,
-        show_default=True,
-        help="Master seed of the counter-based random stream.",
-    )(fn)
-
-
-def _output_options(fn):
-    fn = click.option(
-        "--out",
-        type=click.Path(dir_okay=False, writable=True),
-        default=None,
-        help="Write the document to this path instead of stdout.",
-    )(fn)
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(FORMATS),
-        default="json",
-        show_default=True,
-        help="Document format (JSON is normative).",
-    )(fn)
-    return fn
-
-
 class _UnwritableStdout(click.ClickException):
     exit_code = 2
 
@@ -125,8 +99,6 @@ def _emit(doc: dict[str, Any], fmt: str, out: str | None) -> None:
     it cannot be written."""
     text = render(doc, fmt)
     if out is None:
-        if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
-            raise _UnwritableStdout(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
         try:
             click.echo(text, nl=False)
         except OSError as error:  # a full device, a pipe its reader closed
@@ -141,10 +113,38 @@ def _emit(doc: dict[str, Any], fmt: str, out: str | None) -> None:
             with open(out, "w") as handle:
                 handle.write(text)
         except OSError as error:
-            message = f"cannot write {out}: {error.strerror}"
-            raise click.BadParameter(message, param_hint="'--out'")
+            raise _unwritable_out(out, error)
     if doc.get("overall_pass") is False:
         raise click.exceptions.Exit(1)
+
+
+def _unwritable_out(out: str, error: OSError) -> click.BadParameter:
+    return click.BadParameter(f"cannot write {out}: {error.strerror}", param_hint="'--out'")
+
+
+def _document_options(fn):
+    """`--seed`, `--format` and `--out` around a body that returns its
+    document: the sink is checked before the body runs, `_emit` writes after."""
+
+    @functools.wraps(fn)
+    def command(fmt, out, **kwargs):
+        if out is None and sys.stdout is None:  # descriptor 1 was closed at startup
+            raise _UnwritableStdout(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
+        if out is not None:  # a missing directory or a file in its place fails now;
+            try:  # a trailing separator, permissions and the rest fail at the write
+                os.stat(os.path.join(os.path.dirname(out.rstrip(os.sep)) or os.curdir, ""))
+            except OSError as error:
+                if error.errno in (errno.ENOENT, errno.ENOTDIR):
+                    raise _unwritable_out(out, error)
+        _emit(fn(**kwargs), fmt, out)
+
+    command = click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
+                           help="Write the document to this path instead of stdout.")(command)
+    command = click.option("--format", "fmt", type=click.Choice(FORMATS), default="json",
+                           show_default=True, help="Document format (JSON is normative).")(command)
+    return click.option("--seed", type=click.IntRange(0, montecarlo.MAX_SEED), default=0,
+                        show_default=True,
+                        help="Master seed of the counter-based random stream.")(command)
 
 
 @click.group()
@@ -185,9 +185,8 @@ def _decode_entry(
 
 @main.command()
 @_preparation_options
-@_seed_option
-@_output_options
-def demo(pair, params, seed, fmt, out) -> None:
+@_document_options
+def demo(pair, params, seed) -> dict[str, Any]:
     """Narrate one full encode/decode run for a fixed preparation."""
     stream = montecarlo._philox(seed, 0)
     record = codec.encode(pair, float(stream.random()))
@@ -201,17 +200,16 @@ def demo(pair, params, seed, fmt, out) -> None:
             for target in (1, 2)
         },
     }
-    _emit(document("demo", {**params, "seed": seed}, trace=trace), fmt, out)
+    return document("demo", {**params, "seed": seed}, trace=trace)
 
 
 @main.command()
 @_preparation_options
-@_seed_option
-@_output_options
-def encode(pair, params, seed, fmt, out) -> None:
+@_document_options
+def encode(pair, params, seed) -> dict[str, Any]:
     """Encode a preparation, sampling the measurement outcome from the seed."""
     record = codec.encode(pair, float(montecarlo._philox(seed, 0).random()))
-    _emit(document("encode", {**params, "seed": seed}, trace=_encode_trace(record)), fmt, out)
+    return document("encode", {**params, "seed": seed}, trace=_encode_trace(record))
 
 
 @main.command()
@@ -224,15 +222,12 @@ def encode(pair, params, seed, fmt, out) -> None:
     "--target", type=click.IntRange(1, 2), required=True,
     help="Which qubit to reconstruct.",
 )
-@_seed_option
-@_output_options
-def decode(pair, params, outcome, target, seed, fmt, out) -> None:
+@_document_options
+def decode(pair, params, outcome, target, seed) -> dict[str, Any]:
     """Decode one qubit from the qutrit of a given preparation and outcome."""
     probability, qutrit = codec.encode_branch(pair, outcome)
     if qutrit is None:
-        raise click.UsageError(
-            f"outcome {outcome} cannot occur for this preparation"
-        )
+        raise click.UsageError(f"outcome {outcome} cannot occur for this preparation")
     u = float(montecarlo._philox(seed, 0).random())
     trace = {
         "outcome_probability": probability,
@@ -240,12 +235,16 @@ def decode(pair, params, outcome, target, seed, fmt, out) -> None:
         **_decode_entry(pair, qutrit, outcome, target, u),
     }
     params = {**params, "outcome": outcome, "target": target, "seed": seed}
-    _emit(document("decode", params, trace=trace), fmt, out)
+    return document("decode", params, trace=trace)
 
 
-def _mc_rows(stats: montecarlo.TrialStats) -> list[dict[str, Any]]:
+def _mc_rows(trials: int, seed: int, target_policy: str) -> list[dict[str, Any]]:
     """Rows of a batch against the closed-form outcome priors and success
     probability of `bayes.exact_report`, with binomial bands."""
+    try:
+        stats = montecarlo.run_trials(trials, seed, target_policy)
+    except montecarlo.WorkerError as error:
+        raise _WorkerFailed(str(error))
 
     def band(reference: float, sigmas: float) -> float:
         return sigmas * math.sqrt(reference * (1.0 - reference) / stats.trials)
@@ -265,30 +264,21 @@ def _mc_rows(stats: montecarlo.TrialStats) -> list[dict[str, Any]]:
     return rows
 
 
-def _trial_stats(trials: int, seed: int, target_policy: str) -> montecarlo.TrialStats:
-    try:
-        return montecarlo.run_trials(trials, seed, target_policy)
-    except montecarlo.WorkerError as error:
-        raise _WorkerFailed(str(error))
-
-
 @main.command()
 @click.option(
     "--trials", type=click.IntRange(1, MAX_TRIALS), default=1_000_000, show_default=True,
     help="Number of Monte Carlo trials.",
 )
-@_seed_option
 @click.option(
     "--target-policy", type=click.Choice(montecarlo.TARGET_POLICIES),
     default="always-1", show_default=True,
     help="Which qubit each trial decodes.",
 )
-@_output_options
-def mc(trials, seed, target_policy, fmt, out) -> None:
+@_document_options
+def mc(trials, target_policy, seed) -> dict[str, Any]:
     """Run seeded Monte Carlo trials and compare with the closed forms."""
-    rows = _mc_rows(_trial_stats(trials, seed, target_policy))
     params = {"trials": trials, "seed": seed, "target_policy": target_policy}
-    _emit(document("mc", params, rows=rows), fmt, out)
+    return document("mc", params, rows=_mc_rows(trials, seed, target_policy))
 
 
 def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
@@ -319,12 +309,10 @@ def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
     "--trials", type=click.IntRange(1, MAX_TRIALS), default=1_000_000, show_default=True,
     help="Monte Carlo trials for the statistical rows.",
 )
-@_seed_option
-@_output_options
-def verify(nodes, trials, seed, fmt, out) -> None:
+@_document_options
+def verify(nodes, trials, seed) -> dict[str, Any]:
     """Recompute every reference constant and emit a pass/fail table."""
     params = {"nodes": nodes, "trials": trials, "seed": seed}
-    report = bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes))
-    rows = _verify_rows(report)
-    rows.extend(_mc_rows(_trial_stats(trials, seed, "always-1")))
-    _emit(document("verify", params, rows=rows), fmt, out)
+    rows = _verify_rows(bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes)))
+    rows.extend(_mc_rows(trials, seed, "always-1"))
+    return document("verify", params, rows=rows)

@@ -497,10 +497,13 @@ class TestFormatsAndOutput:
         ["verify", "--trials", "10"], ["mc", "--trials", "10", "--format", "csv"], ["encode"],
     ])
     def test_out_into_a_missing_directory_is_a_usage_error(self, runner, tmp_path, command):
-        result = runner.invoke(main, [*command, "--out", str(tmp_path / "nodir" / "x.json")])
-        assert result.exit_code == 2, result.output
-        assert "Invalid value for '--out'" in result.output
-        assert "No such file or directory" in result.output
+        # the first is found before the command runs; a path that ends in a
+        # separator names no file, and only the write reports it
+        for out, reason in ((tmp_path / "nodir" / "x.json", "No such file or directory"),
+                            (f"{tmp_path / 'nodir'}{os.sep}", "Is a directory")):
+            result = runner.invoke(main, [*command, "--out", str(out)])
+            assert result.exit_code == 2, result.output
+            assert f"Invalid value for '--out': cannot write {out}: {reason}" in result.output
 
     def test_printed_outcome_probabilities_are_the_sampled_weights(self, runner, monkeypatch):
         sampled = []
@@ -599,6 +602,53 @@ def test_the_console_command_exits_2_when_stdout_fails(sink, command):
     assert result.stderr == f"Error: cannot write to stdout: {reason}\n".encode()
 
 
+# none of seed 166's first five trials decodes, so the success-rate row fails
+_FAILING = ["--trials", "5", "--seed", "166"]
+
+
+FIVE_COMMANDS = [["demo"], ["encode"], ["decode", "--outcome", "1", "--target", "1"],
+                 ["mc", "--trials", "1000"], ["verify", "--trials", "64"]]
+
+
+@pytest.mark.parametrize("sink", ["closed descriptor", "missing directory", "file as directory"])
+@pytest.mark.parametrize("command", FIVE_COMMANDS, ids=lambda args: args[0])
+def test_no_work_runs_for_an_unwritable_sink(monkeypatch, capsys, tmp_path, sink, command):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its sink was checked")
+
+    for module, name in ((montecarlo, "run_trials"), (bayes, "gain_report"),
+                         (codec, "encode"), (codec, "encode_branch")):
+        monkeypatch.setattr(module, name, work)
+    regular = tmp_path / "file"
+    regular.write_text("kept")
+    if sink == "closed descriptor":
+        monkeypatch.setattr(sys, "stdout", None)
+        expected = "Error: cannot write to stdout: Bad file descriptor"
+    else:
+        out, reason = {
+            "missing directory": (tmp_path / "nodir" / "x.json", "No such file or directory"),
+            "file as directory": (regular / "x.json", "Not a directory"),
+        }[sink]
+        command = [*command, "--out", str(out)]
+        expected = f"Error: Invalid value for '--out': cannot write {out}: {reason}"
+    with pytest.raises(SystemExit) as exited:
+        main(command)
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == expected
+    # the check creates, truncates and writes nothing
+    assert sorted(tmp_path.iterdir()) == [regular] and regular.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command, code", [
+    *((args, None) for args in FIVE_COMMANDS),
+    (["verify", *_FAILING], 1),
+])
+def test_a_command_returns_none_or_its_failing_exit_code(capsys, command, code):
+    # bench/run.py reads `main(args, standalone_mode=False) or 0` as the exit code
+    assert main(command, standalone_mode=False) == code
+    assert json.loads(capsys.readouterr().out)["command"] == command[0]
+
+
 TRACE_COMMANDS = ("demo", "encode", "decode")
 _SEEDS = st.one_of(
     st.sampled_from([-1, 0, montecarlo.MAX_SEED, montecarlo.MAX_SEED + 1]),
@@ -689,10 +739,6 @@ def _document_rows(text: str, fmt: str, command: str) -> list[tuple[str, bool]] 
     if fmt == "md":
         assert lines[-2:] == ["", f"overall pass: {str(all(p for _, p in rows)).lower()}"]
     return rows
-
-
-# none of seed 166's first five trials decodes, so the success-rate row fails
-_FAILING = ["--trials", "5", "--seed", "166"]
 
 
 @given(line=command_lines(), sink=st.sampled_from([None, "file", "directory", "missing"]))
