@@ -130,9 +130,9 @@ def _document_options(fn):
     def command(fmt, out, **kwargs):
         if out is None and sys.stdout is None:  # descriptor 1 was closed at startup
             raise _UnwritableStdout(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
-        if out is not None:  # a missing directory or a file in its place fails now;
-            try:  # a trailing separator, permissions and the rest fail at the write
-                os.stat(os.path.join(os.path.dirname(out.rstrip(os.sep)) or os.curdir, ""))
+        if out is not None:  # a missing directory or a file in its place fails now
+            try:  # ("d/" names d itself); permissions and the rest fail at the write
+                os.stat(os.path.join(os.path.dirname(out) or os.curdir, ""))
             except OSError as error:
                 if error.errno in (errno.ENOENT, errno.ENOTDIR):
                     raise _unwritable_out(out, error)

@@ -41,13 +41,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .states import (
-    NULL_BRANCH_EPS,
-    BlochAngles,
-    PureState,
-    _qubit_amplitudes,
+    NULL_BRANCH_EPS, BlochAngles, PureState, _qubit_amplitudes, _weight,
     sample_complete_measurement,
 )
 
@@ -128,23 +123,24 @@ class EncodeRecord:
 def joint_state(pair: tuple[BlochAngles, BlochAngles]) -> PureState:
     """Product state of the two qubits on the four-level register."""
     a1, a2 = _qubit_amplitudes(pair[0]), _qubit_amplitudes(pair[1])
-    amps = np.array([a1[qubit_bit(k, 1)] * a2[qubit_bit(k, 2)] for k in range(REGISTER_DIM)])
+    amps = [a1[qubit_bit(k, 1)] * a2[qubit_bit(k, 2)] for k in range(REGISTER_DIM)]
     # The squared norm is a product of two unit norms; rounding keeps it
     # within the construction tolerance, which this one validation checks.
     return PureState(amps)
 
 
-def _branch(c: np.ndarray, outcome: int) -> tuple[float, np.ndarray]:
+def _branch(c: tuple[complex, ...], outcome: int) -> tuple[float, list[complex]]:
     """Weight of encoding outcome j and the amplitudes it leaves on levels 0..2."""
-    levels = c[list(survivors(outcome))]
+    levels = [c[k] for k in survivors(outcome)]
     # the survivors' weight: near a pole 1 - |c_j|^2 would lose every digit
-    return float(np.vdot(levels, levels).real) / 3.0, levels
+    return _weight(levels) / 3.0, levels
 
 
-def _qutrit(probability: float, levels: np.ndarray) -> PureState | None:
+def _qutrit(probability: float, levels: list[complex]) -> PureState | None:
     if probability <= NULL_BRANCH_EPS:
         return None
-    return PureState(levels / math.sqrt(3.0 * probability))
+    norm = math.sqrt(3.0 * probability)
+    return PureState([c / norm for c in levels])
 
 
 def encode_branch(
@@ -208,8 +204,9 @@ def decode(
         raise ValueError(f"decode needs a qutrit, got a {qutrit.dim}-level state")
     success_levels, _ = decode_levels(outcome, target)
     # the Born weight of the success branch, summed from its two levels alone
-    kept = qutrit.amplitudes[list(success_levels)]
-    p_success = float(np.sum(np.abs(kept) ** 2))
+    kept = [qutrit.amplitudes[level] for level in success_levels]
+    p_success = _weight(kept)
     if u < p_success and p_success > NULL_BRANCH_EPS:
-        return p_success, PureState(kept / math.sqrt(p_success))
+        norm = math.sqrt(p_success)
+        return p_success, PureState([c / norm for c in kept])
     return p_success, None

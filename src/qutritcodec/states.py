@@ -1,20 +1,19 @@
 """Exact pure-state linear algebra for small fixed dimensions.
 
 Plain complex statevectors, a complete measurement sampled from its outcome
-weights, and the fidelity of two states. All values are immutable after
-construction and all operations are pure functions. The protocol's
-measurements are closed forms in the codec; the 12-dimensional
-ancilla-register state of the encoding is built and projected only by the
-test suite's oracle (tests/conftest.py).
+weights, and the fidelity of two states, all immutable values and pure
+functions on Python floats and complex numbers, so that no BLAS kernel or SIMD
+loop moves a printed digit. The 12-dimensional ancilla-register state of the
+encoding is built and projected only by the test suite's oracle
+(tests/conftest.py); the protocol's measurements are closed forms in the codec.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 # Unit-norm tolerance enforced when a state is constructed.
 NORM_ATOL = 1e-12
@@ -50,35 +49,43 @@ class BlochAngles:
 class PureState:
     """Unit-norm complex statevector of small fixed dimension.
 
-    The amplitude array is copied and frozen at construction; the squared
+    The amplitudes are kept as a tuple of Python complex numbers; the squared
     norm must already be 1 within NORM_ATOL. Global phase is never
     canonicalized, so comparisons should go through fidelity.
     """
 
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        if amps.ndim != 1 or amps.size < 1:
+        try:
+            amps = tuple(map(complex, self.amplitudes))
+        except TypeError:  # a scalar, or rows of a matrix
+            amps = ()
+        if not amps:
             raise ValueError("amplitudes must be a nonempty one-dimensional sequence")
-        # a complex value is finite iff both of its parts are
-        if not np.isfinite(amps).all():
+        if not all(map(cmath.isfinite, amps)):
             raise ValueError("amplitudes must all be finite")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if abs((norm_sq := _weight(amps)) - 1.0) > NORM_ATOL:
             raise ValueError(f"state must be unit norm, got squared norm {norm_sq!r}")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return len(self.amplitudes)
 
 
-def _qubit_amplitudes(angles: BlochAngles) -> np.ndarray:
+def _weight(amps) -> float:
+    """Born weight sum |a|^2, summed left to right: `sum` compensates from Python 3.12."""
+    total = 0.0
+    for a in amps:
+        total += a.real * a.real + a.imag * a.imag
+    return total
+
+
+def _qubit_amplitudes(angles: BlochAngles) -> tuple[complex, complex]:
     """(cos(theta/2), e^{i phi} sin(theta/2)), unvalidated: unit norm by construction."""
     half = 0.5 * angles.theta
-    return np.array([math.cos(half), np.exp(1j * angles.phi) * math.sin(half)])
+    return complex(math.cos(half)), cmath.exp(1j * angles.phi) * math.sin(half)
 
 
 def make_qubit_state(angles: BlochAngles) -> PureState:
@@ -116,4 +123,4 @@ def fidelity(a: PureState, b: PureState) -> float:
     """Squared overlap |<a|b>|^2 between two pure states."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch in fidelity: {a.dim} vs {b.dim}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return abs(sum(x.conjugate() * y for x, y in zip(a.amplitudes, b.amplitudes))) ** 2

@@ -7,9 +7,10 @@ and an extended-precision Gauss-Legendre rule checks the report's
 quadrature weights.
 
 The oracles import nothing from `qutritcodec.codec`. The pipeline is plain
-numpy index arithmetic with its own projection, `project`, and `intact_pair`
-finds a decode's intact register pair by searching its definition instead of
-reading the codec's rule.
+numpy index arithmetic with its own projection, `project`, which weighs and
+renormalizes in Python floats as the codec does, and `intact_pair` finds a
+decode's intact register pair by searching its definition instead of reading
+the codec's rule.
 Joint states of ancilla and register use the slow-first tensor layout,
 combined index = 4 * (ancilla level) + (register index), with register
 index k = b1 + 2*b2. Encoding outcome j projects onto the indices that tie
@@ -125,11 +126,15 @@ def project(state: PureState, levels: Iterable[int]) -> tuple[float, PureState |
     idx = sorted({operator.index(level) for level in levels})
     if not idx or idx[0] < 0 or idx[-1] >= state.dim:
         raise ValueError(f"levels must be a nonempty subset of 0..{state.dim - 1}, got {idx}")
-    probability = float(np.sum(np.abs(state.amplitudes[idx]) ** 2))
+    # plain Python floats, each square summed left to right, as the codec weighs
+    probability = 0.0
+    for k in idx:
+        c = state.amplitudes[k]
+        probability += c.real * c.real + c.imag * c.imag
     if probability <= NULL_BRANCH_EPS:
         return probability, None
-    collapsed = np.zeros_like(state.amplitudes)
-    collapsed[idx] = state.amplitudes[idx] / math.sqrt(probability)
+    norm = math.sqrt(probability)
+    collapsed = [state.amplitudes[k] / norm if k in idx else 0j for k in range(state.dim)]
     return probability, PureState(collapsed)
 
 
@@ -198,9 +203,10 @@ def sample_bloch(u1: float, u2: float) -> BlochAngles:
 
 def phase_aligned_max_diff(a: PureState, b: PureState) -> float:
     """Largest componentwise deviation after aligning the global phase of b."""
-    overlap = np.vdot(a.amplitudes, b.amplitudes)
+    x, y = np.asarray(a.amplitudes), np.asarray(b.amplitudes)
+    overlap = np.vdot(x, y)
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-    return float(np.max(np.abs(a.amplitudes - b.amplitudes * np.conj(phase))))
+    return float(np.max(np.abs(x - y * np.conj(phase))))
 
 
 def prior(theta):

@@ -497,13 +497,22 @@ class TestFormatsAndOutput:
         ["verify", "--trials", "10"], ["mc", "--trials", "10", "--format", "csv"], ["encode"],
     ])
     def test_out_into_a_missing_directory_is_a_usage_error(self, runner, tmp_path, command):
-        # the first is found before the command runs; a path that ends in a
-        # separator names no file, and only the write reports it
+        # both are found before the command runs; a path that ends in a
+        # separator names the directory itself
         for out, reason in ((tmp_path / "nodir" / "x.json", "No such file or directory"),
-                            (f"{tmp_path / 'nodir'}{os.sep}", "Is a directory")):
+                            (f"{tmp_path / 'nodir'}{os.sep}", "No such file or directory")):
             result = runner.invoke(main, [*command, "--out", str(out)])
             assert result.exit_code == 2, result.output
             assert f"Invalid value for '--out': cannot write {out}: {reason}" in result.output
+
+    def test_out_that_fails_at_the_write_is_a_usage_error(self, runner):
+        # the sink passes the check before the work; the write itself fails
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        result = runner.invoke(main, ["encode", "--out", "/dev/full"])
+        assert result.exit_code == 2, result.output
+        reason = "No space left on device"
+        assert f"Invalid value for '--out': cannot write /dev/full: {reason}" in result.output
 
     def test_printed_outcome_probabilities_are_the_sampled_weights(self, runner, monkeypatch):
         sampled = []
@@ -610,7 +619,8 @@ FIVE_COMMANDS = [["demo"], ["encode"], ["decode", "--outcome", "1", "--target", 
                  ["mc", "--trials", "1000"], ["verify", "--trials", "64"]]
 
 
-@pytest.mark.parametrize("sink", ["closed descriptor", "missing directory", "file as directory"])
+@pytest.mark.parametrize("sink", ["closed descriptor", "missing directory", "file as directory",
+                                  "missing directory/", "file as directory/", "directory/"])
 @pytest.mark.parametrize("command", FIVE_COMMANDS, ids=lambda args: args[0])
 def test_no_work_runs_for_an_unwritable_sink(monkeypatch, capsys, tmp_path, sink, command):
     def work(*args, **kwargs):
@@ -628,9 +638,15 @@ def test_no_work_runs_for_an_unwritable_sink(monkeypatch, capsys, tmp_path, sink
         out, reason = {
             "missing directory": (tmp_path / "nodir" / "x.json", "No such file or directory"),
             "file as directory": (regular / "x.json", "Not a directory"),
+            # a trailing separator names the directory itself
+            "missing directory/": (f"{tmp_path / 'nodir'}{os.sep}", "No such file or directory"),
+            "file as directory/": (f"{regular}{os.sep}", "Not a directory"),
+            "directory/": (f"{tmp_path}{os.sep}", None),
         }[sink]
         command = [*command, "--out", str(out)]
         expected = f"Error: Invalid value for '--out': cannot write {out}: {reason}"
+        if reason is None:  # click's own check of the path, at parse time
+            expected = f"Error: Invalid value for '--out': File '{out}' is a directory."
     with pytest.raises(SystemExit) as exited:
         main(command)
     assert exited.value.code == 2

@@ -21,11 +21,22 @@ were recorded before `codec.encode` began handing its register state to
 `demo` and before `PureState` checked finiteness and norm with one numpy call
 each, so they hold those changes to the same bytes. `demo_generic.json` also
 pins `python -m qutritcodec`, the entry point the README advertises.
+
+The two `decode` pins `blas` and `simd` hold preparations whose last printed
+digit depended on the machine while `states` and `codec` computed on numpy
+arrays: `blas`'s `outcome_probability` read 0.282861608956 with the native
+OpenBLAS `zdotc` kernel and ...957 with `OPENBLAS_CORETYPE=Prescott`, and
+`simd`'s `success_probability` read 0.949717734129 natively and ...13 with
+numpy's baseline SIMD dispatch. They were recorded from the plain-Python codec,
+which prints ...957 and ...129 in every one of those configurations, as
+`test_trace_documents_do_not_depend_on_the_machine` checks.
 """
 
 from __future__ import annotations
 
+import ctypes
 import difflib
+import json
 import math
 import os
 import subprocess
@@ -49,6 +60,12 @@ PREPARATIONS = {
                 ["--outcome", "2", "--target", "1"]),
     "nearpole": (["--theta1", "1e-9", "--phi1", "0.7", "--theta2", "3.141592652", "--phi2", "2.5"],
                  "3", ["--outcome", "0", "--target", "2"]),
+    "blas": (["--theta1", "1.1646509872279889", "--phi1", "-6.973362444536171",
+              "--theta2", "0.9693242930269216", "--phi2", "-1.3845451922181713"], "0",
+             ["--outcome", "2", "--target", "1"]),
+    "simd": (["--theta1", "2.4794670583225344", "--phi1", "-4.898521516950942",
+              "--theta2", "1.4669209912100443", "--phi2", "5.301925329865387"], "0",
+             ["--outcome", "0", "--target", "2"]),
 }
 
 
@@ -89,7 +106,8 @@ def _assert_pinned(path: Path, printed: bytes) -> None:
 
 
 def test_every_pin_is_on_disk():
-    assert len(CASES) == 40
+    assert len(CASES) == 42
+    assert len(TRACE_CASES) == 32
 
 
 @pytest.mark.parametrize("path", CASES, ids=_case_id)
@@ -97,14 +115,19 @@ def test_document_bytes_are_pinned(path):
     _assert_pinned(path, _printed(path))
 
 
-def _run_module(args: list[str]) -> subprocess.CompletedProcess:
-    """`python -m qutritcodec` in a fresh interpreter on this checkout's sources."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def _python(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's sources and tests."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qutritcodec", *args], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], env={**os.environ, **env, "PYTHONPATH": path},
         capture_output=True, timeout=120,
     )
+
+
+def _run_module(args: list[str]) -> subprocess.CompletedProcess:
+    return _python(["-m", "qutritcodec", *args])
 
 
 def test_module_entry_point_prints_the_pinned_document():
@@ -118,6 +141,81 @@ def test_module_entry_point_rejects_a_nan_angle_with_a_usage_error():
     result = _run_module(["demo", "--theta1", "nan"])
     assert result.returncode == 2
     assert b"Traceback" not in result.stderr
+
+
+def _openblas_core() -> str | None:
+    """The kernel family numpy's OpenBLAS runs, None where none is found."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            if hasattr(lib, name):
+                corename = getattr(lib, name)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def _numpy_dispatch() -> list[str] | None:
+    """The CPU features numpy's SIMD loops dispatch on, None where unreadable."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return None
+    return sorted(name for name, on in __cpu_features__.items() if on)
+
+
+def _libm_fma() -> bool | None:
+    """Whether glibc lets its ifuncs pick FMA code, as libm's sin, cos and exp
+    do; None off x86 glibc."""
+    try:
+        leaf = ctypes.CDLL(None).__x86_get_cpuid_feature_leaf
+    except (AttributeError, OSError):
+        return None
+    leaf.argtypes, leaf.restype = [ctypes.c_uint], ctypes.POINTER(ctypes.c_uint32 * 8)
+    # leaf 0 is CPUID 1: words 0-3 are what the CPU reports, 4-7 what glibc
+    # lets code use; FMA is bit 12 of ECX
+    return bool(leaf(0).contents[6] >> 12 & 1)
+
+
+TRACE_CASES = [path for path in CASES if path.stem.split("_")[0] in ("demo", "encode", "decode")]
+# leg -> (the environment of a child process, the probe that shows it took effect)
+LEGS = {
+    "openblas-prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, _openblas_core),
+    "numpy-baseline": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"}, _numpy_dispatch),
+    "libm-without-fma": (
+        {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-AVX2,-FMA,-AVX512F"},
+        _libm_fma,
+    ),
+}
+
+
+def _report_this_process() -> None:
+    """Print, as JSON, every probe of this process and the trace pins it
+    renders differently."""
+    probes = {leg: probe() for leg, (_, probe) in LEGS.items()}
+    moved = [path.name for path in TRACE_CASES if _printed(path) != path.read_bytes()]
+    print(json.dumps({"probes": probes, "moved": moved}))
+
+
+@pytest.mark.parametrize("leg", LEGS)
+def test_trace_documents_do_not_depend_on_the_machine(leg):
+    # one child renders every trace pin in-process: a child per command line
+    # would cost about 0.25 s each
+    env, probe = LEGS[leg]
+    result = _python(["-c", "import test_golden; test_golden._report_this_process()"], **env)
+    (variable,) = env
+    if result.returncode != 0 and variable.encode() in result.stderr:
+        pytest.skip(f"the child refused {variable}: {result.stderr.decode()[-200:]}")
+    assert result.returncode == 0, result.stderr.decode()
+    child = json.loads(result.stdout)
+    if child["probes"][leg] is not None and child["probes"][leg] == probe():
+        pytest.skip(f"{variable} left {probe.__name__[1:]} at {probe()!r}")
+    assert child["moved"] == []
 
 
 if __name__ == "__main__":

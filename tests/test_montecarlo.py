@@ -279,8 +279,14 @@ def test_an_intact_pair_differs_in_the_target_bit_alone():
             assert low ^ high == 1 << (target - 1)
 
 
+def on_two_cpus(monkeypatch) -> None:
+    """Let run_trials see two CPUs, however many this process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def count_forks(monkeypatch) -> list[float]:
-    """The times at which run_trials forks from now on."""
+    """The times at which run_trials forks from now on, on two CPUs."""
+    on_two_cpus(monkeypatch)
     calls = []
     fork = os.fork
 
@@ -293,7 +299,8 @@ def count_forks(monkeypatch) -> list[float]:
 
 
 def split_small_batches(monkeypatch) -> None:
-    """Split every batch of 2 blocks of 999 trials or more."""
+    """Split every batch of 2 blocks of 999 trials or more, on two CPUs."""
+    on_two_cpus(monkeypatch)
     monkeypatch.setattr(montecarlo, "_KERNEL_TRIALS", 999)
     monkeypatch.setattr(montecarlo, "_SPLIT_BLOCKS", 2)
 
@@ -368,6 +375,17 @@ class TestSplitBatches:
         serial = run_trials(4000, 3, "random")
         monkeypatch.delattr(os, "fork")
         split_small_batches(monkeypatch)
+        assert run_trials(4000, 3, "random") == serial
+
+    def test_stays_serial_on_one_cpu(self, monkeypatch):
+        serial = run_trials(4000, 3, "random")
+        split_small_batches(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def fork():
+            raise AssertionError("a batch forked with one CPU to run on")
+
+        monkeypatch.setattr(os, "fork", fork)
         assert run_trials(4000, 3, "random") == serial
 
     def test_a_failed_fork_runs_both_halves_here(self, monkeypatch):
