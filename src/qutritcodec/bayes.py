@@ -39,8 +39,7 @@ import numpy as np
 from .codec import (
     _check_outcome, _check_target, decode_levels, intact_block, qubit_bit, survivors,
 )
-
-MIN_NODES = 16
+from .stream import MIN_NODES
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ split Monte Carlo batch fails (no document is written then). Each command
 body returns its document: a closed stdout or a missing `--out` directory
 is found before the body runs, and the status of a written document is
 decided in `_emit`.
+
+Only `mc` and `verify` import `bayes` and `montecarlo`, and numpy with them;
+the option limits and the trace commands' uniforms come from `stream`, so the
+trace commands, `--help` and usage errors run without numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Any
 
 import click
 
-from . import bayes, codec, montecarlo, states
+from . import codec, states, stream
 from .report import FORMATS, amplitude_pairs, document, make_row, render
 
 QUOTED_GAIN_TOL = 5e-4
@@ -142,7 +146,7 @@ def _document_options(fn):
                            help="Write the document to this path instead of stdout.")(command)
     command = click.option("--format", "fmt", type=click.Choice(FORMATS), default="json",
                            show_default=True, help="Document format (JSON is normative).")(command)
-    return click.option("--seed", type=click.IntRange(0, montecarlo.MAX_SEED), default=0,
+    return click.option("--seed", type=click.IntRange(0, stream.MAX_SEED), default=0,
                         show_default=True,
                         help="Master seed of the counter-based random stream.")(command)
 
@@ -188,16 +192,14 @@ def _decode_entry(
 @_document_options
 def demo(pair, params, seed) -> dict[str, Any]:
     """Narrate one full encode/decode run for a fixed preparation."""
-    stream = montecarlo._philox(seed, 0)
-    record = codec.encode(pair, float(stream.random()))
+    u_encode, *u_decode = stream.uniforms(seed, 3)
+    record = codec.encode(pair, u_encode)
     trace = {
         "joint_amplitudes": amplitude_pairs(record.joint.amplitudes),
         **_encode_trace(record),
         "decode": {
-            f"target_{target}": _decode_entry(
-                pair, record.qutrit, record.outcome, target, float(stream.random())
-            )
-            for target in (1, 2)
+            f"target_{target}": _decode_entry(pair, record.qutrit, record.outcome, target, u)
+            for target, u in zip((1, 2), u_decode)
         },
     }
     return document("demo", {**params, "seed": seed}, trace=trace)
@@ -208,7 +210,7 @@ def demo(pair, params, seed) -> dict[str, Any]:
 @_document_options
 def encode(pair, params, seed) -> dict[str, Any]:
     """Encode a preparation, sampling the measurement outcome from the seed."""
-    record = codec.encode(pair, float(montecarlo._philox(seed, 0).random()))
+    record = codec.encode(pair, stream.uniforms(seed, 1)[0])
     return document("encode", {**params, "seed": seed}, trace=_encode_trace(record))
 
 
@@ -228,7 +230,7 @@ def decode(pair, params, outcome, target, seed) -> dict[str, Any]:
     probability, qutrit = codec.encode_branch(pair, outcome)
     if qutrit is None:
         raise click.UsageError(f"outcome {outcome} cannot occur for this preparation")
-    u = float(montecarlo._philox(seed, 0).random())
+    u = stream.uniforms(seed, 1)[0]
     trace = {
         "outcome_probability": probability,
         "qutrit_amplitudes": amplitude_pairs(qutrit.amplitudes),
@@ -241,6 +243,8 @@ def decode(pair, params, outcome, target, seed) -> dict[str, Any]:
 def _mc_rows(trials: int, seed: int, target_policy: str) -> list[dict[str, Any]]:
     """Rows of a batch against the closed-form outcome priors and success
     probability of `bayes.exact_report`, with binomial bands."""
+    from . import bayes, montecarlo
+
     try:
         stats = montecarlo.run_trials(trials, seed, target_policy)
     except montecarlo.WorkerError as error:
@@ -270,7 +274,7 @@ def _mc_rows(trials: int, seed: int, target_policy: str) -> list[dict[str, Any]]
     help="Number of Monte Carlo trials.",
 )
 @click.option(
-    "--target-policy", type=click.Choice(montecarlo.TARGET_POLICIES),
+    "--target-policy", type=click.Choice(stream.TARGET_POLICIES),
     default="always-1", show_default=True,
     help="Which qubit each trial decodes.",
 )
@@ -282,6 +286,8 @@ def mc(trials, target_policy, seed) -> dict[str, Any]:
 
 
 def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
+    from . import bayes
+
     prior_sum = sum(report[f"outcome_prior_{j}"] for j in range(4))
     scalars = {**report, "outcome_prior_sum": prior_sum}
     rows = [
@@ -302,7 +308,7 @@ def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
 # the cap bounds the run time, which grows as n^2 (node generation ~0.15 s and
 # the report's encode-posterior strips ~0.08 s at 4096); memory grows only as n
 @click.option(
-    "--nodes", type=click.IntRange(bayes.MIN_NODES, 4096), default=256, show_default=True,
+    "--nodes", type=click.IntRange(stream.MIN_NODES, 4096), default=256, show_default=True,
     help="Quadrature nodes per axis of the gain report that the rows check.",
 )
 @click.option(
@@ -312,6 +318,8 @@ def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
 @_document_options
 def verify(nodes, trials, seed) -> dict[str, Any]:
     """Recompute every reference constant and emit a pass/fail table."""
+    from . import bayes
+
     params = {"nodes": nodes, "trials": trials, "seed": seed}
     rows = _verify_rows(bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes)))
     rows.extend(_mc_rows(trials, seed, "always-1"))

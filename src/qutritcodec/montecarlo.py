@@ -35,13 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import intact_block
+from .stream import MAX_SEED, TARGET_POLICIES
 
 UNIFORMS_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = UNIFORMS_PER_TRIAL // 4  # Philox yields 4 values per block
 
-TARGET_POLICIES = ("always-1", "always-2", "alternate", "random")
-
-MAX_SEED = 2**64 - 1
 # trials per kernel call: 64 KiB float arrays, below glibc's smallest mmap
 # threshold, are reused from the heap and stay in cache, not faulted in anew
 _KERNEL_TRIALS = 1 << 13

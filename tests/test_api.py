@@ -10,6 +10,7 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import qutritcodec
@@ -46,6 +47,15 @@ def test_the_public_surface_is_pinned():
     assert not hasattr(qutritcodec.report, "ReportDocument")
     # the 12-dimensional test oracle keeps the only general projection
     assert not hasattr(qutritcodec.states, "project")
+
+
+def test_the_numpy_layers_resolve_on_first_read():
+    from qutritcodec import gain_report, run_trials
+
+    assert gain_report is qutritcodec.bayes.gain_report
+    assert run_trials is qutritcodec.montecarlo.run_trials
+    with pytest.raises(AttributeError, match=r"^module 'qutritcodec' has no attribute 'nope'$"):
+        qutritcodec.nope
 
 
 def test_run_trials_takes_its_three_arguments():

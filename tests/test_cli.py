@@ -27,6 +27,7 @@ from qutritcodec.cli import main
 from qutritcodec.report import FORMATS, amplitude_pairs, round_sig
 from qutritcodec.states import BlochAngles
 from conftest import any_pairs, near_pole_pairs
+from test_golden import _python
 
 HALF_PI = repr(math.pi / 2)
 PI = repr(math.pi)
@@ -245,7 +246,7 @@ class TestMc:
             scalars = true_exact_report(outcome, target)
             return {**scalars, "success_probability_j0_target1": 0.5}
 
-        monkeypatch.setattr(cli_module.bayes, "exact_report", skewed)
+        monkeypatch.setattr(bayes, "exact_report", skewed)
         result = runner.invoke(main, ["mc", "--trials", "20000"])
         assert result.exit_code == 1
         doc = json.loads(result.output)
@@ -255,7 +256,7 @@ class TestMc:
     @pytest.mark.parametrize("command", ["mc", "verify"])
     def test_trials_are_capped_at_ten_to_the_ten(self, runner, monkeypatch, command):
         stats = montecarlo.TrialStats(10**10, (0, 0, 0, 0), 0, None)
-        monkeypatch.setattr(cli_module.montecarlo, "run_trials", lambda *args: stats)
+        monkeypatch.setattr(montecarlo, "run_trials", lambda *args: stats)
         # accepted: the stub's batch has no success, so a row fails
         assert runner.invoke(main, [command, "--trials", str(10**10)]).exit_code == 1
         result = runner.invoke(main, [command, "--trials", str(10**10 + 1)])
@@ -287,7 +288,7 @@ class TestMc:
                 for name, value in report.items()
             }
 
-        monkeypatch.setattr(cli_module.bayes, "gain_report", skewed)
+        monkeypatch.setattr(bayes, "gain_report", skewed)
         result = runner.invoke(main, [command, "--trials", "1000"])
         # the skew fails verify's own success_probability rows
         assert result.exit_code == (1 if command == "verify" else 0)
@@ -310,7 +311,7 @@ def skew_encoding_gain(monkeypatch, delta: float) -> None:
         report = true_gain_report(quad, outcome, target)
         return {**report, "encoding_gain": report["encoding_gain"] + delta}
 
-    monkeypatch.setattr(cli_module.bayes, "gain_report", skewed)
+    monkeypatch.setattr(bayes, "gain_report", skewed)
 
 
 @pytest.fixture(scope="module")
@@ -609,6 +610,37 @@ def test_the_console_command_exits_2_when_stdout_fails(sink, command):
         )
     assert result.returncode == 2
     assert result.stderr == f"Error: cannot write to stdout: {reason}\n".encode()
+
+
+# the command line after -c runs as `python -m qutritcodec` would run it,
+# and at exit stderr's last line tells whether numpy was imported
+_NUMPY_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('qutritcodec', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("args, code, numpy_loaded", [
+    (["demo", "--theta1", "1.2", "--phi2", "5.1", "--seed", str(2**64 - 1)], 0, False),
+    (["encode", "--seed", "7"], 0, False),
+    (["decode", "--theta1", HALF_PI, "--outcome", "1", "--target", "1"], 0, False),
+    (["--help"], 0, False),
+    (["mc", "--help"], 0, False),
+    (["verify", "--nodes", "8"], 2, False),
+    (["demo", "--theta1", "nan"], 2, False),
+    # the check sees numpy where a command does import it
+    (["mc", "--trials", "10"], 0, True),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_only_mc_and_verify_import_numpy(args, code, numpy_loaded):
+    result = _python(["-c", _NUMPY_AT_EXIT, *args])
+    assert result.returncode == code, result.stderr.decode()
+    assert result.stderr.splitlines()[-1] == str(numpy_loaded).encode()
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    result = _python(["-c", "import sys, qutritcodec; print('numpy' in sys.modules)"])
+    assert result.stdout == b"False\n", result.stderr.decode()
 
 
 # none of seed 166's first five trials decodes, so the success-rate row fails

@@ -218,6 +218,14 @@ def test_trace_documents_do_not_depend_on_the_machine(leg):
     assert child["moved"] == []
 
 
+def test_trace_documents_need_no_numpy():
+    # one child, whose every numpy import fails, renders every trace pin
+    result = _python(["-c", "import sys; sys.modules['numpy'] = None; import test_golden; "
+                            "test_golden._report_this_process()"])
+    assert result.returncode == 0, result.stderr.decode()
+    assert json.loads(result.stdout)["moved"] == []
+
+
 if __name__ == "__main__":
     # re-record: rewrite each existing pin that no longer matches its command
     for path in CASES:
