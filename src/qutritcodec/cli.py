@@ -4,9 +4,13 @@ Exit codes: 0 when every check passes (or a trace command completes),
 1 when a verification row fails, 2 for usage or validation errors and for a
 document that stdout or `--out` cannot take, 3 when the forked half of a
 split Monte Carlo batch fails (no document is written then). Each command
-body returns its document: a closed stdout or a missing `--out` directory
-is found before the body runs, and the status of a written document is
-decided in `_emit`.
+body returns its document: a closed stdout, or an `--out` that names a
+directory, a read-only file or a path in a missing directory, is found
+before the body runs, and `_emit` writes the document and gives its status.
+
+One `argparse` parser, a subparser per command, is built on import, so a
+run only parses. The token after an option is always its value (`--phi1
+-1e-9` is an angle), and no option may be abbreviated.
 
 Only `mc` and `verify` import `bayes` and `montecarlo`, and numpy with them;
 the option limits and the trace commands' uniforms come from `stream`, so the
@@ -15,14 +19,13 @@ trace commands, `--help` and usage errors run without numpy.
 
 from __future__ import annotations
 
+import argparse
 import errno
-import functools
 import math
 import os
+import re
 import sys
 from typing import Any
-
-import click
 
 from . import codec, states, stream
 from .report import FORMATS, amplitude_pairs, document, make_row, render
@@ -63,97 +66,176 @@ VERIFY_ROWS = (
 )
 
 
-def _preparation_options(fn):
-    """The four angle options, turned into the command's `pair` and `params`.
+class _UsageError(Exception):
+    """A command line the program refuses: exit 2 under the command's usage."""
 
-    `states.BlochAngles` alone decides which angles are valid; its
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Exit 2 after a `Usage:` and an `Error:` line on stderr."""
+        message = re.sub(r"^argument (\S+): ", r"Invalid value for '\1': ", message)
+        usage = self.format_usage().removeprefix("usage: ")
+        self.exit(2, f"Usage: {usage}Try '{self.prog} --help' for help.\n\nError: {message}\n")
+
+
+# every option takes a value, which `_glued` joins to it
+_OPTIONS: set[str] = set()
+
+
+def _option(parser: _Parser, name: str, help: str, low=None, high=None, **kwargs) -> None:
+    """Add option `name`; its help shows that it is required or its default,
+    and the range low..high of an integer option."""
+    shown = ["required"] if kwargs.get("required") else []
+    if kwargs.get("default") is not None:
+        shown.append("default: %(default)s")
+    if low is not None:
+        def integer(text: str) -> int:
+            value = int(text)
+            if not low <= value <= high:
+                raise argparse.ArgumentTypeError(f"{value} is not in the range {low}<=x<={high}.")
+            return value
+
+        kwargs["type"] = integer
+        shown.append(f"{low}<=x<={high}")
+    parser.add_argument(name, help=f"{help} [{'; '.join(shown)}]" if shown else help, **kwargs)
+    _OPTIONS.add(name)
+
+
+def _glued(args: list[str]) -> list[str]:
+    """`args` with each option joined to the token after it (`--phi1=-1e-9`),
+    so that token is the value whatever it looks like: argparse would take
+    `-1e-9` or `-inf` for an option."""
+    glued, tokens = [], iter(args)
+    for token in tokens:
+        value = next(tokens, None) if token in _OPTIONS else None
+        glued.append(token if value is None else f"{token}={value}")
+    return glued
+
+
+_PARSER = _Parser(
+    prog="qutritcodec", allow_abbrev=False,
+    description="Simulate the two-qubit-to-qutrit codec and verify its statistics.",
+)
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+
+
+def _command(*options: dict[str, Any], angles: bool = False):
+    """Make the decorated body a command: the four angles if `angles`, then
+    `options`, then `--seed`, `--format` and `--out`."""
+
+    def register(body):
+        parser = _COMMANDS.add_parser(
+            body.__name__, help=body.__doc__, description=body.__doc__,
+            usage="%(prog)s [OPTIONS]", allow_abbrev=False,
+        )
+        for name in ("theta1", "phi1", "theta2", "phi2") if angles else ():
+            _option(parser, f"--{name}", f"{name} of the preparation, in radians.",
+                    type=float, default=0.0)
+        for option in options:
+            _option(parser, **option)
+        _option(parser, "--seed", "Master seed of the counter-based random stream.",
+                low=0, high=stream.MAX_SEED, default=0)
+        _option(parser, "--format", "Document format (JSON is normative).",
+                choices=FORMATS, default="json")
+        _option(parser, "--out", "Write the document to this path instead of stdout.")
+        parser.set_defaults(parser=parser, body=body, angles=angles)
+        return body
+
+    return register
+
+
+def _preparation(theta1, phi1, theta2, phi2, **options) -> dict[str, Any]:
+    """The options with the four angles turned into the command's `pair` and
+    `params`. `states.BlochAngles` alone decides which angles are valid; its
     `ValueError` becomes a usage error naming the qubit's options. `params`
-    holds the angles as given, before `phi` is reduced modulo 2 pi.
-    """
-
-    @functools.wraps(fn)
-    def command(theta1, phi1, theta2, phi2, **kwargs):
-        qubits = []
-        for q, theta, phi in ((1, theta1, phi1), (2, theta2, phi2)):
-            try:
-                qubits.append(states.BlochAngles(theta=theta, phi=phi))
-            except ValueError as error:
-                raise click.BadParameter(str(error), param_hint=f"'--theta{q}/--phi{q}'")
-        params = {"theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2}
-        return fn(pair=tuple(qubits), params=params, **kwargs)
-
-    for name in ("phi2", "theta2", "phi1", "theta1"):
-        command = click.option(
-            f"--{name}", type=float, default=0.0, show_default=True,
-            help=f"{name} of the preparation, in radians.",
-        )(command)
-    return command
+    holds the angles as given, before `phi` is reduced modulo 2 pi."""
+    qubits = []
+    for q, theta, phi in ((1, theta1, phi1), (2, theta2, phi2)):
+        try:
+            qubits.append(states.BlochAngles(theta=theta, phi=phi))
+        except ValueError as error:
+            raise _UsageError(f"Invalid value for '--theta{q}/--phi{q}': {error}")
+    params = {"theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2}
+    return {**options, "pair": tuple(qubits), "params": params}
 
 
-class _UnwritableStdout(click.ClickException):
-    exit_code = 2
+def _unwritable_out(out: str, reason: str) -> _UsageError:
+    return _UsageError(f"Invalid value for '--out': cannot write {out}: {reason}")
 
 
-class _WorkerFailed(click.ClickException):
-    exit_code = 3
+def _check_sink(out: str | None) -> None:
+    """Exit 2 before any work if the document has nowhere to go: descriptor
+    1 closed, or an `--out` in a missing directory or under a regular file
+    ("d/" names d itself), or naming a directory or a read-only file. A
+    full device, a closed pipe and the rest fail at the write."""
+    if out is None:
+        if sys.stdout is None:  # descriptor 1 was closed at startup
+            _PARSER.exit(2, f"Error: cannot write to stdout: {os.strerror(errno.EBADF)}\n")
+        return
+    try:
+        os.stat(os.path.join(os.path.dirname(out) or os.curdir, ""))
+    except OSError as error:
+        if error.errno in (errno.ENOENT, errno.ENOTDIR):
+            raise _unwritable_out(out, error.strerror)
+    if os.path.isdir(out):
+        raise _unwritable_out(out, os.strerror(errno.EISDIR))
+    if os.path.exists(out) and not os.access(out, os.W_OK):
+        raise _unwritable_out(out, os.strerror(errno.EACCES))
 
 
-def _emit(doc: dict[str, Any], fmt: str, out: str | None) -> None:
-    """Write the document, then exit 1 if it holds a failing row; exit 2 if
-    it cannot be written."""
+def _emit(doc: dict[str, Any], fmt: str, out: str | None) -> int:
+    """Write the document; its status is 1 if it holds a failing row. A
+    document that cannot be written exits 2."""
     text = render(doc, fmt)
     if out is None:
         try:
-            click.echo(text, nl=False)
+            sys.stdout.write(text)
+            sys.stdout.flush()
         except OSError as error:  # a full device, a pipe its reader closed
             # stdout still buffers the text, and the interpreter would fail
             # again flushing it at exit: point it at the null device
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-            raise _UnwritableStdout(f"cannot write to stdout: {error.strerror}")
+            _PARSER.exit(2, f"Error: cannot write to stdout: {error.strerror}\n")
     else:
         try:
             with open(out, "w") as handle:
                 handle.write(text)
         except OSError as error:
-            raise _unwritable_out(out, error)
-    if doc.get("overall_pass") is False:
-        raise click.exceptions.Exit(1)
+            raise _unwritable_out(out, error.strerror)
+    return 1 if doc.get("overall_pass") is False else 0
 
 
-def _unwritable_out(out: str, error: OSError) -> click.BadParameter:
-    return click.BadParameter(f"cannot write {out}: {error.strerror}", param_hint="'--out'")
+def _run(args: list[str]) -> int:
+    """Parse one command line, check its angles and its sink, then run the
+    body and write its document."""
+    namespace, extra = _PARSER.parse_known_args(_glued(args))
+    options = vars(namespace)
+    _, parser, body, angles, fmt, out = map(
+        options.pop, ("command", "parser", "body", "angles", "format", "out"))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        if angles:
+            options = _preparation(**options)
+        _check_sink(out)
+        return _emit(body(**options), fmt, out)
+    except _UsageError as error:
+        parser.error(str(error))
 
 
-def _document_options(fn):
-    """`--seed`, `--format` and `--out` around a body that returns its
-    document: the sink is checked before the body runs, `_emit` writes after."""
-
-    @functools.wraps(fn)
-    def command(fmt, out, **kwargs):
-        if out is None and sys.stdout is None:  # descriptor 1 was closed at startup
-            raise _UnwritableStdout(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
-        if out is not None:  # a missing directory or a file in its place fails now
-            try:  # ("d/" names d itself); permissions and the rest fail at the write
-                os.stat(os.path.join(os.path.dirname(out) or os.curdir, ""))
-            except OSError as error:
-                if error.errno in (errno.ENOENT, errno.ENOTDIR):
-                    raise _unwritable_out(out, error)
-        _emit(fn(**kwargs), fmt, out)
-
-    command = click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-                           help="Write the document to this path instead of stdout.")(command)
-    command = click.option("--format", "fmt", type=click.Choice(FORMATS), default="json",
-                           show_default=True, help="Document format (JSON is normative).")(command)
-    return click.option("--seed", type=click.IntRange(0, stream.MAX_SEED), default=0,
-                        show_default=True,
-                        help="Master seed of the counter-based random stream.")(command)
-
-
-@click.group()
-def main() -> None:
-    """Simulate the two-qubit-to-qutrit codec and verify its statistics."""
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> int | None:
+    """Run one command line, `sys.argv[1:]` when `args` is None, and exit
+    with its status; with `standalone_mode=False`, return the status instead,
+    None for 0. Errors go to stderr either way."""
+    try:
+        status = _run(sys.argv[1:] if args is None else list(args))
+    except SystemExit as end:  # argparse's exit, which every error goes through
+        status = end.code
+    if standalone_mode:
+        sys.exit(status)
+    return status or None
 
 
 def _encode_trace(record: codec.EncodeRecord) -> dict[str, Any]:
@@ -187,9 +269,7 @@ def _decode_entry(
     return entry
 
 
-@main.command()
-@_preparation_options
-@_document_options
+@_command(angles=True)
 def demo(pair, params, seed) -> dict[str, Any]:
     """Narrate one full encode/decode run for a fixed preparation."""
     u_encode, *u_decode = stream.uniforms(seed, 3)
@@ -205,31 +285,24 @@ def demo(pair, params, seed) -> dict[str, Any]:
     return document("demo", {**params, "seed": seed}, trace=trace)
 
 
-@main.command()
-@_preparation_options
-@_document_options
+@_command(angles=True)
 def encode(pair, params, seed) -> dict[str, Any]:
     """Encode a preparation, sampling the measurement outcome from the seed."""
     record = codec.encode(pair, stream.uniforms(seed, 1)[0])
     return document("encode", {**params, "seed": seed}, trace=_encode_trace(record))
 
 
-@main.command()
-@_preparation_options
-@click.option(
-    "--outcome", type=click.IntRange(0, 3), required=True,
-    help="Recorded encoding outcome (the two classical bits).",
+@_command(
+    dict(name="--outcome", low=0, high=3, required=True,
+         help="Recorded encoding outcome (the two classical bits)."),
+    dict(name="--target", low=1, high=2, required=True, help="Which qubit to reconstruct."),
+    angles=True,
 )
-@click.option(
-    "--target", type=click.IntRange(1, 2), required=True,
-    help="Which qubit to reconstruct.",
-)
-@_document_options
 def decode(pair, params, outcome, target, seed) -> dict[str, Any]:
     """Decode one qubit from the qutrit of a given preparation and outcome."""
     probability, qutrit = codec.encode_branch(pair, outcome)
     if qutrit is None:
-        raise click.UsageError(f"outcome {outcome} cannot occur for this preparation")
+        raise _UsageError(f"outcome {outcome} cannot occur for this preparation")
     u = stream.uniforms(seed, 1)[0]
     trace = {
         "outcome_probability": probability,
@@ -240,25 +313,26 @@ def decode(pair, params, outcome, target, seed) -> dict[str, Any]:
     return document("decode", params, trace=trace)
 
 
-def _mc_rows(trials: int, seed: int, target_policy: str) -> list[dict[str, Any]]:
+def _mc_rows(
+    trials: int, seed: int, target_policy: str, exact: dict[str, float]
+) -> list[dict[str, Any]]:
     """Rows of a batch against the closed-form outcome priors and success
     probability of `bayes.exact_report`, with binomial bands."""
-    from . import bayes, montecarlo
+    from . import montecarlo
 
     try:
         stats = montecarlo.run_trials(trials, seed, target_policy)
     except montecarlo.WorkerError as error:
-        raise _WorkerFailed(str(error))
+        _PARSER.exit(3, f"Error: {error}\n")
 
     def band(reference: float, sigmas: float) -> float:
         return sigmas * math.sqrt(reference * (1.0 - reference) / stats.trials)
 
-    scalars = bayes.exact_report()
-    rate = scalars["success_probability_j0_target1"]
+    rate = exact["success_probability_j0_target1"]
     rows = [make_row("mc_success_rate", stats.mean_success_rate, rate,
                      band(rate, MC_RATE_SIGMAS), "mc")]
     for j in range(4):
-        reference = scalars[f"outcome_prior_{j}"]
+        reference = exact[f"outcome_prior_{j}"]
         rows.append(make_row(f"mc_outcome_freq_{j}", stats.outcome_counts[j] / stats.trials,
                              reference, band(reference, MC_HISTOGRAM_SIGMAS), "mc"))
     # with no successful trial there is no reconstruction to check
@@ -268,26 +342,21 @@ def _mc_rows(trials: int, seed: int, target_policy: str) -> list[dict[str, Any]]
     return rows
 
 
-@main.command()
-@click.option(
-    "--trials", type=click.IntRange(1, MAX_TRIALS), default=1_000_000, show_default=True,
-    help="Number of Monte Carlo trials.",
+@_command(
+    dict(name="--trials", low=1, high=MAX_TRIALS, default=1_000_000,
+         help="Number of Monte Carlo trials."),
+    dict(name="--target-policy", choices=stream.TARGET_POLICIES, default="always-1",
+         help="Which qubit each trial decodes."),
 )
-@click.option(
-    "--target-policy", type=click.Choice(stream.TARGET_POLICIES),
-    default="always-1", show_default=True,
-    help="Which qubit each trial decodes.",
-)
-@_document_options
 def mc(trials, target_policy, seed) -> dict[str, Any]:
     """Run seeded Monte Carlo trials and compare with the closed forms."""
-    params = {"trials": trials, "seed": seed, "target_policy": target_policy}
-    return document("mc", params, rows=_mc_rows(trials, seed, target_policy))
-
-
-def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
     from . import bayes
 
+    params = {"trials": trials, "seed": seed, "target_policy": target_policy}
+    return document("mc", params, rows=_mc_rows(trials, seed, target_policy, bayes.exact_report()))
+
+
+def _verify_rows(report: dict[str, float], exact: dict[str, float]) -> list[dict[str, Any]]:
     prior_sum = sum(report[f"outcome_prior_{j}"] for j in range(4))
     scalars = {**report, "outcome_prior_sum": prior_sum}
     rows = [
@@ -298,29 +367,27 @@ def _verify_rows(report: dict[str, float]) -> list[dict[str, Any]]:
     ]
     # every gain and outcome prior against its closed form; the totals and
     # success probabilities are pinned by the rows above
-    for name, exact in bayes.exact_report().items():
+    for name, value in exact.items():
         if "total" not in name and not name.startswith("success_probability"):
-            rows.append(make_row(f"exact_{name}", scalars[name], exact, EXACT_TOL, "identity"))
+            rows.append(make_row(f"exact_{name}", scalars[name], value, EXACT_TOL, "identity"))
     return rows
 
 
-@main.command()
-# the cap bounds the run time, which grows as n^2 (node generation ~0.15 s and
-# the report's encode-posterior strips ~0.08 s at 4096); memory grows only as n
-@click.option(
-    "--nodes", type=click.IntRange(stream.MIN_NODES, 4096), default=256, show_default=True,
-    help="Quadrature nodes per axis of the gain report that the rows check.",
+# the cap on --nodes bounds the run time, which grows as n^2 (node generation
+# ~0.15 s and the report's encode-posterior strips ~0.08 s at 4096); memory
+# grows only as n
+@_command(
+    dict(name="--nodes", low=stream.MIN_NODES, high=4096, default=256,
+         help="Quadrature nodes per axis of the gain report that the rows check."),
+    dict(name="--trials", low=1, high=MAX_TRIALS, default=1_000_000,
+         help="Monte Carlo trials for the statistical rows."),
 )
-@click.option(
-    "--trials", type=click.IntRange(1, MAX_TRIALS), default=1_000_000, show_default=True,
-    help="Monte Carlo trials for the statistical rows.",
-)
-@_document_options
 def verify(nodes, trials, seed) -> dict[str, Any]:
     """Recompute every reference constant and emit a pass/fail table."""
     from . import bayes
 
+    exact = bayes.exact_report()
     params = {"nodes": nodes, "trials": trials, "seed": seed}
-    rows = _verify_rows(bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes)))
-    rows.extend(_mc_rows(trials, seed, "always-1"))
+    rows = _verify_rows(bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes)), exact)
+    rows.extend(_mc_rows(trials, seed, "always-1", exact))
     return document("verify", params, rows=rows)

@@ -1,6 +1,7 @@
-"""Shared helpers: random, near-pole and unit-state strategies, and five
-oracles. The explicit 12-dimensional encoding pipeline checks the codec's
-closed forms, the conditional success probability checks the success
+"""Shared helpers: `invoke`, which runs a command line in this process;
+random, near-pole and unit-state strategies; and five oracles. The
+explicit 12-dimensional encoding pipeline checks the codec's closed
+forms, the conditional success probability checks the success
 probability of `decode`, the scalar inverse-CDF sampler checks the Monte
 Carlo kernel's preparations, brute-force quadrature checks the gain report,
 and an extended-precision Gauss-Legendre rule checks the report's
@@ -21,17 +22,53 @@ register level (j + 1) mod 4, where the qutrit is read off.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import operator
+from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError:  # a child of test_golden renders the trace pins with numpy blocked
+    np = None
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from qutritcodec import BlochAngles, PureState, make_qubit_state
+from qutritcodec.cli import main
 from qutritcodec.states import NULL_BRANCH_EPS
+
+
+@dataclass(frozen=True)
+class Invocation:
+    """One command line run by `invoke`."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(args: list[str]) -> Invocation:
+    """`main(args, standalone_mode=False)` with stdout and stderr captured.
+    An exception, `SystemExit` included, is recorded with exit code 1."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    status = exception = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            status = main(args, standalone_mode=False)
+        except (Exception, SystemExit) as error:
+            exception = error
+    code = 1 if exception is not None else status or 0
+    return Invocation(code, stdout.getvalue(), stderr.getvalue(), exception)
+
 
 # the relabeling permutation: joint index k moves to RELABEL[k]
 RELABEL = [4 * level + (k - level) % 4 for level in range(3) for k in range(4)]

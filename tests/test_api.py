@@ -11,11 +11,10 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import qutritcodec
 import qutritcodec.report
-from qutritcodec.cli import main
+from conftest import invoke
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = README.parent / "src" / "qutritcodec"
@@ -101,6 +100,6 @@ def test_readme_cli_examples_run(tmp_path):
         line = line.replace("[--out report.json]", f"--out {tmp_path / 'report.json'}")
         program, *args = shlex.split(line)
         assert program == "qutritcodec"
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, (line, result.output)
     assert (tmp_path / "report.json").is_file()

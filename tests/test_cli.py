@@ -9,13 +9,13 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,21 +26,16 @@ import qutritcodec.montecarlo as montecarlo
 from qutritcodec.cli import main
 from qutritcodec.report import FORMATS, amplitude_pairs, round_sig
 from qutritcodec.states import BlochAngles
-from conftest import any_pairs, near_pole_pairs
+from conftest import any_pairs, invoke, near_pole_pairs
 from test_golden import _python
 
 HALF_PI = repr(math.pi / 2)
 PI = repr(math.pi)
 
 
-@pytest.fixture
-def runner() -> CliRunner:
-    return CliRunner()
-
-
 class TestDemo:
-    def test_degenerate_preparation_lists_branch_weights(self, runner):
-        result = runner.invoke(main, ["demo", "--seed", "1"])
+    def test_degenerate_preparation_lists_branch_weights(self):
+        result = invoke(["demo", "--seed", "1"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["command"] == "demo"
@@ -49,11 +44,8 @@ class TestDemo:
         for p in probs[1:]:
             assert p == pytest.approx(1 / 3, abs=1e-9)
 
-    def test_worked_preparation_trace(self, runner):
-        result = runner.invoke(
-            main,
-            ["demo", "--theta1", HALF_PI, "--theta2", PI, "--seed", "0"],
-        )
+    def test_worked_preparation_trace(self):
+        result = invoke(["demo", "--theta1", HALF_PI, "--theta2", PI, "--seed", "0"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         trace = doc["trace"]
@@ -63,28 +55,26 @@ class TestDemo:
         assert flat == pytest.approx([0, 0, 0.707106781187, 0, 0.707106781187, 0], abs=1e-9)
         assert set(trace["decode"]) == {"target_1", "target_2"}
 
-    def test_same_seed_is_byte_identical(self, runner):
+    def test_same_seed_is_byte_identical(self):
         args = ["demo", "--theta1", "0.7", "--phi1", "2.1", "--seed", "9"]
-        first = runner.invoke(main, args)
-        second = runner.invoke(main, args)
+        first = invoke(args)
+        second = invoke(args)
         assert first.output == second.output
 
-    def test_invalid_angle_is_a_usage_error(self, runner):
+    def test_invalid_angle_is_a_usage_error(self):
         # one test id over every trace command, qubit and kind of bad polar angle
         for command, option, value in itertools.product(
             ("demo", "encode", "decode"), ("--theta1", "--theta2"), ("-0.1", "4.0", "nan", "inf")
         ):
             extra = ["--outcome", "1", "--target", "1"] if command == "decode" else []
-            result = runner.invoke(main, [command, option, value, *extra])
+            result = invoke([command, option, value, *extra])
             assert result.exit_code == 2, (command, option, value, result.output)
             assert option in result.output
 
 
 class TestEncode:
-    def test_trace_fields(self, runner):
-        result = runner.invoke(
-            main, ["encode", "--theta1", HALF_PI, "--theta2", PI, "--seed", "0"]
-        )
+    def test_trace_fields(self):
+        result = invoke(["encode", "--theta1", HALF_PI, "--theta2", PI, "--seed", "0"])
         assert result.exit_code == 0
         trace = json.loads(result.output)["trace"]
         assert trace["outcome"] in range(4)
@@ -92,20 +82,17 @@ class TestEncode:
         assert trace["outcome"] == bits[0] + 2 * bits[1]
         assert len(trace["qutrit_amplitudes"]) == 3
 
-    def test_seed_determinism(self, runner):
+    def test_seed_determinism(self):
         args = ["encode", "--theta1", "1.0", "--theta2", "2.0", "--seed", "4"]
-        assert runner.invoke(main, args).output == runner.invoke(main, args).output
+        assert invoke(args).output == invoke(args).output
 
 
 class TestDecode:
-    def test_reconstruction_with_certain_success(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "decode", "--theta1", HALF_PI, "--theta2", PI,
-                "--outcome", "0", "--target", "1", "--seed", "0",
-            ],
-        )
+    def test_reconstruction_with_certain_success(self):
+        result = invoke([
+            "decode", "--theta1", HALF_PI, "--theta2", PI,
+            "--outcome", "0", "--target", "1", "--seed", "0",
+        ])
         assert result.exit_code == 0
         trace = json.loads(result.output)["trace"]
         assert trace["success"] is True
@@ -114,16 +101,14 @@ class TestDecode:
         assert trace["success_levels"] == [1, 2]
         assert trace["failure_level"] == 0
 
-    def test_impossible_outcome_is_a_usage_error(self, runner):
-        result = runner.invoke(
-            main, ["decode", "--outcome", "0", "--target", "1"]
-        )
+    def test_impossible_outcome_is_a_usage_error(self):
+        result = invoke(["decode", "--outcome", "0", "--target", "1"])
         assert result.exit_code == 2
         assert "cannot occur" in result.output
 
-    def test_requires_outcome_and_target(self, runner):
-        assert runner.invoke(main, ["decode", "--target", "1"]).exit_code == 2
-        assert runner.invoke(main, ["decode", "--outcome", "1"]).exit_code == 2
+    def test_requires_outcome_and_target(self):
+        assert invoke(["decode", "--target", "1"]).exit_code == 2
+        assert invoke(["decode", "--outcome", "1"]).exit_code == 2
 
 
 def _angle_args(pair) -> list[str]:
@@ -145,7 +130,7 @@ def test_demo_builds_the_register_state_once(pair, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec, "joint_state", counted)
-        result = CliRunner().invoke(main, ["demo", *_angle_args(pair), "--seed", str(seed)])
+        result = invoke(["demo", *_angle_args(pair), "--seed", str(seed)])
     assert result.exit_code == 0, result.output
     assert calls == [pair]
     printed = json.loads(result.output)["trace"]["joint_amplitudes"]
@@ -157,9 +142,7 @@ class TestNearPolePreparations:
     @settings(max_examples=40, deadline=None)
     def test_demo_and_encode_give_documents(self, pair, seed):
         for command in ("demo", "encode"):
-            result = CliRunner().invoke(
-                main, [command, *_angle_args(pair), "--seed", str(seed)]
-            )
+            result = invoke([command, *_angle_args(pair), "--seed", str(seed)])
             assert result.exit_code == 0, result.output
             trace = json.loads(result.output)["trace"]
             assert sum(trace["outcome_probabilities"]) == pytest.approx(1, abs=1e-11)
@@ -172,11 +155,8 @@ class TestNearPolePreparations:
     )
     @settings(max_examples=40, deadline=None)
     def test_decode_gives_a_document_or_a_usage_error(self, pair, outcome, target, seed):
-        result = CliRunner().invoke(
-            main,
-            ["decode", *_angle_args(pair), "--outcome", str(outcome),
-             "--target", str(target), "--seed", str(seed)],
-        )
+        result = invoke(["decode", *_angle_args(pair), "--outcome", str(outcome),
+                         "--target", str(target), "--seed", str(seed)])
         if result.exit_code == 2:
             assert "cannot occur" in result.output
             return
@@ -189,11 +169,68 @@ class TestNearPolePreparations:
 @pytest.mark.parametrize("command", ["demo", "encode", "decode"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("option", ["--phi1", "--phi2"])
-def test_non_finite_phase_is_a_usage_error(runner, command, value, option):
+def test_non_finite_phase_is_a_usage_error(command, value, option):
     extra = ["--outcome", "1", "--target", "1"] if command == "decode" else []
-    result = runner.invoke(main, [command, option, value, *extra])
+    result = invoke([command, option, value, *extra])
     assert result.exit_code == 2
     assert "must be finite" in result.output
+
+
+_ANGLES_HELP = {f"--{name}": "default: 0.0" for name in ("theta1", "phi1", "theta2", "phi2")}
+_DOCUMENT_HELP = {"--seed": "default: 0; 0<=x<=18446744073709551615",
+                  "--format": "default: json", "--out": None}
+_TRIALS_HELP = {"--trials": "default: 1000000; 1<=x<=10000000000"}
+# each command's options and what its help shows in brackets after the option's text
+HELP = {
+    "demo": {**_ANGLES_HELP, **_DOCUMENT_HELP},
+    "encode": {**_ANGLES_HELP, **_DOCUMENT_HELP},
+    "decode": {**_ANGLES_HELP, "--outcome": "required; 0<=x<=3",
+               "--target": "required; 1<=x<=2", **_DOCUMENT_HELP},
+    "mc": {**_TRIALS_HELP, "--target-policy": "default: always-1", **_DOCUMENT_HELP},
+    "verify": {"--nodes": "default: 256; 16<=x<=4096", **_TRIALS_HELP, **_DOCUMENT_HELP},
+}
+
+
+class TestTheCommandLine:
+    @pytest.mark.parametrize("value", [["--phi1", "-1e-9"], ["--phi1=-1e-9"],
+                                       ["--phi1", "-5e-324"]], ids=" ".join)
+    def test_the_token_after_an_option_is_its_value(self, value):
+        result = invoke(["demo", *value])
+        assert result.exit_code == 0, result.output
+        printed = json.loads(result.stdout)["params"]["phi1"]
+        assert printed == round_sig(float(value[-1].removeprefix("--phi1=")))
+
+    @pytest.mark.parametrize("args", [["demo", "--th", "1"], ["verify", "--tri", "5"]],
+                             ids=" ".join)
+    def test_an_abbreviated_option_is_a_usage_error(self, args):
+        result = invoke(args)
+        assert result.exit_code == 2 and result.stdout == "" and result.exception is None
+        assert result.stderr.startswith(f"Usage: qutritcodec {args[0]} [OPTIONS]\n")
+        assert result.stderr.endswith(f"Error: unrecognized arguments: {' '.join(args[1:])}\n")
+
+    def test_a_bare_command_line_shows_the_commands(self):
+        result = invoke([])
+        assert result.exit_code == 2 and result.stdout == ""
+        usage, *_, error = result.stderr.splitlines()
+        assert usage == "Usage: qutritcodec [-h] {demo,encode,decode,mc,verify} ..."
+        assert error.startswith("Error: ")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_the_commands(self, flag):
+        result = invoke([flag])
+        assert result.exit_code == 0 and result.stderr == "" and result.exception is None
+        for command in HELP:
+            assert re.search(rf"^    {command} +\S", result.stdout, re.MULTILINE), command
+
+    @pytest.mark.parametrize("command", HELP)
+    def test_help_names_every_option_with_its_default(self, command):
+        result = invoke([command, "--help"])
+        assert result.exit_code == 0 and result.stderr == "" and result.exception is None
+        text = " ".join(result.stdout.split())
+        assert set(re.findall(r"--[\w-]+", text)) == {"--help", *HELP[command]}
+        for option, shown in HELP[command].items():
+            tail = "" if shown is None else rf"[^[]*\[{re.escape(shown)}\]"
+            assert re.search(rf"{option} \S+ {tail}", text), (option, shown)
 
 
 _ANY_FLOAT = st.one_of(
@@ -206,7 +243,7 @@ _ANY_FLOAT = st.one_of(
 @settings(max_examples=400, deadline=None)
 def test_an_angle_is_accepted_exactly_when_bloch_angles_accepts_it(q, theta, phi):
     args = ["encode", f"--theta{q}", repr(theta), f"--phi{q}", repr(phi)]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     try:
         BlochAngles(theta, phi)
     except ValueError:
@@ -216,13 +253,13 @@ def test_an_angle_is_accepted_exactly_when_bloch_angles_accepts_it(q, theta, phi
 
 
 class TestMc:
-    def test_zero_trials_is_a_usage_error(self, runner):
-        result = runner.invoke(main, ["mc", "--trials", "0"])
+    def test_zero_trials_is_a_usage_error(self):
+        result = invoke(["mc", "--trials", "0"])
         assert result.exit_code == 2
 
-    def test_small_batch_rows_and_determinism(self, runner):
+    def test_small_batch_rows_and_determinism(self):
         args = ["mc", "--trials", "50000", "--seed", "0"]
-        first = runner.invoke(main, args)
+        first = invoke(args)
         assert first.exit_code == 0
         doc = json.loads(first.output)
         names = [row["name"] for row in doc["rows"]]
@@ -230,16 +267,13 @@ class TestMc:
         assert sum(name.startswith("mc_outcome_freq_") for name in names) == 4
         assert "mc_min_success_fidelity" in names
         assert doc["overall_pass"] is True
-        assert runner.invoke(main, args).output == first.output
+        assert invoke(args).output == first.output
 
-    def test_policy_flag(self, runner):
-        result = runner.invoke(
-            main,
-            ["mc", "--trials", "20000", "--target-policy", "random"],
-        )
+    def test_policy_flag(self):
+        result = invoke(["mc", "--trials", "20000", "--target-policy", "random"])
         assert result.exit_code == 0
 
-    def test_failing_row_exits_one(self, runner, monkeypatch):
+    def test_failing_row_exits_one(self, monkeypatch):
         true_exact_report = bayes.exact_report
 
         def skewed(outcome=0, target=1):
@@ -247,36 +281,36 @@ class TestMc:
             return {**scalars, "success_probability_j0_target1": 0.5}
 
         monkeypatch.setattr(bayes, "exact_report", skewed)
-        result = runner.invoke(main, ["mc", "--trials", "20000"])
+        result = invoke(["mc", "--trials", "20000"])
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["overall_pass"] is False
         assert [row["name"] for row in doc["rows"] if not row["pass"]] == ["mc_success_rate"]
 
     @pytest.mark.parametrize("command", ["mc", "verify"])
-    def test_trials_are_capped_at_ten_to_the_ten(self, runner, monkeypatch, command):
+    def test_trials_are_capped_at_ten_to_the_ten(self, monkeypatch, command):
         stats = montecarlo.TrialStats(10**10, (0, 0, 0, 0), 0, None)
         monkeypatch.setattr(montecarlo, "run_trials", lambda *args: stats)
         # accepted: the stub's batch has no success, so a row fails
-        assert runner.invoke(main, [command, "--trials", str(10**10)]).exit_code == 1
-        result = runner.invoke(main, [command, "--trials", str(10**10 + 1)])
+        assert invoke([command, "--trials", str(10**10)]).exit_code == 1
+        result = invoke([command, "--trials", str(10**10 + 1)])
         assert result.exit_code == 2
         assert "Invalid value for '--trials'" in result.output
 
-    def test_has_no_nodes_option(self, runner):
-        result = runner.invoke(main, ["mc", "--nodes", "64"])
+    def test_has_no_nodes_option(self):
+        result = invoke(["mc", "--nodes", "64"])
         assert result.exit_code == 2
-        assert "No such option" in result.output and "--nodes" in result.output
-        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == "" and result.exception is None
+        assert "Error: unrecognized arguments: --nodes" in result.stderr
         assert not hasattr(bayes, "normalizers")
 
-    def test_runs_no_quadrature(self, runner):
+    def test_runs_no_quadrature(self):
         bayes._gauss_legendre.cache_clear()
-        assert runner.invoke(main, ["mc", "--trials", "1000"]).exit_code == 0
+        assert invoke(["mc", "--trials", "1000"]).exit_code == 0
         assert bayes._gauss_legendre.cache_info().currsize == 0
 
     @pytest.mark.parametrize("command", ["mc", "verify"])
-    def test_references_are_the_closed_forms(self, runner, monkeypatch, command):
+    def test_references_are_the_closed_forms(self, monkeypatch, command):
         # normalizers skewed in the gain report would show in any reference
         # taken from it
         true_gain_report = bayes.gain_report
@@ -289,7 +323,7 @@ class TestMc:
             }
 
         monkeypatch.setattr(bayes, "gain_report", skewed)
-        result = runner.invoke(main, [command, "--trials", "1000"])
+        result = invoke([command, "--trials", "1000"])
         # the skew fails verify's own success_probability rows
         assert result.exit_code == (1 if command == "verify" else 0)
         exact = bayes.exact_report()
@@ -316,16 +350,14 @@ def skew_encoding_gain(monkeypatch, delta: float) -> None:
 
 @pytest.fixture(scope="module")
 def verify_result():
-    return CliRunner().invoke(
-        main, ["verify", "--nodes", "64", "--trials", "50000", "--seed", "0"]
-    )
+    return invoke(["verify", "--nodes", "64", "--trials", "50000", "--seed", "0"])
 
 
 def test_exact_rows_hold_at_every_node_count():
     # every odd n runs the middle-root branch of the node generator
     names = [
         row["name"].removeprefix("exact_")
-        for row in cli_module._verify_rows(bayes.exact_report())
+        for row in cli_module._verify_rows(bayes.exact_report(), bayes.exact_report())
         if row["name"].startswith("exact_")
     ]
     cases = [(n, j, a) for n in range(bayes.MIN_NODES, 301) for j in range(4) for a in (1, 2)]
@@ -344,10 +376,11 @@ def test_exact_rows_hold_at_every_node_count():
 
 def test_zero_reference_rows_print_zero_at_every_node_count():
     # the cancellation's residue depends on the grid and the BLAS kernel
+    exact = bayes.exact_report()
     printed = {
         (n, row["name"]): row["computed"]
         for n in range(bayes.MIN_NODES, 301)
-        for row in cli_module._verify_rows(bayes.gain_report(bayes.QuadratureSpec(n)))
+        for row in cli_module._verify_rows(bayes.gain_report(bayes.QuadratureSpec(n)), exact)
         if row["source"] == "identity" and row["reference"] == 0.0
     }
     assert len(printed) == 301 - bayes.MIN_NODES
@@ -411,13 +444,13 @@ class TestVerify:
                 abs(row["computed"] - row["reference"]) <= row["tolerance"]
             )
 
-    def test_failing_row_exits_one(self, runner, monkeypatch, tmp_path):
+    def test_failing_row_exits_one(self, monkeypatch, tmp_path):
         skew_encoding_gain(monkeypatch, 0.01)
         args = ["verify", "--nodes", "64", "--trials", "1000"]
         path = tmp_path / "doc.json"
         # the failing document goes to stdout or to --out, and exits 1 either way
         for out_args in ([], ["--out", str(path)]):
-            result = runner.invoke(main, [*args, *out_args])
+            result = invoke([*args, *out_args])
             assert result.exit_code == 1
             doc = json.loads(path.read_text() if out_args else result.output)
             assert doc["overall_pass"] is False
@@ -425,32 +458,30 @@ class TestVerify:
             assert {"encoding_gain", "exact_encoding_gain"} <= failing
         assert result.output == ""
 
-    def test_a_skew_within_the_quoted_precision_fails_the_exact_row(
-        self, runner, monkeypatch
-    ):
+    def test_a_skew_within_the_quoted_precision_fails_the_exact_row(self, monkeypatch):
         # inside the paper row's 5e-4, outside the exact row's 1e-7
         skew_encoding_gain(monkeypatch, 2.5e-7)
-        result = runner.invoke(main, ["verify", "--nodes", "64", "--trials", "1000"])
+        result = invoke(["verify", "--nodes", "64", "--trials", "1000"])
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["overall_pass"] is False
         failing = [row["name"] for row in doc["rows"] if not row["pass"]]
         assert failing == ["exact_encoding_gain"]
 
-    def test_rejects_too_few_nodes(self, runner):
-        assert runner.invoke(main, ["verify", "--nodes", "8"]).exit_code == 2
+    def test_rejects_too_few_nodes(self):
+        assert invoke(["verify", "--nodes", "8"]).exit_code == 2
 
     @pytest.mark.parametrize("command", ["verify"])
-    def test_rejects_too_many_nodes(self, runner, command):
+    def test_rejects_too_many_nodes(self, command):
         # refused by the option before any array is allocated
-        result = runner.invoke(main, [command, "--nodes", "4097", "--trials", "1"])
+        result = invoke([command, "--nodes", "4097", "--trials", "1"])
         assert result.exit_code == 2
         assert "4097" in result.output
 
     @pytest.mark.parametrize("nodes", [*range(16, 25), 32, 100, 300, 1000])
-    def test_exact_rows_pass_at_every_resolution(self, runner, nodes):
+    def test_exact_rows_pass_at_every_resolution(self, nodes):
         # the worst quadrature error, 1.2e-8 at 16 nodes, is under the 1e-7 bound
-        result = runner.invoke(main, ["verify", "--nodes", str(nodes), "--trials", "1"])
+        result = invoke(["verify", "--nodes", str(nodes), "--trials", "1"])
         exact = [
             row for row in json.loads(result.output)["rows"]
             if row["name"].startswith("exact_")
@@ -459,19 +490,19 @@ class TestVerify:
         assert all(row["pass"] for row in exact), exact
 
     @pytest.mark.parametrize("command", ["mc", "verify"])
-    def test_no_fidelity_row_when_no_trial_succeeds(self, runner, command):
+    def test_no_fidelity_row_when_no_trial_succeeds(self, command):
         # the single trial of seed 5 fails to decode
-        result = runner.invoke(main, [command, "--trials", "1", "--seed", "5"])
+        result = invoke([command, "--trials", "1", "--seed", "5"])
         assert result.exit_code == 0
         rows = {row["name"]: row for row in json.loads(result.output)["rows"]}
         assert rows["mc_success_rate"]["computed"] == 0.0
         assert "mc_min_success_fidelity" not in rows
 
     @pytest.mark.parametrize("command", ["mc", "verify"])
-    def test_fidelity_row_when_the_only_trial_succeeds(self, runner, command):
+    def test_fidelity_row_when_the_only_trial_succeeds(self, command):
         # the single trial of seed 0 decodes, so its block's one success is
         # also its minimum
-        result = runner.invoke(main, [command, "--trials", "1", "--seed", "0"])
+        result = invoke([command, "--trials", "1", "--seed", "0"])
         assert result.exit_code == 0
         rows = {row["name"]: row for row in json.loads(result.output)["rows"]}
         assert rows["mc_success_rate"]["computed"] == 1.0
@@ -479,43 +510,38 @@ class TestVerify:
 
 
 class TestFormatsAndOutput:
-    def test_csv_rows(self, runner):
-        result = runner.invoke(
-            main,
-            ["mc", "--trials", "5000", "--format", "csv"],
-        )
+    def test_csv_rows(self):
+        result = invoke(["mc", "--trials", "5000", "--format", "csv"])
         lines = result.output.strip().split("\n")
         assert lines[0] == "name,computed,reference,tolerance,source,pass"
         assert len(lines) == 1 + 6  # rate + four frequencies + min fidelity
 
-    def test_markdown_smoke(self, runner):
-        result = runner.invoke(
-            main, ["encode", "--theta1", "1.0", "--format", "md"]
-        )
+    def test_markdown_smoke(self):
+        result = invoke(["encode", "--theta1", "1.0", "--format", "md"])
         assert result.output.startswith("# encode")
 
     @pytest.mark.parametrize("command", [
         ["verify", "--trials", "10"], ["mc", "--trials", "10", "--format", "csv"], ["encode"],
     ])
-    def test_out_into_a_missing_directory_is_a_usage_error(self, runner, tmp_path, command):
+    def test_out_into_a_missing_directory_is_a_usage_error(self, tmp_path, command):
         # both are found before the command runs; a path that ends in a
         # separator names the directory itself
         for out, reason in ((tmp_path / "nodir" / "x.json", "No such file or directory"),
                             (f"{tmp_path / 'nodir'}{os.sep}", "No such file or directory")):
-            result = runner.invoke(main, [*command, "--out", str(out)])
+            result = invoke([*command, "--out", str(out)])
             assert result.exit_code == 2, result.output
             assert f"Invalid value for '--out': cannot write {out}: {reason}" in result.output
 
-    def test_out_that_fails_at_the_write_is_a_usage_error(self, runner):
+    def test_out_that_fails_at_the_write_is_a_usage_error(self):
         # the sink passes the check before the work; the write itself fails
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
-        result = runner.invoke(main, ["encode", "--out", "/dev/full"])
+        result = invoke(["encode", "--out", "/dev/full"])
         assert result.exit_code == 2, result.output
         reason = "No space left on device"
         assert f"Invalid value for '--out': cannot write /dev/full: {reason}" in result.output
 
-    def test_printed_outcome_probabilities_are_the_sampled_weights(self, runner, monkeypatch):
+    def test_printed_outcome_probabilities_are_the_sampled_weights(self, monkeypatch):
         sampled = []
 
         def spy(weights, u):
@@ -528,24 +554,19 @@ class TestFormatsAndOutput:
             for seed in range(5):
                 args = [command, "--theta1", "1.3", "--phi2", "0.2", "--theta2", "0.4",
                         "--seed", str(seed)]
-                trace = json.loads(runner.invoke(main, args).output)["trace"]
+                trace = json.loads(invoke(args).output)["trace"]
                 assert trace["outcome_probabilities"] == sampled.pop()
 
-    def test_out_writes_a_file(self, runner, tmp_path):
+    def test_out_writes_a_file(self, tmp_path):
         path = tmp_path / "doc.json"
-        result = runner.invoke(
-            main,
-            ["encode", "--theta1", "1.0", "--out", str(path)],
-        )
+        result = invoke(["encode", "--theta1", "1.0", "--out", str(path)])
         assert result.exit_code == 0
         assert result.output == ""
         doc = json.loads(path.read_text())
         assert doc["command"] == "encode"
 
-    def test_numbers_are_printed_with_twelve_significant_digits(self, runner):
-        result = runner.invoke(
-            main, ["encode", "--theta1", "1.0", "--theta2", "0.5", "--seed", "2"]
-        )
+    def test_numbers_are_printed_with_twelve_significant_digits(self):
+        result = invoke(["encode", "--theta1", "1.0", "--theta2", "0.5", "--seed", "2"])
         trace = json.loads(result.output)["trace"]
         for probability in trace["outcome_probabilities"]:
             assert probability == float(f"{probability:.12g}")
@@ -643,6 +664,20 @@ def test_importing_the_package_leaves_numpy_unloaded():
     assert result.stdout == b"False\n", result.stderr.decode()
 
 
+@pytest.mark.parametrize("args, code", [
+    (["demo", "--seed", "3"], 0), (["--help"], 0), (["verify", "--tri", "5"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_no_command_imports_click(args, code):
+    result = _python(["-c", _NUMPY_AT_EXIT.replace("'numpy'", "'click'"), *args])
+    assert result.returncode == code, result.stderr.decode()
+    assert result.stderr.splitlines()[-1] == b"False"
+
+
+def test_importing_the_cli_leaves_click_unloaded():
+    result = _python(["-c", "import sys, qutritcodec.cli; print('click' in sys.modules)"])
+    assert result.stdout == b"False\n", result.stderr.decode()
+
+
 # none of seed 166's first five trials decodes, so the success-rate row fails
 _FAILING = ["--trials", "5", "--seed", "166"]
 
@@ -652,7 +687,8 @@ FIVE_COMMANDS = [["demo"], ["encode"], ["decode", "--outcome", "1", "--target", 
 
 
 @pytest.mark.parametrize("sink", ["closed descriptor", "missing directory", "file as directory",
-                                  "missing directory/", "file as directory/", "directory/"])
+                                  "missing directory/", "file as directory/", "directory/",
+                                  "directory", "read-only file"])
 @pytest.mark.parametrize("command", FIVE_COMMANDS, ids=lambda args: args[0])
 def test_no_work_runs_for_an_unwritable_sink(monkeypatch, capsys, tmp_path, sink, command):
     def work(*args, **kwargs):
@@ -673,12 +709,16 @@ def test_no_work_runs_for_an_unwritable_sink(monkeypatch, capsys, tmp_path, sink
             # a trailing separator names the directory itself
             "missing directory/": (f"{tmp_path / 'nodir'}{os.sep}", "No such file or directory"),
             "file as directory/": (f"{regular}{os.sep}", "Not a directory"),
-            "directory/": (f"{tmp_path}{os.sep}", None),
+            "directory/": (f"{tmp_path}{os.sep}", "Is a directory"),
+            "directory": (tmp_path, "Is a directory"),
+            "read-only file": (regular, "Permission denied"),
         }[sink]
         command = [*command, "--out", str(out)]
         expected = f"Error: Invalid value for '--out': cannot write {out}: {reason}"
-        if reason is None:  # click's own check of the path, at parse time
-            expected = f"Error: Invalid value for '--out': File '{out}' is a directory."
+    if sink == "read-only file":
+        regular.chmod(0o444)
+        if os.access(regular, os.W_OK):  # root may write it anyway: answer as for anyone else
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
     with pytest.raises(SystemExit) as exited:
         main(command)
     assert exited.value.code == 2
@@ -802,10 +842,10 @@ def test_every_command_line_gives_a_document_or_a_usage_error(line, sink):
                "missing": Path(scratch) / "missing" / "doc"}[sink]
         if out is not None:
             args = [*args, "--out", str(out)]
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         written = out.read_text() if sink == "file" and out.exists() else None
-    # no traceback: every exit is click's own
-    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    # no traceback, and no SystemExit out of main(args, standalone_mode=False)
+    assert result.exception is None, result.output
     assert result.exit_code in (0, 1, 2), result.output
     if invalid or sink in ("directory", "missing"):
         assert result.exit_code == 2, result.output

@@ -44,9 +44,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from qutritcodec.cli import main
+from conftest import invoke
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(GOLDEN.iterdir())
@@ -90,9 +89,9 @@ def _case_id(path: Path) -> str:
 
 
 def _printed(path: Path) -> bytes:
-    result = CliRunner().invoke(main, _args(path))
+    result = invoke(_args(path))
     assert result.exit_code == 0, result.output
-    return result.output.encode()
+    return result.stdout.encode()
 
 
 def _assert_pinned(path: Path, printed: bytes) -> None:
@@ -219,9 +218,9 @@ def test_trace_documents_do_not_depend_on_the_machine(leg):
 
 
 def test_trace_documents_need_no_numpy():
-    # one child, whose every numpy import fails, renders every trace pin
-    result = _python(["-c", "import sys; sys.modules['numpy'] = None; import test_golden; "
-                            "test_golden._report_this_process()"])
+    # one child, whose every numpy and click import fails, renders every trace pin
+    result = _python(["-c", "import sys; sys.modules['numpy'] = sys.modules['click'] = None; "
+                            "import test_golden; test_golden._report_this_process()"])
     assert result.returncode == 0, result.stderr.decode()
     assert json.loads(result.stdout)["moved"] == []
 

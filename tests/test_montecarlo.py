@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +27,8 @@ from qutritcodec import (
 )
 from qutritcodec.codec import decode_levels, intact_block, qubit_bit, survivors
 from qutritcodec import montecarlo
-from qutritcodec.cli import main
 from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, WorkerError, _philox, _run_chunk
-from conftest import intact_pair, sample_bloch, unit_interval
+from conftest import intact_pair, invoke, sample_bloch, unit_interval
 from test_golden import CASES, _assert_pinned, _printed
 
 
@@ -470,7 +468,7 @@ class TestFailingHalves:
     @pytest.mark.parametrize("command", ["mc", "verify"])
     def test_the_cli_exits_3_with_no_document(self, monkeypatch, forks, command):
         fail_in_child(monkeypatch)
-        result = CliRunner().invoke(main, [command, "--trials", "4000"])
+        result = invoke([command, "--trials", "4000"])
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.startswith("Error: Monte Carlo worker process exited with status 1")

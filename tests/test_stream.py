@@ -6,10 +6,9 @@ import random
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from qutritcodec import codec, montecarlo, stream
-from qutritcodec.cli import main
+from conftest import invoke
 
 RNG = random.Random(32)
 # and a 128-bit key, past any seed, that numpy's Philox also takes
@@ -41,7 +40,7 @@ def test_trace_commands_draw_the_first_uniforms_of_mc(monkeypatch, command, seed
 
         monkeypatch.setattr(codec, name, spy)
     args = [*command, "--theta1", "1.2", "--phi2", "0.3", "--seed", str(seed)]
-    assert CliRunner().invoke(main, args).exit_code == 0
+    assert invoke(args).exit_code == 0
     # the stream that mc's trial 0 reads: demo takes three uniforms, the others one
     assert drawn == montecarlo._philox(seed, 0).random(len(drawn)).tolist()
     assert len(drawn) == (3 if command == ["demo"] else 1)
