@@ -2,9 +2,8 @@
 
 Exit codes: 0 when every check passes (or a trace command completes),
 1 when a verification row fails, 2 for usage or validation errors and for a
-document that stdout or `--out` cannot take, 3 when the forked half of a
-split Monte Carlo batch fails (no document is written then). Each command
-body returns its document: a closed stdout, or an `--out` that names a
+document that stdout or `--out` cannot take. Each command body returns its
+document: a closed stdout, or an empty `--out` or one that names a
 directory, a read-only file or a path in a missing directory, is found
 before the body runs, and `_emit` writes the document and gives its status.
 
@@ -165,13 +164,15 @@ def _unwritable_out(out: str, reason: str) -> _UsageError:
 
 def _check_sink(out: str | None) -> None:
     """Exit 2 before any work if the document has nowhere to go: descriptor
-    1 closed, or an `--out` in a missing directory or under a regular file
-    ("d/" names d itself), or naming a directory or a read-only file. A
-    full device, a closed pipe and the rest fail at the write."""
+    1 closed, or an `--out` that is empty, in a missing directory or under a
+    regular file ("d/" names d itself), or naming a directory or a read-only
+    file. A full device, a closed pipe and the rest fail at the write."""
     if out is None:
         if sys.stdout is None:  # descriptor 1 was closed at startup
             _PARSER.exit(2, f"Error: cannot write to stdout: {os.strerror(errno.EBADF)}\n")
         return
+    if not out:  # open("") fails as a missing file does
+        raise _unwritable_out(out, os.strerror(errno.ENOENT))
     try:
         os.stat(os.path.join(os.path.dirname(out) or os.curdir, ""))
     except OSError as error:
@@ -320,10 +321,7 @@ def _mc_rows(
     probability of `bayes.exact_report`, with binomial bands."""
     from . import montecarlo
 
-    try:
-        stats = montecarlo.run_trials(trials, seed, target_policy)
-    except montecarlo.WorkerError as error:
-        _PARSER.exit(3, f"Error: {error}\n")
+    stats = montecarlo.run_trials(trials, seed, target_policy)
 
     def band(reference: float, sigmas: float) -> float:
         return sigmas * math.sqrt(reference * (1.0 - reference) / stats.trials)

@@ -157,13 +157,10 @@ def _run_range(master_seed: int, policy: str, begin: int, end: int) -> tuple:
     return record
 
 
-class WorkerError(RuntimeError):
-    """The forked half of a split batch did not write its record."""
-
-
 def _run_split(master_seed: int, policy: str, mid: int, end: int) -> tuple:
     """Trials [mid, end) in a forked child and [0, mid) here, merged. The child
-    is always reaped, killed first if this half raises, and read only if it exits 0."""
+    is always reaped, killed first if this half raises, and read only if it
+    exits 0; a half it does not deliver runs here, as when the fork fails."""
     with mmap.mmap(-1, _RECORD.size) as page:  # anonymous, shared with the child
         try:
             pid = os.fork()
@@ -185,9 +182,8 @@ def _run_split(master_seed: int, policy: str, mid: int, end: int) -> tuple:
             raise
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0:
-            raise WorkerError(f"Monte Carlo worker process exited with status {code}")
-        return _merged(head, _RECORD.unpack_from(page))
+        tail = _RECORD.unpack_from(page) if code == 0 else _run_range(master_seed, policy, mid, end)
+        return _merged(head, tail)
 
 
 def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1") -> TrialStats:
@@ -201,7 +197,6 @@ def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1
     Each half processes its blocks in ascending order and every reduction
     (counts, minima, numpy pairwise sums within a block) is order-fixed, so
     the result is identical for any block size, any split and across reruns.
-    Raises `WorkerError` if the child fails.
     """
     if operator.index(trials) < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

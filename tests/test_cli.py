@@ -688,7 +688,7 @@ FIVE_COMMANDS = [["demo"], ["encode"], ["decode", "--outcome", "1", "--target", 
 
 @pytest.mark.parametrize("sink", ["closed descriptor", "missing directory", "file as directory",
                                   "missing directory/", "file as directory/", "directory/",
-                                  "directory", "read-only file"])
+                                  "directory", "read-only file", "empty"])
 @pytest.mark.parametrize("command", FIVE_COMMANDS, ids=lambda args: args[0])
 def test_no_work_runs_for_an_unwritable_sink(monkeypatch, capsys, tmp_path, sink, command):
     def work(*args, **kwargs):
@@ -712,6 +712,7 @@ def test_no_work_runs_for_an_unwritable_sink(monkeypatch, capsys, tmp_path, sink
             "directory/": (f"{tmp_path}{os.sep}", "Is a directory"),
             "directory": (tmp_path, "Is a directory"),
             "read-only file": (regular, "Permission denied"),
+            "empty": ("", "No such file or directory"),
         }[sink]
         command = [*command, "--out", str(out)]
         expected = f"Error: Invalid value for '--out': cannot write {out}: {reason}"
