@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +42,17 @@ from .codec import (
 from .stream import MIN_NODES
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(NamedTuple("QuadratureSpec", [("nodes_per_axis", int)])):
     """Tensor-product Gauss-Legendre rule on [0, pi] per axis."""
 
-    nodes_per_axis: int = 256
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if operator.index(self.nodes_per_axis) < MIN_NODES:
-            raise ValueError(
-                f"nodes_per_axis must be at least {MIN_NODES}, got {self.nodes_per_axis}"
-            )
+    def __new__(cls, nodes_per_axis: int = 256) -> QuadratureSpec:
+        if (checked := operator.index(nodes_per_axis)) < MIN_NODES:
+            raise ValueError(f"nodes_per_axis must be at least {MIN_NODES}, got {nodes_per_axis}")
+        return super().__new__(cls, checked)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights on [0, pi]; arrays are cached and read-only."""

@@ -2,10 +2,11 @@
 
 Exit codes: 0 when every check passes (or a trace command completes),
 1 when a verification row fails, 2 for usage or validation errors and for a
-document that stdout or `--out` cannot take. Each command body returns its
-document: a closed stdout, or an empty `--out` or one that names a
-directory, a read-only file or a path in a missing directory, is found
-before the body runs, and `_emit` writes the document and gives its status.
+document that stdout or `--out` cannot take, 130 after an interrupt
+(Ctrl-C). Each command body returns its document: a closed stdout, or an
+empty `--out` or one that names a directory, a read-only file or a path in
+a missing directory, is found before the body runs, and `_emit` writes the
+document and gives its status.
 
 One `argparse` parser, a subparser per command, is built on import, so a
 run only parses. The token after an option is always its value (`--phi1
@@ -234,6 +235,9 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> int | N
         status = _run(sys.argv[1:] if args is None else list(args))
     except SystemExit as end:  # argparse's exit, which every error goes through
         status = end.code
+    except KeyboardInterrupt:  # `run_trials` has killed and reaped any child
+        print("Error: interrupted", file=sys.stderr)
+        status = 130
     if standalone_mode:
         sys.exit(status)
     return status or None

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .states import (
     NULL_BRANCH_EPS, BlochAngles, PureState, _qubit_amplitudes, _weight,
@@ -86,28 +86,18 @@ def intact_block(outcome: int, target: int) -> tuple[int, int]:
     return low, low | bit
 
 
-@dataclass(frozen=True)
-class EncodeRecord:
+class EncodeRecord(NamedTuple):
     """Result of one sampled encoding: the qutrit plus the classical outcome.
 
     The outcome must be stored alongside the qutrit (two classical bits);
     decoding cannot infer it from the quantum state. `joint` is the register
-    state the outcome was sampled from.
+    state the outcome was sampled from. Only `encode` builds one, unchecked.
     """
 
     outcome: int
     weights: tuple[float, float, float, float]  # every outcome's, as sampled
     qutrit: PureState
     joint: PureState
-
-    def __post_init__(self) -> None:
-        _check_outcome(self.outcome)
-        if not 0.0 <= self.probability <= 1.0 + 1e-12:
-            raise ValueError(f"probability out of range: {self.probability!r}")
-        if self.qutrit is None or self.qutrit.dim != QUTRIT_DIM:
-            raise ValueError("encode record needs a qutrit state")
-        if self.joint is None or self.joint.dim != REGISTER_DIM:
-            raise ValueError("encode record needs a four-level register state")
 
     @property
     def probability(self) -> float:

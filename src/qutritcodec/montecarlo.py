@@ -30,7 +30,7 @@ import operator
 import os
 import struct
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ _SPLIT_BLOCKS = 32
 _RECORD = struct.Struct("<5qd")
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Aggregated counters and fidelity extremes of one batch of trials."""
 
     trials: int
@@ -159,8 +158,8 @@ def _run_range(master_seed: int, policy: str, begin: int, end: int) -> tuple:
 
 def _run_split(master_seed: int, policy: str, mid: int, end: int) -> tuple:
     """Trials [mid, end) in a forked child and [0, mid) here, merged. The child
-    is always reaped, killed first if this half raises, and read only if it
-    exits 0; a half it does not deliver runs here, as when the fork fails."""
+    is always reaped, killed first if this half or the wait raises, and read
+    only if it exits 0; a half it does not deliver runs here, as when the fork fails."""
     with mmap.mmap(-1, _RECORD.size) as page:  # anonymous, shared with the child
         try:
             pid = os.fork()
@@ -175,13 +174,13 @@ def _run_split(master_seed: int, policy: str, mid: int, end: int) -> tuple:
                 os._exit(status)
         try:
             head = _run_range(master_seed, policy, 0, mid)
-        except BaseException:
-            import signal  # only a failed half needs it
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:  # this half failed, or an interrupt cut the wait short
+            import signal  # only a failed half or wait needs it
 
             os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
             raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         tail = _RECORD.unpack_from(page) if code == 0 else _run_range(master_seed, policy, mid, end)
         return _merged(head, tail)
 
@@ -221,9 +220,5 @@ def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1
         blocks = -(-trials // _KERNEL_TRIALS)
         record = _run_split(master_seed, target_policy, blocks // 2 * _KERNEL_TRIALS, trials)
     *counts, success_count, min_fidelity = record
-    return TrialStats(
-        trials=trials,
-        outcome_counts=tuple(counts),
-        success_count=success_count,
-        min_success_fidelity=None if min_fidelity == math.inf else min_fidelity,
-    )
+    return TrialStats(trials, tuple(counts), success_count,
+                      None if min_fidelity == math.inf else min_fidelity)

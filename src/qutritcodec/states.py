@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Unit-norm tolerance enforced when a state is constructed.
 NORM_ATOL = 1e-12
@@ -24,37 +23,36 @@ NULL_BRANCH_EPS = 1e-15
 # tolerance.
 COMPLETENESS_ATOL = 1e-10
 
-TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class BlochAngles:
+class BlochAngles(NamedTuple("BlochAngles", [("theta", float), ("phi", float)])):
     """Polar and azimuthal angles (radians) of a single-qubit pure state."""
 
-    theta: float
-    phi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        theta = float(self.theta)
-        phi = float(self.phi)
-        if not math.isfinite(theta) or not (0.0 <= theta <= math.pi):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {self.phi!r}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi % TWO_PI)
+    def __new__(cls, theta: float, phi: float = 0.0) -> BlochAngles:
+        checked_theta, checked_phi = float(theta), float(phi)
+        if not 0.0 <= checked_theta <= math.pi:  # NaN fails this comparison too
+            raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+        if not math.isfinite(checked_phi):
+            raise ValueError(f"phi must be finite, got {phi!r}")
+        return super().__new__(cls, checked_theta, checked_phi % math.tau)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
 
-@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex statevector of small fixed dimension.
 
     The amplitudes are kept as a tuple of Python complex numbers; the squared
     norm must already be 1 within NORM_ATOL. Global phase is never
-    canonicalized, so comparisons should go through fidelity.
+    canonicalized, so comparisons should go through fidelity; `==` is identity.
     """
 
-    amplitudes: tuple[complex, ...]
+    __slots__ = ("amplitudes",)
+
+    def __init__(self, amplitudes: Sequence[complex]) -> None:
+        object.__setattr__(self, "amplitudes", amplitudes)
+        self.__post_init__()  # the checks, under a name a tracer can wrap
 
     def __post_init__(self) -> None:
         try:
@@ -68,6 +66,17 @@ class PureState:
         if abs((norm_sq := _weight(amps)) - 1.0) > NORM_ATOL:
             raise ValueError(f"state must be unit norm, got squared norm {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"PureState(amplitudes={self.amplitudes!r})"
+
+    def __reduce__(self):
+        return type(self), (self.amplitudes,)
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,8 @@ quadrature weights.
 
 The oracles import nothing from `qutritcodec.codec`. The pipeline is plain
 numpy index arithmetic with its own projection, `project`, which weighs and
-renormalizes in Python floats as the codec does, and `intact_pair` finds a
+renormalizes in Python floats as the codec does; it takes a preparation or
+any four-level register state, entangled ones included. `intact_pair` finds a
 decode's intact register pair by searching its definition instead of reading
 the codec's rule.
 Joint states of ancilla and register use the slow-first tensor layout,
@@ -184,16 +185,22 @@ def permute(amplitudes: np.ndarray, image) -> np.ndarray:
     return out
 
 
-def pipeline_weights(pair: tuple[BlochAngles, BlochAngles]) -> list[float]:
+def carrier(source: tuple[BlochAngles, BlochAngles] | PureState) -> PureState:
+    """The 12-dim ancilla-register state of a preparation, or of a given
+    four-level register state, which may be entangled."""
+    c = source.amplitudes if isinstance(source, PureState) else register(source)
+    return PureState(np.kron(ancilla(), c))
+
+
+def pipeline_weights(pair: tuple[BlochAngles, BlochAngles] | PureState) -> list[float]:
     """Born weights of the four encoding projectors on the 12-dim state."""
-    state = PureState(np.kron(ancilla(), register(pair)))
+    state = carrier(pair)
     return [project(state, encoding_indices(j))[0] for j in range(4)]
 
 
-def pipeline_encode(pair: tuple[BlochAngles, BlochAngles], outcome: int):
+def pipeline_encode(pair: tuple[BlochAngles, BlochAngles] | PureState, outcome: int):
     """Encoding by explicit tensor, projection, relabeling and slicing."""
-    state = PureState(np.kron(ancilla(), register(pair)))
-    probability, collapsed = project(state, encoding_indices(outcome))
+    probability, collapsed = project(carrier(pair), encoding_indices(outcome))
     if collapsed is None:
         return probability, None
     relabeled = permute(collapsed.amplitudes, RELABEL)

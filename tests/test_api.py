@@ -5,7 +5,10 @@ written."""
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
+import math
+import pickle
 import re
 import shlex
 from pathlib import Path
@@ -103,3 +106,58 @@ def test_readme_cli_examples_run(tmp_path):
         result = invoke(args)
         assert result.exit_code == 0, (line, result.output)
     assert (tmp_path / "report.json").is_file()
+
+
+def _one_of_each_record_class() -> list:
+    """A value of each of the five record classes, built as the program builds them."""
+    pair = (qutritcodec.BlochAngles(1.2, 0.4), qutritcodec.BlochAngles(theta=2.0, phi=5.1))
+    record = qutritcodec.encode(pair, 0.37)
+    return [pair[0], record.qutrit, record, qutritcodec.QuadratureSpec(16),
+            qutritcodec.run_trials(10)]
+
+
+def test_the_record_classes_are_immutable():
+    for value in _one_of_each_record_class():
+        field = "amplitudes" if isinstance(value, qutritcodec.PureState) else value._fields[0]
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+
+def test_four_record_classes_are_tuples_and_the_state_is_not():
+    angles, state, record, spec, stats = _one_of_each_record_class()
+    theta, phi = angles
+    assert angles == (theta, phi) and len(angles) == 2
+    assert record == (record.outcome, record.weights, state, record.joint)
+    assert spec == (16,) and stats[0] == stats.trials == 10
+    # the two checked classes check again on `_replace`
+    assert angles._replace(phi=-1.0).phi == pytest.approx(2 * math.pi - 1.0)
+    with pytest.raises(ValueError, match="theta must lie in"):
+        angles._replace(theta=4.0)
+    with pytest.raises(ValueError, match="at least 16"):
+        spec._replace(nodes_per_axis=8)
+    assert qutritcodec.QuadratureSpec() == (256,)
+    # a state compares and hashes by identity, as before
+    twin = qutritcodec.PureState(state.amplitudes)
+    assert state == state and state != twin and hash(state) != hash(twin)
+    assert repr(state) == f"PureState(amplitudes={state.amplitudes!r})"
+    for value in (angles, state, record, spec, stats):
+        copied = pickle.loads(pickle.dumps(value))
+        assert type(copied) is type(value) and repr(copied) == repr(value)
+        assert repr(copy.deepcopy(value)) == repr(value)
+
+
+def test_building_a_state_runs_its_checks_once(monkeypatch):
+    checked = []
+    original = qutritcodec.PureState.__post_init__
+
+    def spy(self):
+        checked.append(self)
+        original(self)
+
+    monkeypatch.setattr(qutritcodec.PureState, "__post_init__", spy)
+    state = qutritcodec.PureState([0.6, 0.8j])
+    assert checked == [state]
+    assert state.amplitudes == (0.6 + 0j, 0.8j)

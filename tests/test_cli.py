@@ -678,6 +678,52 @@ def test_importing_the_cli_leaves_click_unloaded():
     assert result.stdout == b"False\n", result.stderr.decode()
 
 
+# dataclasses imports inspect, which imports ast, dis and tokenize: about 7 ms
+# of a fresh launch
+_HEAVY_AT_EXIT = _NUMPY_AT_EXIT.replace(
+    "'numpy' in sys.modules", "'dataclasses' in sys.modules, 'inspect' in sys.modules")
+
+
+@pytest.mark.parametrize("args, code, inspect_loaded", [
+    (["demo", "--seed", "3"], 0, False),
+    (["encode", "--seed", "7"], 0, False),
+    (["decode", "--outcome", "1", "--target", "1"], 0, False),
+    (["--help"], 0, False),
+    (["verify", "--tri", "5"], 2, False),
+    # numpy imports inspect itself
+    (["mc", "--trials", "10"], 0, None),
+    (["verify", "--nodes", "16", "--trials", "10"], 0, None),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_no_command_imports_dataclasses(args, code, inspect_loaded):
+    result = _python(["-c", _HEAVY_AT_EXIT, *args])
+    assert result.returncode == code, result.stderr.decode()
+    dataclasses_at_exit, inspect_at_exit = result.stderr.splitlines()[-1].split()
+    assert dataclasses_at_exit == b"False"
+    if inspect_loaded is not None:
+        assert inspect_at_exit == str(inspect_loaded).encode()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, qutritcodec.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    result = _python(["-c", code])
+    assert result.stdout == b"False False\n", result.stderr.decode()
+
+
+@pytest.mark.parametrize("command", ["mc", "verify"])
+def test_an_interrupt_exits_130_with_one_error_line(monkeypatch, capsys, command):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(montecarlo, "run_trials", interrupted)
+    result = invoke([command, "--trials", "10"])
+    assert (result.exit_code, result.exception) == (130, None)
+    assert (result.stdout, result.stderr) == ("", "Error: interrupted\n")
+    with pytest.raises(SystemExit) as end:
+        main([command, "--trials", "10"])
+    assert end.value.code == 130
+    assert capsys.readouterr() == ("", "Error: interrupted\n")
+
+
 # none of seed 166's first five trials decodes, so the success-rate row fails
 _FAILING = ["--trials", "5", "--seed", "166"]
 

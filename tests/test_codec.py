@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from qutritcodec import (
     BlochAngles,
-    EncodeRecord,
     PureState,
     decode,
     decode_levels,
@@ -464,23 +463,26 @@ def test_two_thirds_holds_for_every_preparation(pair):
         assert abs(total - 2 / 3) <= 2e-15
 
 
-class TestRecords:
-    def test_encode_record_requires_qutrit(self):
-        joint = joint_state(pair_of(0, 0, 0, 0))
-        with pytest.raises(ValueError, match="qutrit"):
-            EncodeRecord(outcome=0, weights=(0.5, 0.5, 0.0, 0.0), qutrit=None, joint=joint)
-
-    def test_encode_record_rejects_a_probability_out_of_range(self):
-        qutrit = PureState(np.array([1.0, 0.0, 0.0]))
-        joint = joint_state(pair_of(0, 0, 0, 0))
-        with pytest.raises(ValueError, match="probability out of range"):
-            EncodeRecord(outcome=0, weights=(1.5, 0, 0, 0), qutrit=qutrit, joint=joint)
-
-    def test_encode_record_requires_a_four_level_joint_state(self):
-        qutrit = PureState(np.array([1.0, 0.0, 0.0]))
-        for joint in (None, qutrit, PureState(np.eye(12)[0])):
-            with pytest.raises(ValueError, match="four-level register"):
-                EncodeRecord(outcome=1, weights=(0.0, 1.0, 0.0, 0.0), qutrit=qutrit, joint=joint)
-        record = EncodeRecord(outcome=1, weights=(0.0, 1.0, 0.0, 0.0), qutrit=qutrit,
-                              joint=joint_state(pair_of(0, 0, 0, 0)))
-        assert record.joint.dim == 4
+@given(unit_states(dims=(4,)))
+@settings(max_examples=300, deadline=None)
+def test_an_entangled_register_decodes_to_the_targets_reduced_state(register_state):
+    # beyond the paper, whose qubits are in a product state: on any register
+    # state the oracle's encoding followed by `decode` still succeeds with
+    # probability 2/3, and the decoded qubits, weighted by the probability of
+    # their branch and normalized, average to the target's reduced state
+    c = np.array(register_state.amplitudes).reshape(2, 2)  # [b2, b1]
+    reduced = {1: c.T @ c.conj(), 2: c @ c.conj().T}
+    for target in (1, 2):
+        total, mixture = 0.0, np.zeros((2, 2), dtype=complex)
+        for j in range(4):
+            probability, qutrit = pipeline_encode(register_state, j)
+            if qutrit is None:
+                continue
+            p_success, qubit = decode(qutrit, j, target, 0.0)
+            total += probability * p_success
+            if qubit is not None:
+                v = np.array(qubit.amplitudes)
+                mixture += probability * p_success * np.outer(v, v.conj())
+        assert abs(total - 2 / 3) <= 1e-12
+        np.testing.assert_allclose(mixture / np.trace(mixture).real, reduced[target],
+                                   rtol=0, atol=1e-12)

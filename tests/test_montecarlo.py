@@ -504,6 +504,30 @@ class TestFailingHalves:
         assert time.perf_counter() - forks[0] < 30
         assert_no_child_is_left()
 
+    def test_an_interrupt_while_waiting_kills_and_reaps_the_child(self, monkeypatch, forks):
+        run_range, waitpid = montecarlo._run_range, os.waitpid
+        waits = []
+
+        def stuck_child(master_seed, policy, begin, end):
+            if begin > 0:
+                time.sleep(60)
+            return run_range(master_seed, policy, begin, end)
+
+        def interrupted_wait(pid, options):
+            # Ctrl-C reaches the parent alone, while it waits for the child
+            waits.append(options)
+            if len(waits) == 1:
+                raise KeyboardInterrupt
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(montecarlo, "_run_range", stuck_child)
+        monkeypatch.setattr(os, "waitpid", interrupted_wait)
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(4000, 3, "random")
+        assert waits == [0, 0]
+        assert time.perf_counter() - forks[0] < 30
+        assert_no_child_is_left()
+
     # the name is older than the fallback, when the CLI ended here with no
     # document; it now prints the unsplit run's document and exits 0
     @pytest.mark.parametrize("command", ["mc", "verify"])
