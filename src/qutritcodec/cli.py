@@ -9,8 +9,9 @@ a missing directory, is found before the body runs, and `_emit` writes the
 document and gives its status.
 
 One `argparse` parser, a subparser per command, is built on import, so a
-run only parses. The token after an option is always its value (`--phi1
--1e-9` is an angle), and no option may be abbreviated.
+run only parses, and a line that starts with a command is parsed by that
+command's subparser alone. The token after an option is always its value
+(`--phi1 -1e-9` is an angle), and no option may be abbreviated.
 
 Only `mc` and `verify` import `bayes` and `montecarlo`, and numpy with them;
 the option limits and the trace commands' uniforms come from `stream`, so the
@@ -212,10 +213,11 @@ def _emit(doc: dict[str, Any], fmt: str, out: str | None) -> int:
 def _run(args: list[str]) -> int:
     """Parse one command line, check its angles and its sink, then run the
     body and write its document."""
-    namespace, extra = _PARSER.parse_known_args(_glued(args))
+    command = _COMMANDS.choices.get(args[0]) if args else None
+    namespace, extra = (command or _PARSER).parse_known_args(_glued(args[1:] if command else args))
     options = vars(namespace)
-    _, parser, body, angles, fmt, out = map(
-        options.pop, ("command", "parser", "body", "angles", "format", "out"))
+    options.pop("command", None)
+    parser, body, angles, fmt, out = map(options.pop, ("parser", "body", "angles", "format", "out"))
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

@@ -1,11 +1,11 @@
 """Row model and document emitters shared by the CLI commands.
 
 JSON is the normative format; CSV and Markdown render the same row model.
-Every number entering a document is rounded to SIG_DIGITS (12) significant
-digits first, so the pass flags stored in a document are consistent with the
-numbers a reader can see, and parsing an emitted JSON document reproduces it
-exactly. The JSON is json.dumps(doc, indent=2) byte for byte, from an
-emitter of its own, because json's C encoder skips an indented dump.
+A document holds its numbers as given, and every float is rounded to
+SIG_DIGITS (12) significant digits where it is printed: the JSON is
+json.dumps(_rounded(doc), indent=2) byte for byte, from an emitter of its
+own, because json's C encoder skips an indented dump. A row is rounded when
+it is made, so its pass flag is consistent with the numbers a reader sees.
 """
 
 from __future__ import annotations
@@ -72,19 +72,20 @@ def document(
     trace: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """The JSON object of one command: either a row table (verify, mc) with
-    its overall pass flag, or a trace object (demo, encode, decode)."""
+    its overall pass flag, or a trace object (demo, encode, decode). Its
+    params and trace keep their values as given; the emitters round them."""
     if (rows is None) == (trace is None):
         raise ValueError("a document carries either rows or a trace, not both")
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "params": _rounded(params),
+        "params": params,
     }
     if rows is not None:
         doc["rows"] = [dict(row) for row in rows]
         doc["overall_pass"] = all(row["pass"] for row in rows)
     else:
-        doc["trace"] = _rounded(trace)
+        doc["trace"] = trace
     return doc
 
 
@@ -102,13 +103,18 @@ def _format_number(value: Any) -> str:
 
 
 def _emit(value: Any, indent: str, parts: list[str]) -> None:
-    """Append json.dumps(value, indent=2) nested at `indent`: json's C encoder
-    skips `indent`, so this walk prints a document's exact types itself and
-    leaves the rest (subclasses, non-str keys, non-finite floats, empty
-    containers, types json rejects) to json.dumps, re-indented."""
+    """Append json.dumps(_rounded(value), indent=2) nested at `indent`: json's
+    C encoder skips `indent`, so this walk prints a document's exact types
+    itself and leaves the rest (subclasses, non-str keys, non-finite floats,
+    empty containers, types json rejects) to json.dumps, re-indented."""
     kind = type(value)
     if kind is float and math.isfinite(value):
-        parts.append(float.__repr__(value))
+        # the 12 digits are repr(round_sig(value)) unless repr would print
+        # the point (1.0, 1e12 to 1e16) or fewer digits (a subnormal)
+        text = f"{value:.{SIG_DIGITS}g}"
+        if "." not in text and "e" not in text or "e+1" in text or "e-3" in text:
+            text = float.__repr__(float(text))
+        parts.append(text)
     elif kind is str:
         parts.append(encode_basestring_ascii(value))
     elif kind is int:
@@ -127,11 +133,11 @@ def _emit(value: Any, indent: str, parts: list[str]) -> None:
             parts.append(separator)
         parts[-1] = "\n" + indent + ("}" if kind is dict else "]")  # replaces the last separator
     else:
-        parts.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
+        parts.append(json.dumps(_rounded(value), indent=2).replace("\n", "\n" + indent))
 
 
 def to_json(doc: dict[str, Any]) -> str:
-    """json.dumps(doc, indent=2) and a newline, byte for byte."""
+    """json.dumps(_rounded(doc), indent=2) and a newline, byte for byte."""
     parts: list[str] = []
     _emit(doc, "", parts)
     return "".join(parts) + "\n"
@@ -140,6 +146,7 @@ def to_json(doc: dict[str, Any]) -> str:
 def _table(doc: dict[str, Any]) -> tuple[tuple[str, ...], list[list[str]]]:
     """Header and string cells that CSV and Markdown lay out: the rows, or
     the trace's key/value pairs."""
+    doc = _rounded(doc)  # a list cell is json.dumps of the list
     if "trace" in doc:
         return ("key", "value"), [list(pair) for pair in _flatten(doc["trace"])]
     return _ROW_FIELDS, [[_format_number(value) for value in row.values()] for row in doc["rows"]]

@@ -15,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,10 +24,13 @@ import qutritcodec.bayes as bayes
 import qutritcodec.cli as cli_module
 import qutritcodec.codec as codec
 import qutritcodec.montecarlo as montecarlo
+import qutritcodec.report as report
 from qutritcodec.cli import main
 from qutritcodec.report import FORMATS, amplitude_pairs, round_sig
 from qutritcodec.states import BlochAngles
 from conftest import any_pairs, invoke, near_pole_pairs
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import _args as _golden_args
 from test_golden import _python
 
 HALF_PI = repr(math.pi / 2)
@@ -231,6 +235,88 @@ class TestTheCommandLine:
         for option, shown in HELP[command].items():
             tail = "" if shown is None else rf"[^[]*\[{re.escape(shown)}\]"
             assert re.search(rf"{option} \S+ {tail}", text), (option, shown)
+
+
+def _parsed(parser, args: list[str]):
+    """What `parser` makes of `args`: its options and extras, or its exit
+    status, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            namespace, extra = parser.parse_known_args(cli_module._glued(args))
+    except SystemExit as end:
+        return end.code, stdout.getvalue(), stderr.getvalue()
+    return vars(namespace), extra
+
+
+# an unknown option, a missing required option, a value out of range, help,
+# and a command after `--`, which no command's parser takes
+_ERROR_LINES = [["demo", "--bogus", "1"], ["decode", "--target", "1"], ["demo", "--seed", "-1"],
+                ["demo", "-h"], ["--", "demo", "--seed", "0"]]
+
+
+@pytest.mark.parametrize("args", [*map(_golden_args, GOLDEN_CASES), *_ERROR_LINES], ids=" ".join)
+def test_a_command_parser_parses_its_line_as_the_whole_parser_does(args):
+    whole = _parsed(cli_module._PARSER, args)
+    if args[0] in cli_module._COMMANDS.choices:
+        own = _parsed(cli_module._COMMANDS.choices[args[0]], args[1:])
+        if isinstance(own[0], dict):
+            own[0]["command"] = args[0]
+        assert own == whole
+    if args in _ERROR_LINES:
+        result = invoke(args)
+        assert result.exception is None
+        if isinstance(whole[0], dict):  # extras, which the command refuses
+            assert whole[1] == ["--bogus", "1"]
+            assert result.exit_code == 2 and result.stdout == ""
+            assert result.stderr.endswith("Error: unrecognized arguments: --bogus 1\n")
+        else:
+            assert (result.exit_code, result.stdout, result.stderr) == whole
+
+
+def _inexact(value, path: str = "doc"):
+    """The places in a document that hold anything but an exact str, int,
+    float, bool, None, list or str-keyed dict."""
+    kind = type(value)
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                yield f"{path}: key {key!r}"
+            yield from _inexact(item, f"{path}.{key}")
+    elif kind is list:
+        for index, item in enumerate(value):
+            yield from _inexact(item, f"{path}[{index}]")
+    elif kind not in (str, int, float, bool, type(None)):
+        yield f"{path}: {kind.__name__}"
+
+
+def test_inexact_finds_every_other_type():
+    doc = {"a": [np.float64(1.0), (1,)], 2: {"b": True, "c": np.int64(1)}, "d": [None, "x", 1.5]}
+    assert [*_inexact(doc)] == [
+        "doc.a[0]: float64", "doc.a[1]: tuple", "doc: key 2", "doc.2.c: int64"]
+
+
+def test_documents_hold_exact_types_only(monkeypatch):
+    # anything else would print through json.dumps, not the emitter's own walk
+    documents = {}
+
+    def render(doc, fmt):
+        documents[" ".join(args)] = doc
+        return report.render(doc, fmt)
+
+    monkeypatch.setattr(cli_module, "render", render)
+    for path in GOLDEN_CASES:
+        if path.suffix == ".json":
+            args = _golden_args(path)
+            assert invoke(args).exit_code == 0, args
+    commands = {doc["command"] for doc in documents.values()}
+    assert commands == {"demo", "encode", "decode", "mc", "verify"}
+    traces = [doc["trace"] for line, doc in documents.items() if "--theta1 1e-9" in line]
+    assert len(traces) == 3  # near both poles: demo, encode and decode
+    decodes = [doc["trace"] for doc in documents.values() if doc["command"] == "decode"]
+    assert any("collapsed_level" in trace for trace in decodes)  # a failed decode
+    for line, doc in documents.items():
+        assert [*_inexact(doc)] == [], line
 
 
 _ANY_FLOAT = st.one_of(

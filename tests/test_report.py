@@ -6,13 +6,15 @@ import collections
 import enum
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qutritcodec.report import (
+    _rounded,
     amplitude_pairs,
     document,
     make_row,
@@ -85,12 +87,17 @@ class TestDocuments:
         assert document("verify", {}, rows=[])["overall_pass"] is True
 
     def test_key_order_and_rounding(self):
+        # a document keeps its values as given; its rendered forms round them
         doc = document("mc", {"tolerance": 0.1 + 0.2}, rows=[])
         assert list(doc) == ["schema_version", "command", "params", "rows", "overall_pass"]
-        assert doc["params"] == {"tolerance": 0.3}
+        assert doc["params"] == {"tolerance": 0.30000000000000004}
+        assert json.loads(to_json(doc))["params"] == {"tolerance": 0.3}
         trace = document("demo", {}, trace={"p": [1 / 3, True, 2]})
         assert list(trace) == ["schema_version", "command", "params", "trace"]
-        assert trace["trace"] == {"p": [0.333333333333, True, 2]}
+        assert trace["trace"] == {"p": [1 / 3, True, 2]}
+        assert json.loads(to_json(trace))["trace"] == {"p": [0.333333333333, True, 2]}
+        assert "p,\"[0.333333333333, true, 2]\"" in to_csv(trace).splitlines()
+        assert "| p | [0.333333333333, true, 2] |" in to_markdown(trace).splitlines()
 
     def test_json_round_trip(self):
         doc = rows_document()
@@ -170,7 +177,26 @@ json_like = st.recursive(
 class TestJsonEmitter:
     @given(json_like)
     def test_prints_what_json_dumps_prints(self, value):
-        assert to_json(value) == json.dumps(value, indent=2) + "\n"
+        assert to_json(value) == json.dumps(_rounded(value), indent=2) + "\n"
+
+    # zeros and one print a point; 1e12 to 1e16 print as repr does, not
+    # in the 12-digit exponent form; a subnormal prints its few digits
+    @example(0.0)
+    @example(-0.0)
+    @example(1.0)
+    @example(5e-324)
+    @example(1e-310)
+    @example(2.2250738585072014e-308)
+    @example(1e-05)
+    @example(999999999999.5)
+    @example(1e12)
+    @example(12345678901234.5)
+    @example(9.9999999999995e15)
+    @example(1e16)
+    @example(sys.float_info.max)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_prints_a_float_as_repr_of_its_rounded_value(self, value):
+        assert to_json(value) == float.__repr__(round_sig(value)) + "\n"
 
     @pytest.mark.parametrize("value", [object(), np.int64(1)])
     def test_raises_the_type_error_json_dumps_raises(self, value):
