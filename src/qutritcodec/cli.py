@@ -38,7 +38,7 @@ IDENTITY_TOL = 1e-9
 EXACT_TOL = 1e-7
 MC_RATE_SIGMAS = 3.0
 MC_HISTOGRAM_SIGMAS = 3.5
-# 10^10 trials take about 13 minutes (0.75 s per 10^7 on two cores)
+# 10^10 trials take about 11 minutes (10^8 took 5.1-7.4 s on two cores)
 MAX_TRIALS = 10**10
 
 # One verify row per entry: (name, report scalar, reference, tolerance,
@@ -47,7 +47,7 @@ MAX_TRIALS = 10**10
 VERIFY_ROWS = (
     *(
         (f"success_probability_j{j}_target{a}", f"success_probability_j{j}_target{a}",
-         2.0 / 3.0, 1e-9, "paper")
+         2.0 / 3.0, 1e-12, "paper")
         for j in range(4)
         for a in (1, 2)
     ),
@@ -339,10 +339,6 @@ def _mc_rows(
         reference = exact[f"outcome_prior_{j}"]
         rows.append(make_row(f"mc_outcome_freq_{j}", stats.outcome_counts[j] / stats.trials,
                              reference, band(reference, MC_HISTOGRAM_SIGMAS), "mc"))
-    # with no successful trial there is no reconstruction to check
-    if stats.min_success_fidelity is not None:
-        rows.append(make_row("mc_min_success_fidelity", stats.min_success_fidelity,
-                             1.0, 1e-12, "mc"))
     return rows
 
 
@@ -377,6 +373,23 @@ def _verify_rows(report: dict[str, float], exact: dict[str, float]) -> list[dict
     return rows
 
 
+# every |c_k|^2 in (0, 1) and both azimuths off multiples of pi/2, so a
+# decode that conjugates, swaps or flips the sign of an amplitude loses fidelity
+SCALAR_PAIR = (states.BlochAngles(1.0, 0.5), states.BlochAngles(2.0, 4.0))
+
+
+def _scalar_min_success_fidelity() -> float:
+    """The least fidelity of the scalar codec's decodes of `SCALAR_PAIR`, over
+    every outcome and target, each forced to succeed by u = 0."""
+    originals = [states.make_qubit_state(qubit) for qubit in SCALAR_PAIR]
+    qutrits = [codec.encode_branch(SCALAR_PAIR, j)[1] for j in range(4)]
+    return min(
+        states.fidelity(codec.decode(qutrits[j], j, target, 0.0)[1], originals[target - 1])
+        for j in range(4)
+        for target in (1, 2)
+    )
+
+
 # the cap on --nodes bounds the run time, which grows as n^2 (node generation
 # ~0.15 s and the report's encode-posterior strips ~0.08 s at 4096); memory
 # grows only as n
@@ -393,5 +406,7 @@ def verify(nodes, trials, seed) -> dict[str, Any]:
     exact = bayes.exact_report()
     params = {"nodes": nodes, "trials": trials, "seed": seed}
     rows = _verify_rows(bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes)), exact)
+    rows.append(make_row("scalar_min_success_fidelity", _scalar_min_success_fidelity(),
+                         1.0, 1e-12, "identity"))
     rows.extend(_mc_rows(trials, seed, "always-1", exact))
     return document("verify", params, rows=rows)

@@ -5,8 +5,8 @@ seed. Trial t owns the two counter blocks 2t and 2t+1, i.e. the fixed
 8-uniform slice [8t, 8t+8) of the stream, so any split of the trial range
 reproduces the same trials bit for bit. `run_trials` relies on that to run
 the upper half of a large batch in a forked child, which writes its record
-into a page shared with the parent. `_merged` sums two records' counts and
-keeps the exact minimum, per block and per half alike. Slot layout per trial:
+into a page shared with the parent. A record is five integer counts, summed
+per block and per half alike. Slot layout per trial:
 
     0, 1  polar/azimuth uniforms for qubit 1
     2, 3  polar/azimuth uniforms for qubit 2
@@ -15,16 +15,15 @@ keeps the exact minimum, per block and per half alike. Slot layout per trial:
     6     decode success/failure sample
     7     reserved (keeps trials aligned to whole Philox blocks)
 
-Statistics use only real products of the exact per-qubit weights 1 - u
-and u. One table of intact blocks both decides success and, target bit 0
-first, names the register indices that a successful decode reads as
-logical |0> and |1>; the two differ only in the target's bit, so the
-fidelity needs no azimuth uniform, though every trial still draws both.
+The kernel only counts: outcomes and successes, from real products of the
+exact per-qubit weights 1 - u and u, so it never reads an azimuth uniform,
+though every trial still draws both. Whether a successful decode
+reconstructs the qubit is checked on the scalar codec (`verify`'s
+`scalar_min_success_fidelity` row), not here.
 """
 
 from __future__ import annotations
 
-import math
 import mmap
 import operator
 import os
@@ -40,23 +39,24 @@ from .stream import MAX_SEED, TARGET_POLICIES
 UNIFORMS_PER_TRIAL = 8
 _BLOCKS_PER_TRIAL = UNIFORMS_PER_TRIAL // 4  # Philox yields 4 values per block
 
-# trials per kernel call: 64 KiB float arrays, below glibc's smallest mmap
-# threshold, are reused from the heap and stay in cache, not faulted in anew
-_KERNEL_TRIALS = 1 << 13
+# trials per kernel call: its arrays stay few enough KiB that glibc reuses
+# them from the heap, in cache. At 2^13 the ~1.5 MB freed at each return was
+# trimmed and faulted in anew: 11343 page faults per 2.5 x 10^5 trials, not
+# 168, and 35 ms, not 23 (2-vCPU Xeon, glibc 2.36, numpy 2.4.6)
+_KERNEL_TRIALS = 1 << 11
 # batches of this many blocks or more are split over two processes: below
 # 2^18 trials, fork and waitpid (about 2.5 ms in a 50 MB process) eat the gain
-_SPLIT_BLOCKS = 32
-# the forked half's record in the shared page: outcome counts, successes, least fidelity
-_RECORD = struct.Struct("<5qd")
+_SPLIT_BLOCKS = 128
+# the forked half's record in the shared page: the four outcome counts, then successes
+_RECORD = struct.Struct("<5q")
 
 
 class TrialStats(NamedTuple):
-    """Aggregated counters and fidelity extremes of one batch of trials."""
+    """Aggregated counters of one batch of trials."""
 
     trials: int
     outcome_counts: tuple[int, int, int, int]
     success_count: int
-    min_success_fidelity: float | None
 
     @property
     def mean_success_rate(self) -> float:
@@ -85,13 +85,14 @@ def _targets(policy: str, start: int, count: int, u_target: np.ndarray) -> np.nd
     return np.where(u_target < 0.5, 1, 2)
 
 
-# [outcome, target - 1] -> the intact block, whose weight decides success and
-# whose indices, target bit 0 first, a successful decode reads as logical |0>, |1>
+# [outcome, target - 1] -> the intact block, whose weight decides success; the
+# kernel only sums its two weights, so unlike `codec.decode_levels` it needs no order
 _INTACT = np.array([[intact_block(j, a) for a in (1, 2)] for j in range(4)], dtype=np.int64)
 
 
-def _run_chunk(u: np.ndarray, start: int, policy: str):
-    """Vectorized encode/decode for one slab of trial uniforms."""
+def _run_chunk(u: np.ndarray, start: int, policy: str) -> np.ndarray:
+    """Vectorized encode/decode for one slab of trial uniforms: the four
+    outcome counts, then the success count, as one int64 array."""
     count = u.shape[0]
     factors = np.empty((2, 2, count))  # [qubit - 1, bit]: (1 - u, u)
     factors[:, 1] = u[:, 0:3:2].T
@@ -118,45 +119,26 @@ def _run_chunk(u: np.ndarray, start: int, policy: str):
     rows = np.arange(count)
     flat_w = weights.ravel()
     lo, hi = np.take(_INTACT.reshape(8, 2), key, axis=0).T
-    w_lo, w_hi = flat_w[lo * count + rows], flat_w[hi * count + rows]
-    block_weight = w_lo + w_hi
+    block_weight = flat_w[lo * count + rows] + flat_w[hi * count + rows]
     success = u[:, 6] < block_weight / survivors.ravel()[outcome * count + rows]
 
-    # Fidelity with the target qubit, in closed form on the weights the intact
-    # block puts on logical |0> and |1>; they differ only in the target's bit,
-    # so the decoded relative phase, the target's azimuth minus itself, is 0.0
-    won = np.flatnonzero(success)
-    w_lo, w_hi = w_lo[won], w_hi[won]
-    polar = u.ravel()[UNIFORMS_PER_TRIAL * won + 2 * target[won] - 2]  # slot 0 or 2
-    cross = np.sqrt((1.0 - polar) * polar * w_lo * w_hi)
-    fidelity = ((1.0 - polar) * w_lo + polar * w_hi + 2.0 * cross) / block_weight[won]
-
-    counts = np.bincount(outcome, minlength=4)
-    return counts, won.size, fidelity
+    return np.append(np.bincount(outcome, minlength=4), np.count_nonzero(success))
 
 
-def _merged(a: tuple, b: tuple) -> tuple:
-    """One record of two, exact under any split: counts summed, least fidelity kept."""
-    return (*(x + y for x, y in zip(a[:5], b[:5])), min(a[5], b[5]))
-
-
-def _run_range(master_seed: int, policy: str, begin: int, end: int) -> tuple:
+def _run_range(master_seed: int, policy: str, begin: int, end: int) -> np.ndarray:
     """Trials [begin, end) in ascending blocks, as one record: the four
-    outcome counts, the success count and the least fidelity of a successful
-    trial (inf when none succeeds)."""
-    record = (0, 0, 0, 0, 0, math.inf)
+    outcome counts, then the success count."""
+    record = np.zeros(5, dtype=np.int64)
     generator = _philox(master_seed, begin)
     # one slab for every block, so its pages are faulted in once per call
     slab = np.empty((min(_KERNEL_TRIALS, end - begin), UNIFORMS_PER_TRIAL))
     for start in range(begin, end, _KERNEL_TRIALS):
         u = generator.random(out=slab[: min(_KERNEL_TRIALS, end - start)])
-        counts, successes, fidelity = _run_chunk(u, start, policy)
-        block = (*counts.tolist(), successes, float(fidelity.min(initial=math.inf)))
-        record = _merged(record, block)
+        record += _run_chunk(u, start, policy)
     return record
 
 
-def _run_split(master_seed: int, policy: str, mid: int, end: int) -> tuple:
+def _run_split(master_seed: int, policy: str, mid: int, end: int) -> np.ndarray:
     """Trials [mid, end) in a forked child and [0, mid) here, merged. The child
     is always reaped, killed first if this half or the wait raises, and read
     only if it exits 0; a half it does not deliver runs here, as when the fork fails."""
@@ -182,7 +164,7 @@ def _run_split(master_seed: int, policy: str, mid: int, end: int) -> tuple:
             os.waitpid(pid, 0)
             raise
         tail = _RECORD.unpack_from(page) if code == 0 else _run_range(master_seed, policy, mid, end)
-        return _merged(head, tail)
+        return head + tail
 
 
 def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1") -> TrialStats:
@@ -194,7 +176,7 @@ def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1
     uses two cores; a smaller batch, a platform without `os.fork`, a process
     allowed one CPU and a process with other Python threads stay serial.
     Each half processes its blocks in ascending order and every reduction
-    (counts, minima, numpy pairwise sums within a block) is order-fixed, so
+    (integer counts, numpy pairwise sums within a block) is order-fixed, so
     the result is identical for any block size, any split and across reruns.
     """
     if operator.index(trials) < 1:
@@ -219,6 +201,5 @@ def run_trials(trials: int, master_seed: int = 0, target_policy: str = "always-1
     else:
         blocks = -(-trials // _KERNEL_TRIALS)
         record = _run_split(master_seed, target_policy, blocks // 2 * _KERNEL_TRIALS, trials)
-    *counts, success_count, min_fidelity = record
-    return TrialStats(trials, tuple(counts), success_count,
-                      None if min_fidelity == math.inf else min_fidelity)
+    *counts, success_count = record.tolist()
+    return TrialStats(trials, tuple(counts), success_count)

@@ -170,18 +170,12 @@ def test_09_monte_carlo(mc_stats):
     freq_dev = max(abs(f - 0.25) for f in frequencies)
     rate_dev = abs(mc_stats.mean_success_rate - 2 / 3)
     rerun = run_trials(TRIALS, master_seed=MC_SEED)
-    ok = (
-        freq_dev <= 0.0015
-        and rate_dev <= 0.0017
-        and mc_stats.min_success_fidelity >= 1 - 1e-12
-        and rerun == mc_stats
-    )
+    ok = freq_dev <= 0.0015 and rate_dev <= 0.0017 and rerun == mc_stats
     assert check(
         "09 a million seeded trials match the statistics bit for bit",
         ok,
         f"max freq dev {freq_dev:.2e} (tol 1.5e-3), rate dev {rate_dev:.2e} "
-        f"(tol 1.7e-3), min fidelity 1-{1 - mc_stats.min_success_fidelity:.2e}, "
-        f"rerun identical: {rerun == mc_stats}",
+        f"(tol 1.7e-3), rerun identical: {rerun == mc_stats}",
     )
 
 

@@ -27,7 +27,7 @@ import qutritcodec.montecarlo as montecarlo
 import qutritcodec.report as report
 from qutritcodec.cli import main
 from qutritcodec.report import FORMATS, amplitude_pairs, round_sig
-from qutritcodec.states import BlochAngles
+from qutritcodec.states import BlochAngles, PureState
 from conftest import any_pairs, invoke, near_pole_pairs
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _args as _golden_args
@@ -349,9 +349,7 @@ class TestMc:
         assert first.exit_code == 0
         doc = json.loads(first.output)
         names = [row["name"] for row in doc["rows"]]
-        assert "mc_success_rate" in names
-        assert sum(name.startswith("mc_outcome_freq_") for name in names) == 4
-        assert "mc_min_success_fidelity" in names
+        assert names == ["mc_success_rate", *(f"mc_outcome_freq_{j}" for j in range(4))]
         assert doc["overall_pass"] is True
         assert invoke(args).output == first.output
 
@@ -375,7 +373,7 @@ class TestMc:
 
     @pytest.mark.parametrize("command", ["mc", "verify"])
     def test_trials_are_capped_at_ten_to_the_ten(self, monkeypatch, command):
-        stats = montecarlo.TrialStats(10**10, (0, 0, 0, 0), 0, None)
+        stats = montecarlo.TrialStats(10**10, (0, 0, 0, 0), 0)
         monkeypatch.setattr(montecarlo, "run_trials", lambda *args: stats)
         # accepted: the stub's batch has no success, so a row fails
         assert invoke([command, "--trials", str(10**10)]).exit_code == 1
@@ -416,7 +414,6 @@ class TestMc:
         expected = {
             "mc_success_rate": exact["success_probability_j0_target1"],
             **{f"mc_outcome_freq_{j}": exact[f"outcome_prior_{j}"] for j in range(4)},
-            "mc_min_success_fidelity": 1.0,
         }
         rows = json.loads(result.output)["rows"]
         references = {row["name"]: row["reference"] for row in rows if row["source"] == "mc"}
@@ -497,8 +494,8 @@ class TestVerify:
             "failure_total_q1_vs_direct",
             "failure_total_q2_vs_direct",
             "outcome_prior_sum",
+            "scalar_min_success_fidelity",
             "mc_success_rate",
-            "mc_min_success_fidelity",
         ):
             assert expected in names
         assert {n for n in names if n.startswith("exact_")} == {
@@ -575,24 +572,51 @@ class TestVerify:
         assert len(exact) == 12
         assert all(row["pass"] for row in exact), exact
 
-    @pytest.mark.parametrize("command", ["mc", "verify"])
-    def test_no_fidelity_row_when_no_trial_succeeds(self, command):
-        # the single trial of seed 5 fails to decode
-        result = invoke([command, "--trials", "1", "--seed", "5"])
-        assert result.exit_code == 0
-        rows = {row["name"]: row for row in json.loads(result.output)["rows"]}
-        assert rows["mc_success_rate"]["computed"] == 0.0
-        assert "mc_min_success_fidelity" not in rows
+    # each mutant reads one decoded qubit wrong: a conjugate, the two levels
+    # swapped by a reversed intact block, or a sign flipped on |1>
+    @pytest.mark.parametrize("mutant", ["conjugate", "reversed block", "sign flip"])
+    def test_the_scalar_fidelity_row_catches_a_wrong_decode(self, monkeypatch, mutant):
+        decode, intact_block = codec.decode, codec.intact_block
 
-    @pytest.mark.parametrize("command", ["mc", "verify"])
-    def test_fidelity_row_when_the_only_trial_succeeds(self, command):
-        # the single trial of seed 0 decodes, so its block's one success is
-        # also its minimum
-        result = invoke([command, "--trials", "1", "--seed", "0"])
+        def mutated_decode(*args):
+            p_success, qubit = decode(*args)
+            zero, one = qubit.amplitudes
+            if mutant == "conjugate":
+                return p_success, PureState([zero.conjugate(), one.conjugate()])
+            return p_success, PureState([zero, -one])
+
+        if mutant == "reversed block":
+            monkeypatch.setattr(codec, "intact_block", lambda *args: intact_block(*args)[::-1])
+        else:
+            monkeypatch.setattr(codec, "decode", mutated_decode)
+        result = invoke(["verify", "--trials", "64"])
+        assert result.exit_code == 1
+        rows = json.loads(result.output)["rows"]
+        assert [row["name"] for row in rows if not row["pass"]] == ["scalar_min_success_fidelity"]
+
+
+@pytest.fixture(scope="module")
+def default_row_names() -> dict[str, list[str]]:
+    """Each command's row names at its default --trials, --nodes and --seed."""
+    names = {}
+    for command in ("mc", "verify"):
+        result = invoke([command])
         assert result.exit_code == 0
-        rows = {row["name"]: row for row in json.loads(result.output)["rows"]}
-        assert rows["mc_success_rate"]["computed"] == 1.0
-        assert rows["mc_min_success_fidelity"]["pass"]
+        names[command] = [row["name"] for row in json.loads(result.output)["rows"]]
+    return names
+
+
+@pytest.mark.parametrize("args", [
+    *(["mc", "--target-policy", policy] for policy in montecarlo.TARGET_POLICIES), ["verify"],
+], ids=" ".join)
+def test_row_names_do_not_depend_on_the_batch(default_row_names, args):
+    # one or two trials may all fail to decode, or all succeed
+    for trials in (1, 2, 64):
+        for seed in range(24):
+            result = invoke([*args, "--trials", str(trials), "--seed", str(seed)])
+            assert result.exit_code == 0, (trials, seed)
+            names = [row["name"] for row in json.loads(result.output)["rows"]]
+            assert names == default_row_names[args[0]], (trials, seed)
 
 
 class TestFormatsAndOutput:
@@ -600,7 +624,7 @@ class TestFormatsAndOutput:
         result = invoke(["mc", "--trials", "5000", "--format", "csv"])
         lines = result.output.strip().split("\n")
         assert lines[0] == "name,computed,reference,tolerance,source,pass"
-        assert len(lines) == 1 + 6  # rate + four frequencies + min fidelity
+        assert len(lines) == 1 + 5  # rate + four frequencies
 
     def test_markdown_smoke(self):
         result = invoke(["encode", "--theta1", "1.0", "--format", "md"])
@@ -1002,7 +1026,5 @@ def test_every_command_line_gives_a_document_or_a_usage_error(line, sink):
     mc_rows = ["mc_success_rate", *(f"mc_outcome_freq_{j}" for j in range(4))]
     expected = mc_rows if command == "mc" else [name for name, *_ in cli_module.VERIFY_ROWS]
     assert names[: len(expected)] == expected
-    if names[-1] == "mc_min_success_fidelity":
-        names.pop()
     assert names[-len(mc_rows):] == mc_rows
     assert result.exit_code == (0 if all(passed for _, passed in rows) else 1)

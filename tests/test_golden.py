@@ -19,7 +19,12 @@ closed the line before it), and no other byte changed. The three `nearpole`
 pins (both qubits within 1e-9 rad of a pole, one outcome weight near 3e-19)
 were recorded before `codec.encode` began handing its register state to
 `demo` and before `PureState` checked finiteness and norm with one numpy call
-each, so they hold those changes to the same bytes. `demo_generic.json` also
+each, so they hold those changes to the same bytes. The ten `mc` and
+`verify` pins were re-recorded when the Monte Carlo kernel stopped computing
+fidelities: each lost its `mc_min_success_fidelity` row, and each `verify`
+pin gained `scalar_min_success_fidelity` after its `exact_*` rows and its
+eight `success_probability_*` rows went from a tolerance of 1e-9 to 1e-12;
+`params`, every frequency and every success rate kept their bytes. `demo_generic.json` also
 pins `python -m qutritcodec`, the entry point the README advertises.
 
 The two `decode` pins `blas` and `simd` hold preparations whose last printed

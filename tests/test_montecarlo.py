@@ -17,14 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutritcodec import (
-    TrialStats,
-    decode,
-    encode,
-    fidelity,
-    make_qubit_state,
-    run_trials,
-)
+from qutritcodec import TrialStats, decode, encode, run_trials
 from qutritcodec.codec import decode_levels, intact_block, qubit_bit, survivors
 from qutritcodec import montecarlo
 from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, _philox, _run_chunk
@@ -99,8 +92,6 @@ class TestDeterminism:
 
 
 class TestAgainstScalarPipeline:
-    # seed 0's single trial succeeds: a block whose only success is its
-    # minimum still reaches min_success_fidelity
     @pytest.mark.parametrize(
         "trials, seed, policy",
         [
@@ -115,7 +106,6 @@ class TestAgainstScalarPipeline:
         u = _philox(seed, 0).random((trials, UNIFORMS_PER_TRIAL))
         counts = [0, 0, 0, 0]
         successes = 0
-        min_fidelity = None
         for t in range(trials):
             pair = sample_bloch(u[t, 0], u[t, 1]), sample_bloch(u[t, 2], u[t, 3])
             record = encode(pair, u[t, 4])
@@ -129,17 +119,10 @@ class TestAgainstScalarPipeline:
             else:
                 target = 1 if u[t, 5] < 0.5 else 2
             _, reconstructed = decode(record.qutrit, record.outcome, target, u[t, 6])
-            if reconstructed is not None:
-                successes += 1
-                value = fidelity(reconstructed, make_qubit_state(pair[target - 1]))
-                min_fidelity = value if min_fidelity is None else min(min_fidelity, value)
+            successes += reconstructed is not None
 
         assert stats.outcome_counts == tuple(counts)
         assert stats.success_count == successes
-        if min_fidelity is None:
-            assert stats.min_success_fidelity is None
-        else:
-            assert stats.min_success_fidelity == pytest.approx(min_fidelity, abs=1e-12)
 
 
 def exact_weights(polar1: float, polar2: float) -> list[Fraction]:
@@ -179,7 +162,7 @@ def test_kernel_decodes_near_pole_trials_like_the_closed_form(
     polar1, polar2, phases, u_encode, u_target, below
 ):
     u = np.array([[polar1, phases[0], polar2, phases[1], u_encode, u_target, 0.0, 0.0]])
-    (outcome,) = np.flatnonzero(_run_chunk(u, 0, "random")[0])
+    (outcome,) = np.flatnonzero(_run_chunk(u, 0, "random")[:4])
     target = 1 if u_target < 0.5 else 2
     weights = exact_weights(polar1, polar2)
     survivors = sum(weights[k] for k in range(4) if k != outcome)
@@ -190,19 +173,7 @@ def test_kernel_decodes_near_pole_trials_like_the_closed_form(
     # decode just below or just above the closed-form success probability
     above = p_success * (1 + 1e-9)
     u[0, 6] = p_success * (1 - 1e-9) if below or above >= 1.0 else above
-    _, successes, fidelities = _run_chunk(u, 0, "random")
-    assert successes == (u[0, 6] < p_success)
-    assert np.all(fidelities >= 1 - 1e-12)
-
-
-@pytest.mark.parametrize("outcome, target", [(j, a) for j in range(4) for a in (1, 2)])
-def test_fidelity_row_catches_a_swapped_decode_level(monkeypatch, outcome, target):
-    config = (20_000, 0, f"always-{target}")
-    assert run_trials(*config).min_success_fidelity >= 1 - 1e-12
-    swapped = montecarlo._INTACT.copy()
-    swapped[outcome, target - 1] = swapped[outcome, target - 1, ::-1]
-    monkeypatch.setattr(montecarlo, "_INTACT", swapped)
-    assert run_trials(*config).min_success_fidelity < 1 - 1e-12
+    assert _run_chunk(u, 0, "random")[4] == (u[0, 6] < p_success)
 
 
 def kernel_weights(u: np.ndarray):
@@ -220,40 +191,25 @@ def kernel_weights(u: np.ndarray):
     return weights, survivors, cumulative
 
 
-def full_phase_chunk(u: np.ndarray, start: int, policy: str):
-    """Reference kernel with the full phase formula: outcomes counted with
-    `count_nonzero`, weights gathered again for the successful trials, and
-    the cosine of the decoded relative phase."""
+def reference_chunk(u: np.ndarray, start: int, policy: str) -> list[int]:
+    """Reference kernel: outcomes counted with `count_nonzero`, and each
+    trial's intact block found from the codec's `intact_block`."""
     count = u.shape[0]
     weights, survivors, cumulative = kernel_weights(u)
     outcome = np.count_nonzero(cumulative <= u[:, 4], axis=0)
     target = montecarlo._targets(policy, start, count, u[:, 5])
-    rows = np.arange(count)
-    flat_w = weights.ravel()
-    lo, hi = np.take(montecarlo._INTACT.reshape(8, 2), 2 * outcome + target - 1, axis=0).T
-    block_weight = flat_w[lo * count + rows] + flat_w[hi * count + rows]
-    success = u[:, 6] < block_weight / survivors.ravel()[outcome * count + rows]
-
-    won = np.flatnonzero(success)
-    lo, hi = lo[won], hi[won]
-    w_lo, w_hi = flat_w[lo * count + won], flat_w[hi * count + won]
-    slot = UNIFORMS_PER_TRIAL * won
-    polar_slot = slot + 2 * target[won] - 2
-    polar, azimuth, turns1, turns2 = (
-        u.ravel()[at] for at in (polar_slot, polar_slot + 1, slot + 1, slot + 3)
-    )
-    # register index k carries the phase turns1 * b1(k) + turns2 * b2(k)
-    delta = turns1 * (qubit_bit(hi, 1) - qubit_bit(lo, 1))
-    delta += turns2 * (qubit_bit(hi, 2) - qubit_bit(lo, 2))
-    delta -= azimuth
-    cross = np.sqrt((1.0 - polar) * polar * w_lo * w_hi) * np.cos(2.0 * np.pi * delta)
-    fidelity = ((1.0 - polar) * w_lo + polar * w_hi + 2.0 * cross) / (w_lo + w_hi)
-    return np.bincount(outcome, minlength=4), won.size, fidelity
+    flat_w, flat_s = weights.ravel(), survivors.ravel()
+    successes = 0
+    for t in range(count):
+        lo, hi = intact_block(int(outcome[t]), int(target[t]))
+        block_weight = flat_w[lo * count + t] + flat_w[hi * count + t]
+        successes += bool(u[t, 6] < block_weight / flat_s[outcome[t] * count + t])
+    return [*np.bincount(outcome, minlength=4).tolist(), successes]
 
 
 @pytest.mark.parametrize("policy", montecarlo.TARGET_POLICIES)
 @pytest.mark.parametrize("seed", [0, 1, 5, 20260, 2**64 - 1])
-def test_the_kernel_gives_the_full_phase_formulas_bits(seed, policy):
+def test_the_kernel_counts_like_the_reference(seed, policy):
     # slabs of a whole block, of a short one at an odd start and of one
     # trial, and one whose encoding uniforms tie with a cumulative weight
     slabs = ((0, 8192, False), (8191, 999, False), (3, 1, False), (5, 999, True))
@@ -261,16 +217,13 @@ def test_the_kernel_gives_the_full_phase_formulas_bits(seed, policy):
         u = _philox(seed, start).random((trials, UNIFORMS_PER_TRIAL))
         if ties:
             u[:, 4] = kernel_weights(u)[2][np.arange(trials) % 3, np.arange(trials)]
-        counts, successes, fidelities = _run_chunk(u, start, policy)
-        expected_counts, expected_successes, expected = full_phase_chunk(u, start, policy)
-        assert counts.tolist() == expected_counts.tolist()
-        assert successes == expected_successes
-        assert fidelities.dtype == expected.dtype
-        assert fidelities.tobytes() == expected.tobytes()
+        record = _run_chunk(u, start, policy)
+        assert record.dtype == np.int64
+        assert record.tolist() == reference_chunk(u, start, policy)
 
 
 def test_an_intact_pair_differs_in_the_target_bit_alone():
-    # so the decoded relative phase is the target's azimuth minus itself: 0.0
+    # so a successful decode reads the target's two amplitudes from one block
     for outcome in range(4):
         for target in (1, 2):
             low, high = intact_block(outcome, target)
@@ -333,7 +286,7 @@ class TestSplitBatches:
     def test_forks_only_from_2_to_the_18_trials(self, monkeypatch):
         forks = count_forks(monkeypatch)
         # the halves' work is not what this counts
-        monkeypatch.setattr(montecarlo, "_run_range", lambda *args: (0, 0, 0, 0, 0, math.inf))
+        monkeypatch.setattr(montecarlo, "_run_range", lambda *args: np.zeros(5, dtype=np.int64))
         run_trials(2**18 - 1)
         assert forks == []
         run_trials(2**18)
@@ -348,18 +301,12 @@ class TestSplitBatches:
         _assert_pinned(path, _printed(path))
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("head_min, tail_min, merged_min", [
-        (0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (math.inf, 0.5, 0.5), (0.5, math.inf, 0.5),
-        (math.inf, math.inf, None),
-    ])
-    def test_the_halves_records_are_merged(self, monkeypatch, forks, head_min, tail_min, merged_min):
+    def test_the_halves_records_are_summed(self, monkeypatch, forks):
         def record(master_seed, policy, begin, end):
-            if begin == 0:
-                return (1, 2, 3, 4, 5, head_min)
-            return (10, 20, 30, 40, 50, tail_min)
+            return np.array([1, 2, 3, 4, 5] if begin == 0 else [10, 20, 30, 40, 50])
 
         monkeypatch.setattr(montecarlo, "_run_range", record)
-        assert run_trials(4000) == TrialStats(4000, (11, 22, 33, 44), 55, merged_min)
+        assert run_trials(4000) == TrialStats(4000, (11, 22, 33, 44), 55)
         assert len(forks) == 1
 
     def test_a_call_from_another_thread_stays_serial(self, forks):
@@ -567,7 +514,7 @@ def test_the_child_branch_sends_the_upper_half_and_exits_0(monkeypatch):
         run_trials(4000, 3, "random")
     (page,) = pages
     assert exited.value.args == (0,)
-    assert montecarlo._RECORD.unpack(page) == montecarlo._run_range(3, "random", 1998, 4000)
+    assert montecarlo._RECORD.unpack(page) == tuple(montecarlo._run_range(3, "random", 1998, 4000))
 
 
 # run_trials(10**6) counts recorded with a complex-amplitude kernel that
@@ -589,7 +536,6 @@ PINNED_SUCCESSES = {
 }
 
 
-# each pinned batch runs once and serves both pin tables
 @pytest.fixture(
     scope="module", params=sorted(PINNED_SUCCESSES), ids=lambda key: "%s-%s" % key
 )
@@ -602,28 +548,6 @@ def test_counts_are_pinned_for_a_given_seed(pinned_batch):
     seed, policy, stats = pinned_batch
     assert stats.outcome_counts == PINNED_OUTCOMES[seed]
     assert stats.success_count == PINNED_SUCCESSES[seed, policy]
-
-
-# float.hex of run_trials(10**6).min_success_fidelity, recorded with the
-# kernel that still computed the decoded phase and its cosine
-PINNED_MIN_FIDELITIES = {
-    (0, "always-1"): "0x1.ffffffffffffep-1",
-    (0, "always-2"): "0x1.ffffffffffffdp-1",
-    (0, "alternate"): "0x1.ffffffffffffep-1",
-    (0, "random"): "0x1.ffffffffffffep-1",
-    (20260, "always-1"): "0x1.ffffffffffffdp-1",
-    (20260, "always-2"): "0x1.ffffffffffffdp-1",
-    (20260, "alternate"): "0x1.ffffffffffffdp-1",
-    (20260, "random"): "0x1.ffffffffffffdp-1",
-}
-
-
-def test_min_fidelity_is_pinned_for_a_given_seed(pinned_batch):
-    # the batches come from the success table's keys
-    assert PINNED_MIN_FIDELITIES.keys() == PINNED_SUCCESSES.keys()
-    seed, policy, stats = pinned_batch
-    assert type(stats.min_success_fidelity) is float
-    assert float.hex(stats.min_success_fidelity) == PINNED_MIN_FIDELITIES[seed, policy]
 
 
 @pytest.fixture(scope="module")
@@ -646,15 +570,11 @@ class TestStatistics:
         for count in stats.outcome_counts:
             assert abs(count / stats.trials - 0.25) <= 3.5 * sigma
 
-    def test_every_success_is_a_faithful_reconstruction(self, stats):
-        assert stats.min_success_fidelity >= 1 - 1e-12
-
     @pytest.mark.parametrize("policy", ["always-2", "alternate", "random"])
     def test_other_policies_also_succeed_at_two_thirds(self, policy):
         stats = run_trials(50_000, master_seed=0, target_policy=policy)
         sigma = math.sqrt((2 / 3) * (1 / 3) / stats.trials)
         assert abs(stats.mean_success_rate - 2 / 3) <= 3 * sigma
-        assert stats.min_success_fidelity >= 1 - 1e-12
 
 
 class TestConfigValidation:
