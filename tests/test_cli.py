@@ -594,6 +594,45 @@ class TestVerify:
         rows = json.loads(result.output)["rows"]
         assert [row["name"] for row in rows if not row["pass"]] == ["scalar_min_success_fidelity"]
 
+    # the Monte Carlo row this one replaced read target 1 alone: a decode
+    # wrong on any single (outcome, target) pair must show here
+    @pytest.mark.parametrize("outcome, target", [(j, a) for j in range(4) for a in (1, 2)])
+    def test_the_scalar_fidelity_row_catches_a_swapped_decode_level(
+        self, monkeypatch, outcome, target
+    ):
+        assert cli_module._scalar_min_success_fidelity() >= 1 - 1e-12
+        intact_block = codec.intact_block
+
+        def swapped(j, a):
+            block = intact_block(j, a)
+            return block[::-1] if (j, a) == (outcome, target) else block
+
+        monkeypatch.setattr(codec, "intact_block", swapped)
+        assert cli_module._scalar_min_success_fidelity() < 1 - 1e-12
+
+    def test_the_scalar_rows_preparation_is_generic(self):
+        # no register weight at 0 or 1, so every branch and block is
+        # populated, and no azimuth at a multiple of pi/2, so a conjugate or
+        # a sign flip changes the decoded qubit
+        weights = np.abs(codec.joint_state(cli_module.SCALAR_PAIR).amplitudes) ** 2
+        assert np.all((weights > 1e-3) & (weights < 1 - 1e-3))
+        for qubit in cli_module.SCALAR_PAIR:
+            quarter_turns = qubit.phi / (math.pi / 2)
+            assert abs(quarter_turns - round(quarter_turns)) > 0.1
+
+    # one trial may fail to decode (seed 5) or succeed (seed 0); its row set
+    # is the default's and its rows still pass
+    @pytest.mark.parametrize("command", ["mc", "verify"])
+    @pytest.mark.parametrize("seed, rate", [(5, 0.0), (0, 1.0)], ids=["fails", "succeeds"])
+    def test_a_single_trial_batch(self, command, seed, rate):
+        result = invoke([command, "--trials", "1", "--seed", str(seed)])
+        assert result.exit_code == 0
+        rows = {row["name"]: row for row in json.loads(result.output)["rows"]}
+        assert rows["mc_success_rate"]["computed"] == rate
+        frequencies = [rows[f"mc_outcome_freq_{j}"]["computed"] for j in range(4)]
+        assert sorted(frequencies) == [0.0, 0.0, 0.0, 1.0]
+        assert all(row["pass"] for row in rows.values())
+
 
 @pytest.fixture(scope="module")
 def default_row_names() -> dict[str, list[str]]:

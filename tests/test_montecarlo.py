@@ -301,12 +301,23 @@ class TestSplitBatches:
         _assert_pinned(path, _printed(path))
         assert len(forks) == 1
 
-    def test_the_halves_records_are_summed(self, monkeypatch, forks):
+    # either half may have no success, or carry counts past 2^32
+    @pytest.mark.parametrize("head, tail", [
+        ([1, 2, 3, 4, 5], [10, 20, 30, 40, 50]),
+        ([0, 0, 0, 0, 0], [10, 20, 30, 40, 50]),
+        ([1, 2, 3, 4, 5], [0, 0, 0, 0, 0]),
+        ([1, 0, 0, 0, 0], [0, 0, 0, 1, 0]),
+        ([2**33, 2**34, 2**35, 2**36, 2**37], [7, 2**34, 9, 2**36, 2**33]),
+    ])
+    def test_the_halves_records_are_summed(self, monkeypatch, forks, head, tail):
         def record(master_seed, policy, begin, end):
-            return np.array([1, 2, 3, 4, 5] if begin == 0 else [10, 20, 30, 40, 50])
+            return np.array(head if begin == 0 else tail, dtype=np.int64)
 
         monkeypatch.setattr(montecarlo, "_run_range", record)
-        assert run_trials(4000) == TrialStats(4000, (11, 22, 33, 44), 55)
+        total = [h + t for h, t in zip(head, tail)]
+        stats = run_trials(4000)
+        assert stats == TrialStats(4000, tuple(total[:4]), total[4])
+        assert all(type(count) is int for count in (*stats.outcome_counts, stats.success_count))
         assert len(forks) == 1
 
     def test_a_call_from_another_thread_stays_serial(self, forks):
