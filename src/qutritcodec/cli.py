@@ -31,39 +31,32 @@ from typing import Any
 from . import codec, states, stream
 from .report import FORMATS, amplitude_pairs, document, make_row, render
 
-QUOTED_GAIN_TOL = 5e-4
-IDENTITY_TOL = 1e-9
-# Quadrature against the closed forms of bayes.exact_report; the worst error
-# at the smallest accepted --nodes (16) is 1.2e-8.
+# exact identities and closed forms, whose residues are at most 4.4e-16
+IDENTITY_TOL = 1e-12
+# the exact rows' bound at the smallest --nodes; the quadrature error, 1.2e-8
+# there, falls faster than nodes^-6 (3.3e-16 at 256)
 EXACT_TOL = 1e-7
 MC_RATE_SIGMAS = 3.0
 MC_HISTOGRAM_SIGMAS = 3.5
 # 10^10 trials take about 11 minutes (10^8 took 5.1-7.4 s on two cores)
 MAX_TRIALS = 10**10
 
-# One verify row per entry: (name, report scalar, reference, tolerance,
-# source). A reference given as a string is another report scalar. The paper
-# rows quote the paper's constants at their published precision.
-VERIFY_ROWS = (
-    *(
-        (f"success_probability_j{j}_target{a}", f"success_probability_j{j}_target{a}",
-         2.0 / 3.0, 1e-12, "paper")
-        for j in range(4)
-        for a in (1, 2)
-    ),
-    ("encoding_gain", "encoding_gain", 0.0735, QUOTED_GAIN_TOL, "paper"),
-    ("marginal_encoding_gain_q1", "marginal_encoding_gain_q1", 0.027, QUOTED_GAIN_TOL, "paper"),
-    ("marginal_encoding_gain_q2", "marginal_encoding_gain_q2", 0.027, QUOTED_GAIN_TOL, "paper"),
-    ("decode_gain_q1", "decode_gain_q1", -0.027, QUOTED_GAIN_TOL, "paper"),
-    ("decode_gain_q2", "decode_gain_q2", 0.252, QUOTED_GAIN_TOL, "paper"),
-    ("success_total_q2", "success_total_q2", 0.279, 1e-3, "paper"),
-    ("failure_gain_q1", "failure_gain_q1", 0.252, QUOTED_GAIN_TOL, "paper"),
-    ("failure_gain_q2", "failure_gain_q2", 0.252, QUOTED_GAIN_TOL, "paper"),
-    ("decode_cancels_encoding_q1", "success_total_q1", 0.0, IDENTITY_TOL, "identity"),
-    ("success_total_q2_vs_direct", "success_total_q2", "direct_gain", IDENTITY_TOL, "identity"),
-    ("failure_total_q1_vs_direct", "failure_total_q1", "direct_gain", IDENTITY_TOL, "identity"),
-    ("failure_total_q2_vs_direct", "failure_total_q2", "direct_gain", IDENTITY_TOL, "identity"),
-    ("outcome_prior_sum", "outcome_prior_sum", 1.0, 1e-12, "identity"),
+# verify's leading rows: the paper's exact 2/3, then its gains as it prints
+# them, each to half a unit in its last quoted place, then the identities as
+# (name, report scalar, reference), where a string names another scalar
+SUCCESS_ROWS = tuple(f"success_probability_j{j}_target{a}" for j in range(4) for a in (1, 2))
+QUOTED_GAINS = {
+    "encoding_gain": "0.0735", "marginal_encoding_gain_q1": "0.027",
+    "marginal_encoding_gain_q2": "0.027", "decode_gain_q1": "-0.027",
+    "decode_gain_q2": "0.252", "success_total_q2": "0.279",
+    "failure_gain_q1": "0.252", "failure_gain_q2": "0.252",
+}
+IDENTITY_ROWS = (
+    ("decode_cancels_encoding_q1", "success_total_q1", 0.0),
+    ("success_total_q2_vs_direct", "success_total_q2", "direct_gain"),
+    ("failure_total_q1_vs_direct", "failure_total_q1", "direct_gain"),
+    ("failure_total_q2_vs_direct", "failure_total_q2", "direct_gain"),
+    ("outcome_prior_sum", "outcome_prior_sum", 1.0),
 )
 
 
@@ -356,20 +349,24 @@ def mc(trials, target_policy, seed) -> dict[str, Any]:
     return document("mc", params, rows=_mc_rows(trials, seed, target_policy, bayes.exact_report()))
 
 
-def _verify_rows(report: dict[str, float], exact: dict[str, float]) -> list[dict[str, Any]]:
+def _verify_rows(
+    report: dict[str, float], exact: dict[str, float], nodes: int
+) -> list[dict[str, Any]]:
     prior_sum = sum(report[f"outcome_prior_{j}"] for j in range(4))
     scalars = {**report, "outcome_prior_sum": prior_sum}
-    rows = [
-        make_row(name, scalars[scalar],
-                 scalars[reference] if isinstance(reference, str) else reference,
-                 tolerance, source)
-        for name, scalar, reference, tolerance, source in VERIFY_ROWS
-    ]
-    # every gain and outcome prior against its closed form; the totals and
-    # success probabilities are pinned by the rows above
+    rows = [make_row(name, scalars[name], 2 / 3, IDENTITY_TOL, "paper") for name in SUCCESS_ROWS]
+    for name, text in QUOTED_GAINS.items():
+        half_unit = 0.5 * 10.0 ** -len(text.partition(".")[2])
+        rows.append(make_row(name, scalars[name], float(text), half_unit, "paper"))
+    for name, scalar, reference in IDENTITY_ROWS:
+        reference = scalars[reference] if isinstance(reference, str) else reference
+        rows.append(make_row(name, scalars[scalar], reference, IDENTITY_TOL, "identity"))
+    # each gain and outcome prior against its closed form, at a bound that follows
+    # the quadrature error down to IDENTITY_TOL; the rows above pin the rest
+    tolerance = max(IDENTITY_TOL, EXACT_TOL * (stream.MIN_NODES / nodes) ** 6)
     for name, value in exact.items():
         if "total" not in name and not name.startswith("success_probability"):
-            rows.append(make_row(f"exact_{name}", scalars[name], value, EXACT_TOL, "identity"))
+            rows.append(make_row(f"exact_{name}", scalars[name], value, tolerance, "identity"))
     return rows
 
 
@@ -405,8 +402,8 @@ def verify(nodes, trials, seed) -> dict[str, Any]:
 
     exact = bayes.exact_report()
     params = {"nodes": nodes, "trials": trials, "seed": seed}
-    rows = _verify_rows(bayes.gain_report(bayes.QuadratureSpec(nodes_per_axis=nodes)), exact)
+    rows = _verify_rows(bayes.gain_report(bayes.QuadratureSpec(nodes)), exact, nodes)
     rows.append(make_row("scalar_min_success_fidelity", _scalar_min_success_fidelity(),
-                         1.0, 1e-12, "identity"))
+                         1.0, IDENTITY_TOL, "identity"))
     rows.extend(_mc_rows(trials, seed, "always-1", exact))
     return document("verify", params, rows=rows)

@@ -1,7 +1,9 @@
 """Acceptance gate: every headline claim at its stated tolerance.
 
 Each test prints one PASS/FAIL line (visible with pytest -s or on failure)
-and then asserts, so the suite doubles as a checklist.
+and then asserts, so the suite doubles as a checklist. The tolerances are
+the ones `verify` checks: a quoted constant's is that of its paper row, and
+an exact claim's is `cli.IDENTITY_TOL`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from qutritcodec import (
     QuadratureSpec,
     decode,
     encode_branch,
+    exact_report,
     fidelity,
     gain_report,
     make_qubit_state,
     run_trials,
 )
+from qutritcodec.cli import IDENTITY_TOL, _verify_rows
 from conftest import phase_aligned_max_diff, pipeline_encode, random_pair
 
 TRIALS = 1_000_000
@@ -37,6 +41,13 @@ def report_512():
 
 
 @pytest.fixture(scope="session")
+def paper_rows(report_256):
+    """`verify`'s paper rows at 256 nodes, by name."""
+    rows = _verify_rows(report_256, exact_report(), 256)
+    return {row["name"]: row for row in rows if row["source"] == "paper"}
+
+
+@pytest.fixture(scope="session")
 def mc_stats():
     return run_trials(TRIALS, master_seed=MC_SEED)
 
@@ -46,35 +57,43 @@ def check(label: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def quoted(paper_rows, value: float, name: str) -> bool:
+    """Whether `value` is within the tolerance of paper row `name` of the
+    constant the paper quotes."""
+    row = paper_rows[name]
+    return abs(value - row["reference"]) <= row["tolerance"]
+
+
 def test_01_average_success_probability(report_256):
     deviations = [
         abs(report_256[f"success_probability_j{j}_target{a}"] - 2 / 3)
         for j in range(4)
         for a in (1, 2)
     ]
-    ok = max(deviations) <= 1e-9
+    ok = max(deviations) <= IDENTITY_TOL
     assert check(
         "01 success probability 2/3 for all outcomes and targets",
         ok,
-        f"max deviation {max(deviations):.3e}, tol 1e-9",
+        f"max deviation {max(deviations):.3e}, tol {IDENTITY_TOL:g}",
     )
 
 
-def test_02_encoding_gain(report_256):
-    deviation = abs(report_256["encoding_gain"] - 0.0735)
+def test_02_encoding_gain(report_256, paper_rows):
+    computed, row = report_256["encoding_gain"], paper_rows["encoding_gain"]
+    deviation = abs(computed - row["reference"])
     assert check(
         "02 encoding gain 0.0735 bits",
-        deviation <= 5e-4,
-        f"computed {report_256['encoding_gain']:.6f}, deviation {deviation:.2e}, tol 5e-4",
+        deviation <= row["tolerance"],
+        f"computed {computed:.7f}, deviation {deviation:.2e}, tol {row['tolerance']:g}",
     )
 
 
-def test_03_marginal_encoding_gains(report_256):
-    gains = [report_256[f"marginal_encoding_gain_q{a}"] for a in (1, 2)]
+def test_03_marginal_encoding_gains(report_256, paper_rows):
+    names = [f"marginal_encoding_gain_q{a}" for a in (1, 2)]
+    gains = [report_256[name] for name in names]
     ok = (
-        abs(gains[0] - 0.027) <= 5e-4
-        and abs(gains[1] - 0.027) <= 5e-4
-        and abs(gains[0] - gains[1]) <= 1e-9
+        all(quoted(paper_rows, gain, name) for gain, name in zip(gains, names))
+        and abs(gains[0] - gains[1]) <= IDENTITY_TOL
     )
     assert check(
         "03 marginal encoding gains 0.027 bits and equal",
@@ -83,14 +102,14 @@ def test_03_marginal_encoding_gains(report_256):
     )
 
 
-def test_04_decode_gains(report_256):
+def test_04_decode_gains(report_256, paper_rows):
     decode_q1, decode_q2 = (report_256[f"decode_gain_q{a}"] for a in (1, 2))
     total_q1, total_q2 = (report_256[f"success_total_q{a}"] for a in (1, 2))
     ok = (
-        abs(decode_q1 - (-0.027)) <= 5e-4
-        and abs(total_q1) <= 1e-9
-        and abs(decode_q2 - 0.252) <= 5e-4
-        and abs(total_q2 - 0.279) <= 1e-3
+        quoted(paper_rows, decode_q1, "decode_gain_q1")
+        and abs(total_q1) <= IDENTITY_TOL
+        and quoted(paper_rows, decode_q2, "decode_gain_q2")
+        and quoted(paper_rows, total_q2, "success_total_q2")
     )
     assert check(
         "04 decode gains -0.027 / 0.252 with exact cancellation",
@@ -99,13 +118,13 @@ def test_04_decode_gains(report_256):
     )
 
 
-def test_05_failure_gains(report_256):
+def test_05_failure_gains(report_256, paper_rows):
     failure = [report_256[f"failure_gain_q{a}"] for a in (1, 2)]
     totals = [report_256[f"failure_total_q{a}"] for a in (1, 2)]
     direct = report_256["direct_gain"]
-    ok = all(abs(g - 0.252) <= 5e-4 for g in failure) and all(
-        abs(t - direct) <= 1e-9 for t in totals
-    )
+    ok = all(
+        quoted(paper_rows, g, f"failure_gain_q{a}") for g, a in zip(failure, (1, 2))
+    ) and all(abs(t - direct) <= IDENTITY_TOL for t in totals)
     assert check(
         "05 failure gains 0.252 bits, totals equal the direct gain",
         ok,
@@ -117,8 +136,8 @@ def test_06_direct_measurement_identity(report_256):
     deviation = abs(report_256["success_total_q2"] - report_256["direct_gain"])
     assert check(
         "06 encode plus decode gain on the spectator equals the direct gain",
-        deviation <= 1e-9,
-        f"deviation {deviation:.3e}, tol 1e-9",
+        deviation <= IDENTITY_TOL,
+        f"deviation {deviation:.3e}, tol {IDENTITY_TOL:g}",
     )
 
 
@@ -157,7 +176,7 @@ def test_08_round_trip_and_pipeline_equivalence():
         original = make_qubit_state(pair[target - 1])
         worst_fidelity = min(worst_fidelity, fidelity(reconstructed, original))
         collected += 1
-    ok = worst_fidelity >= 1 - 1e-12 and worst_pipeline <= 1e-12
+    ok = worst_fidelity >= 1 - IDENTITY_TOL and worst_pipeline <= 1e-12
     assert check(
         "08 1000 seeded round trips are faithful and match the pipeline",
         ok,
@@ -182,9 +201,9 @@ def test_09_monte_carlo(mc_stats):
 def test_10_quadrature_robustness(report_256, report_512):
     drift = max(abs(report_256[name] - report_512[name]) for name in report_256)
     completeness = abs(sum(report_256[f"outcome_prior_{j}"] for j in range(4)) - 1.0)
-    ok = drift < 1e-9 and completeness <= 1e-12
+    ok = drift <= IDENTITY_TOL and completeness <= IDENTITY_TOL
     assert check(
         "10 node doubling moves no scalar and the outcome weights are complete",
         ok,
-        f"max drift {drift:.3e} (tol 1e-9), completeness gap {completeness:.2e}",
+        f"max drift {drift:.3e} (tol {IDENTITY_TOL:g}), completeness gap {completeness:.2e}",
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import decimal
 import io
 import itertools
 import json
@@ -438,22 +439,26 @@ def verify_result():
 
 def test_exact_rows_hold_at_every_node_count():
     # every odd n runs the middle-root branch of the node generator
-    names = [
-        row["name"].removeprefix("exact_")
-        for row in cli_module._verify_rows(bayes.exact_report(), bayes.exact_report())
-        if row["name"].startswith("exact_")
-    ]
     cases = [(n, j, a) for n in range(bayes.MIN_NODES, 301) for j in range(4) for a in (1, 2)]
     cases += [(n, 0, 1) for n in (512, 1024, 2048, 4096)]
+    bounds = {}
+    for n in dict.fromkeys(n for n, _, _ in cases):
+        rows = cli_module._verify_rows(bayes.exact_report(), bayes.exact_report(), n)
+        bounds[n] = {row["name"].removeprefix("exact_"): row["tolerance"]
+                     for row in rows if row["name"].startswith("exact_")}
     margins = []
     for n, outcome, target in cases:
         report = bayes.gain_report(bayes.QuadratureSpec(n), outcome, target)
         exact = bayes.exact_report(outcome, target)
-        worst = max(abs(report[name] - exact[name]) for name in names)
-        margins.append((cli_module.EXACT_TOL / max(worst, 1e-300), n, outcome, target))
+        margins += [(bound / max(abs(report[name] - exact[name]), 1e-300), n, outcome, target)
+                    for name, bound in bounds[n].items()]
     margin, n, outcome, target = min(margins)
     print(f"smallest exact-row margin {margin:.1f} at n={n}, outcome {outcome}, target {target}")
-    assert len(names) == 12
+    assert all(len(names) == 12 for names in bounds.values())
+    # the bound follows the quadrature error's n^-6 law from 1e-7 at 16
+    # nodes down to the identity floor, which it reaches at 110 nodes
+    assert bounds[bayes.MIN_NODES]["encoding_gain"] == cli_module.EXACT_TOL == 1e-7
+    assert bounds[109]["encoding_gain"] > bounds[110]["encoding_gain"] == cli_module.IDENTITY_TOL
     assert margin >= 5.0
 
 
@@ -463,7 +468,7 @@ def test_zero_reference_rows_print_zero_at_every_node_count():
     printed = {
         (n, row["name"]): row["computed"]
         for n in range(bayes.MIN_NODES, 301)
-        for row in cli_module._verify_rows(bayes.gain_report(bayes.QuadratureSpec(n)), exact)
+        for row in cli_module._verify_rows(bayes.gain_report(bayes.QuadratureSpec(n)), exact, n)
         if row["source"] == "identity" and row["reference"] == 0.0
     }
     assert len(printed) == 301 - bayes.MIN_NODES
@@ -542,7 +547,7 @@ class TestVerify:
         assert result.output == ""
 
     def test_a_skew_within_the_quoted_precision_fails_the_exact_row(self, monkeypatch):
-        # inside the paper row's 5e-4, outside the exact row's 1e-7
+        # inside the paper row's 5e-5, outside the exact row's 2.4e-11 at 64 nodes
         skew_encoding_gain(monkeypatch, 2.5e-7)
         result = invoke(["verify", "--nodes", "64", "--trials", "1000"])
         assert result.exit_code == 1
@@ -550,6 +555,41 @@ class TestVerify:
         assert doc["overall_pass"] is False
         failing = [row["name"] for row in doc["rows"] if not row["pass"]]
         assert failing == ["exact_encoding_gain"]
+
+    def test_paper_rows_hold_to_half_a_unit_in_the_last_quoted_place(self, verify_result):
+        rows = {row["name"]: row for row in json.loads(verify_result.output)["rows"]}
+        paper = {name for name, row in rows.items() if row["source"] == "paper"}
+        assert paper == {*cli_module.SUCCESS_ROWS, *cli_module.QUOTED_GAINS}
+        for name, text in cli_module.QUOTED_GAINS.items():
+            half_unit = decimal.Decimal(5).scaleb(decimal.Decimal(text).as_tuple().exponent - 1)
+            assert rows[name]["reference"] == float(text)
+            assert rows[name]["tolerance"] == float(half_unit)
+        assert rows["encoding_gain"]["tolerance"] == 5e-5
+        assert rows["success_total_q2"]["tolerance"] == 5e-4
+        # the paper's 2/3 is exact
+        assert {rows[name]["tolerance"] for name in cli_module.SUCCESS_ROWS} == {1e-12}
+
+    def test_a_skew_beyond_the_quoted_precision_fails_the_paper_row(self, monkeypatch):
+        # the encoding gain is 0.0735363, 3.6e-5 from the quoted 0.0735, so
+        # 2e-5 more leaves the half unit of its fourth decimal, 5e-5
+        skew_encoding_gain(monkeypatch, 2e-5)
+        result = invoke(["verify", "--nodes", "64", "--trials", "1000"])
+        assert result.exit_code == 1
+        failing = [row["name"] for row in json.loads(result.output)["rows"] if not row["pass"]]
+        assert failing == ["encoding_gain", "exact_encoding_gain"]
+
+    def test_a_quadrature_regression_fails_the_exact_rows(self, monkeypatch):
+        # without Newton steps the 256-node outcome priors err by 1.03e-10,
+        # which a flat 1e-7 bound on the exact rows let pass
+        bayes._gauss_legendre.cache_clear()  # the rule is cached per node count
+        monkeypatch.setattr(bayes, "_NEWTON_STEPS", 0)
+        try:
+            result = invoke(["verify", "--nodes", "256", "--trials", "64"])
+        finally:
+            bayes._gauss_legendre.cache_clear()
+        assert result.exit_code == 1
+        failing = [row["name"] for row in json.loads(result.output)["rows"] if not row["pass"]]
+        assert any(name.startswith("exact_") for name in failing), failing
 
     def test_rejects_too_few_nodes(self):
         assert invoke(["verify", "--nodes", "8"]).exit_code == 2
@@ -563,7 +603,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("nodes", [*range(16, 25), 32, 100, 300, 1000])
     def test_exact_rows_pass_at_every_resolution(self, nodes):
-        # the worst quadrature error, 1.2e-8 at 16 nodes, is under the 1e-7 bound
+        # the worst quadrature error, 1.2e-8 at 16 nodes, is under the bound
+        # 1e-7 x (16 / nodes)^6, and under its 1e-12 floor from 110 nodes on
         result = invoke(["verify", "--nodes", str(nodes), "--trials", "1"])
         exact = [
             row for row in json.loads(result.output)["rows"]
@@ -1063,7 +1104,9 @@ def test_every_command_line_gives_a_document_or_a_usage_error(line, sink):
     # a full document: every row a passing run would print
     names = [name for name, _ in rows]
     mc_rows = ["mc_success_rate", *(f"mc_outcome_freq_{j}" for j in range(4))]
-    expected = mc_rows if command == "mc" else [name for name, *_ in cli_module.VERIFY_ROWS]
+    identities = [name for name, *_ in cli_module.IDENTITY_ROWS]
+    leading = [*cli_module.SUCCESS_ROWS, *cli_module.QUOTED_GAINS, *identities]
+    expected = mc_rows if command == "mc" else leading
     assert names[: len(expected)] == expected
     assert names[-len(mc_rows):] == mc_rows
     assert result.exit_code == (0 if all(passed for _, passed in rows) else 1)

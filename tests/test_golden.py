@@ -24,8 +24,12 @@ each, so they hold those changes to the same bytes. The ten `mc` and
 fidelities: each lost its `mc_min_success_fidelity` row, and each `verify`
 pin gained `scalar_min_success_fidelity` after its `exact_*` rows and its
 eight `success_probability_*` rows went from a tolerance of 1e-9 to 1e-12;
-`params`, every frequency and every success rate kept their bytes. `demo_generic.json` also
-pins `python -m qutritcodec`, the entry point the README advertises.
+`params`, every frequency and every success rate kept their bytes. The six
+`verify` pins were re-recorded when each tolerance came to follow from its
+row (half a unit in the paper's last quoted place, the 1e-12 identity
+floor, and the `exact_*` bound's n^-6 law): only `tolerance` values moved.
+`demo_generic.json` also pins `python -m qutritcodec`, the entry point the
+README advertises.
 
 The two `decode` pins `blas` and `simd` hold preparations whose last printed
 digit depended on the machine while `states` and `codec` computed on numpy
