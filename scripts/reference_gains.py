@@ -1,25 +1,27 @@
 """Reference values of the gain report from closed-form densities, by mpmath.
 
-For encoding outcome 0 and either decode target every posterior has a
-closed form. With the prior p(t) = sin(t) / 2 on each polar angle and the
-bit densities cos^2(t/2) p(t) and sin^2(t/2) p(t), each of mass 1/2:
+Every posterior has a closed form for each encoding outcome j and decode
+target a. With the prior p(t) = sin(t) / 2 on each polar angle and the bit
+weights w_0(t) = cos^2(t/2) and w_1(t) = sin^2(t/2), register index
+k = b1 + 2 b2 has weight w_b1(t1) w_b2(t2), and the posterior that keeps a
+set S of register indices is
 
-    encode posterior   (4/3) (1 - cos^2(t1/2) cos^2(t2/2)) p(t1) p(t2)
-      its marginals    (4/3) (1 - cos^2(t/2) / 2) p(t), for either qubit
-    target 1
-      successful decode  qubit 1: p(t1); qubit 2: 2 sin^2(t2/2) p(t2)
-      failed decode      qubit 1: 2 sin^2(t1/2) p(t1); qubit 2: 2 cos^2(t2/2) p(t2)
-    target 2
-      successful decode  qubit 1: 2 sin^2(t1/2) p(t1); qubit 2: p(t2)
-      failed decode      qubit 1: 2 cos^2(t1/2) p(t1); qubit 2: 2 sin^2(t2/2) p(t2)
+    (4 / |S|) sum_{k in S} w_b1(t1) w_b2(t2) p(t1) p(t2),
+    with qubit-q marginal  (2 / |S|) sum_{k in S} w_bq(t) p(t).
 
-The encode posterior does not depend on the target. The prior entropy is
-1/ln 2 bits and the direct measurement gain is 1 - 1/(2 ln 2) bits; both
-are also integrated and checked against those forms. The joint entropy of
-the encode posterior comes from one 2-D tanh-sinh quadrature. Everything is
-computed with 30 significant digits and written, rounded to 20, to
-tests/reference_gains.json, which the tests compare with the Gauss-Legendre
-report and with `bayes.exact_report`.
+Outcome j keeps the three indices other than j, so its encode posterior is
+(4/3) (1 - |c_j|^2) p(t1) p(t2), with |c_j|^2 = w_j1(t1) w_j2(t2). A
+successful decode keeps the intact block, the two survivors that differ
+only in the target's bit; a failed one keeps the third survivor. Both are
+found from these definitions, not from the package.
+
+The prior entropy is 1/ln 2 bits and the direct measurement gain is
+1 - 1/(2 ln 2) bits; both are also integrated and checked against those
+forms. Each outcome's encode joint entropy comes from its own 2-D tanh-sinh
+quadrature, so no outcome's values are taken from another's by symmetry.
+Everything is computed with 30 significant digits and written, rounded to
+20, to tests/reference_gains.json, which the tests compare with the
+Gauss-Legendre report and with `bayes.exact_report`.
 
 Run from the repository root (needs mpmath, which the package does not):
 
@@ -43,12 +45,12 @@ def prior(t):
     return mp.sin(t) / 2
 
 
-def cos2(t):
-    return mp.cos(t / 2) ** 2
+def weight(bit: int, t):
+    return mp.cos(t / 2) ** 2 if bit == 0 else mp.sin(t / 2) ** 2
 
 
-def sin2(t):
-    return mp.sin(t / 2) ** 2
+def qubit_bit(k: int, qubit: int) -> int:
+    return (k >> (qubit - 1)) & 1
 
 
 def plogp(p):
@@ -65,40 +67,56 @@ def joint_entropy(density) -> mp.mpf:
     return -mp.quad(lambda t1, t2: plogp(density(t1, t2)), [0, mp.pi], [0, mp.pi])
 
 
+def marginal_entropy(kept: list[int], qubit: int) -> mp.mpf:
+    """Entropy of qubit `qubit`'s marginal of the posterior that keeps `kept`."""
+    return entropy(
+        lambda t: 2 * sum(weight(qubit_bit(k, qubit), t) for k in kept) / len(kept) * prior(t)
+    )
+
+
+def kept_sets(outcome: int, target: int) -> tuple[list[int], list[int], list[int]]:
+    """The register indices kept by the encode posterior, a successful decode
+    and a failed decode of (outcome, target)."""
+    survivors = [k for k in range(4) if k != outcome]
+    (block,) = [
+        [k, l] for k in survivors for l in survivors
+        if k < l and k ^ l == 1 << (target - 1)
+    ]
+    return survivors, block, [k for k in survivors if k not in block]
+
+
 def check_agrees(name: str, integrated: mp.mpf, expected: mp.mpf) -> None:
     if abs(integrated - expected) > mp.mpf(10) ** (-25):
         raise SystemExit(f"{name}: quadrature gives {integrated}, expected {expected}")
 
 
-def reference_gains() -> tuple[mp.mpf, dict[int, dict[str, mp.mpf]]]:
-    """The prior entropy, and the report's gains for outcome 0 by target."""
+def reference_gains() -> tuple[mp.mpf, dict[tuple[int, int], dict[str, mp.mpf]]]:
+    """The prior entropy, and the report's gains by (outcome, target)."""
     h_prior = entropy(prior)
     check_agrees("h_prior", h_prior, 1 / mp.log(2))
 
-    h_zero = entropy(lambda t: 2 * cos2(t) * prior(t))  # a qubit left in |0>
-    h_one = entropy(lambda t: 2 * sin2(t) * prior(t))  # a qubit left in |1>
+    h_zero = entropy(lambda t: 2 * weight(0, t) * prior(t))  # a qubit left in |0>
+    h_one = entropy(lambda t: 2 * weight(1, t) * prior(t))  # a qubit left in |1>
     check_agrees("h_one", h_one, h_zero)
     direct_gain = h_prior - (h_zero + h_one) / 2
     check_agrees("direct_gain", direct_gain, 1 - 1 / (2 * mp.log(2)))
 
-    h_joint = joint_entropy(
-        lambda t1, t2: mp.mpf(4) / 3 * (1 - cos2(t1) * cos2(t2)) * prior(t1) * prior(t2)
-    )
-    h_posterior = entropy(lambda t: mp.mpf(4) / 3 * (1 - cos2(t) / 2) * prior(t))
-    # (qubit 1, qubit 2) entropies after a successful and after a failed decode
-    after_decode = {
-        1: ((h_prior, h_one), (h_one, h_zero)),
-        2: ((h_one, h_prior), (h_zero, h_one)),
-    }
-
     reports = {}
-    for target, (h_success, h_failure) in after_decode.items():
-        values = {"direct_gain": direct_gain, "encoding_gain": 2 * h_prior - h_joint}
-        for a in (1, 2):
-            values[f"marginal_encoding_gain_q{a}"] = h_prior - h_posterior
-            values[f"decode_gain_q{a}"] = h_posterior - h_success[a - 1]
-            values[f"failure_gain_q{a}"] = h_posterior - h_failure[a - 1]
-        reports[target] = values
+    for outcome in range(4):
+        bits = [qubit_bit(outcome, qubit) for qubit in (1, 2)]
+        h_joint = joint_entropy(
+            lambda t1, t2: mp.mpf(4) / 3
+            * (1 - weight(bits[0], t1) * weight(bits[1], t2)) * prior(t1) * prior(t2)
+        )
+        for target in (1, 2):
+            encode, success, failure = kept_sets(outcome, target)
+            values = {"direct_gain": direct_gain, "encoding_gain": 2 * h_prior - h_joint}
+            for a in (1, 2):
+                h_posterior = marginal_entropy(encode, a)
+                values[f"marginal_encoding_gain_q{a}"] = h_prior - h_posterior
+                values[f"decode_gain_q{a}"] = h_posterior - marginal_entropy(success, a)
+                values[f"failure_gain_q{a}"] = h_posterior - marginal_entropy(failure, a)
+            reports[outcome, target] = values
     return h_prior, reports
 
 
@@ -109,11 +127,11 @@ def main() -> None:
         "h_prior": mp.nstr(h_prior, DIGITS),
         "reports": [
             {
-                "outcome": 0,
+                "outcome": outcome,
                 "target": target,
                 "values": {name: mp.nstr(value, DIGITS) for name, value in values.items()},
             }
-            for target, values in reports.items()
+            for (outcome, target), values in reports.items()
         ],
     }
     OUTPUT.write_text(json.dumps(document, indent=2) + "\n")

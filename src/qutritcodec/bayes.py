@@ -16,8 +16,8 @@ is a 2 x 2 mask K over (b1, b2) and its posterior d.T @ K @ d / (m @ K @ m);
 integrating one qubit out leaves (K @ m) @ d or (m @ K) @ d. Every
 normalizer and marginal comes from one read-only mask table over the eight
 (outcome, target) pairs, built at import. Only the encode posterior's joint
-entropy does not separate; a report forms that rank-2 posterior in strips of
-rows, one log per node pair and no n x n array, and sums each row alone.
+entropy does not separate; its ratio to the prior is linear in cos(theta2),
+so the integral over qubit 2 is closed and no n x n array is formed.
 
 Gain conventions: the "encoding gain" compares the joint prior with the
 posterior after observing an encoding outcome; marginal gains do the same
@@ -164,20 +164,16 @@ def _marginals(masks: np.ndarray, bit_mass: np.ndarray, densities: np.ndarray):
     return mass, coefficients @ densities / np.tile(mass, 2)[:, None]
 
 
-# Bytes per strip of the encode posterior. A strip this small is served from
-# the heap and reused, where a whole n x n array would be mapped and
-# faulted in afresh on every report.
-_STRIP_BYTES = 64 * 1024
-
-
-def _plogp(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _check_density(values: np.ndarray) -> None:
     # fmin skips nan, so this is np.any(values < 0.0) in one pass
     if np.fmin.reduce(values, axis=None, initial=np.inf) < 0.0:
-        raise ValueError("density is negative at a quadrature node")
+        raise ValueError("density is negative")
+
+
+def _plogp(values: np.ndarray) -> np.ndarray:
+    _check_density(values)
     # 0 * log2 of the least normal double, 2**-1022, is exactly 0
-    out = np.maximum(values, 2.0**-1022, out=out)
-    np.log2(out, out=out)
-    return np.multiply(values, out, out=out)
+    return values * np.log2(np.maximum(values, 2.0**-1022))
 
 
 def _entropy(values: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -185,22 +181,16 @@ def _entropy(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return -np.sum(w * _plogp(values), axis=-1)
 
 
-def _joint_entropy(left: np.ndarray, right: np.ndarray, mass: float, w: np.ndarray) -> float:
-    """-sum w_i w_j p log2 p over the tensor grid for p = left @ right / mass.
-
-    p is formed a strip of rows at a time in two reused buffers, so no
-    n x n array is allocated. Each row of p log2 p is reduced on its own, in
-    an order that does not depend on the strip, and the row sums are added
-    once at the end, so the result is that of the whole grid bit for bit.
-    """
-    rows = min(len(left), max(1, _STRIP_BYTES // right[0].nbytes))
-    left = left / mass
-    strip, plogp = np.empty((rows, len(w))), np.empty((rows, len(w)))
-    row_sums = np.empty(len(left))
-    for start in range(0, len(left), rows):
-        p = np.matmul(left[start:start + rows], right, out=strip[:len(left) - start])
-        np.einsum("ij,j->i", _plogp(p, out=plogp[:len(p)]), w, out=row_sums[start:start + rows])
-    return -float(np.sum(w * row_sums))
+def _mean_plogp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean of t log2 t between a >= 0 and b >= 0, (F(a) - F(b)) / (a - b)
+    over ln 2 with F(t) = t^2 ln t / 2 - t^2 / 4. As c log2 c + c S(q) / ln 2,
+    c = (a + b) / 2, q = |a - b| / (a + b) and S(q) = ((1 + q)^2 ln(1 + q)
+    - (1 - q)^2 ln(1 - q)) / (4 q) - 1/2, it takes no difference of nearby
+    values; q's clamp makes S(0) and the F(0) term exactly 0."""
+    c = 0.5 * (a + b)
+    q = np.clip(np.abs(a - b) / np.maximum(a + b, 2.0**-1022), 2.0**-1022, 1.0 - 2.0**-53)
+    s = ((1.0 + q) ** 2 * np.log1p(q) - (1.0 - q) ** 2 * np.log1p(-q)) / (4.0 * q) - 0.5
+    return _plogp(c) + c * s / math.log(2.0)
 
 
 def _with_gains(priors, success, encoding, marginal, decode, failure, direct) -> dict[str, float]:
@@ -258,9 +248,14 @@ def gain_report(
     (h_prior, _), h_posterior, h_success, h_failure, (h_zero, _), (h_one, _) = (
         _entropy(marginals, w).reshape(2, -1).T.tolist()
     )
-    # The encode posterior's joint entropy is the one scalar that does not
-    # separate; the posterior is the rank-2 product (d.T @ K) @ d.
-    h_joint = _joint_entropy(densities.T @ masks[_ENCODE], densities, mass[_ENCODE], w)
+    # The encode posterior is prior(theta1) prior(theta2) r(x1, x2) in
+    # x = cos(theta), r linear in x2 between its `ends` at x2 = +1 and -1;
+    # prior(theta2) dtheta2 = dx2 / 2 makes r log2 r's integral a mean.
+    prior = prior_theta(x)
+    ends = densities.T @ masks[_ENCODE] / (prior[:, None] * mass[_ENCODE])
+    _check_density(ends)
+    h_joint = -float((w * np.log2(prior)) @ marginals[_ENCODE::6].sum(axis=0)
+                     + (w * prior) @ _mean_plogp(*ends.T))
     p_zero, p_one = (mass[[_READ_0, _READ_1]] / mass[_PRIOR]).tolist()
     return _with_gains(
         (masses[:, 0, _ENCODE] / 3.0).tolist(),

@@ -387,9 +387,8 @@ def _scalar_min_success_fidelity() -> float:
     )
 
 
-# the cap on --nodes bounds the run time, which grows as n^2 (node generation
-# ~0.15 s and the report's encode-posterior strips ~0.08 s at 4096); memory
-# grows only as n
+# the cap on --nodes bounds the run time of node generation, which grows as
+# n^2 (~0.12 s at 4096); the gain report and memory grow only as n
 @_command(
     dict(name="--nodes", low=stream.MIN_NODES, high=4096, default=256,
          help="Quadrature nodes per axis of the gain report that the rows check."),

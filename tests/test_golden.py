@@ -28,6 +28,11 @@ eight `success_probability_*` rows went from a tolerance of 1e-9 to 1e-12;
 `verify` pins were re-recorded when each tolerance came to follow from its
 row (half a unit in the paper's last quoted place, the 1e-12 identity
 floor, and the `exact_*` bound's n^-6 law): only `tolerance` values moved.
+The four `verify 16` pins were re-recorded when the encode posterior's joint
+entropy became a closed-form integral over qubit 2 at each qubit-1 node: the
+`computed` value of `encoding_gain` and `exact_encoding_gain` went from
+0.0735362586735 to 0.0735362586521, 2.6e-11 and 4.4e-12 from the exact
+0.0735362586477, and no other byte changed.
 `demo_generic.json` also pins `python -m qutritcodec`, the entry point the
 README advertises.
 
