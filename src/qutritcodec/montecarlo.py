@@ -1,25 +1,25 @@
 """Reproducible Monte Carlo verification of the full encode/decode loop.
 
-Randomness comes from a counter-based Philox generator keyed by the master
-seed. Trial t owns the two counter blocks 2t and 2t+1, i.e. the fixed
-8-uniform slice [8t, 8t+8) of the stream, so any split of the trial range
-reproduces the same trials bit for bit. `run_trials` relies on that to run
-the upper half of a large batch in a forked child, which writes its record
-into a page shared with the parent. A record is five integer counts, summed
-per block and per half alike. Slot layout per trial:
+Randomness comes from a counter-based Philox4x64-10 generator keyed by the
+master seed, read as raw 64-bit words (Salmon et al., SC'11). Trial t owns
+one counter block, `stream._block(t + 1, seed)` (the counter is incremented
+before each block), i.e. the words [4t, 4t+4) of the stream, so any split of
+the trial range reproduces the same trials bit for bit. `run_trials` relies
+on that to run the upper half of a large batch in a forked child, which
+writes its record into a page shared with the parent. A record is five
+integer counts, summed per block and per half alike. Words per trial:
 
-    0, 1  polar/azimuth uniforms for qubit 1
-    2, 3  polar/azimuth uniforms for qubit 2
-    4     encoding outcome sample
-    5     target choice (consumed only by the random policy)
-    6     decode success/failure sample
-    7     reserved (keeps trials aligned to whole Philox blocks)
+    0  polar uniform of qubit 1
+    1  polar uniform of qubit 2
+    2  encoding outcome sample
+    3  decode success/failure sample
 
-The kernel only counts: outcomes and successes, from real products of the
-exact per-qubit weights 1 - u and u, so it never reads an azimuth uniform,
-though every trial still draws both. Whether a successful decode
-reconstructs the qubit is checked on the scalar codec (`verify`'s
-`scalar_min_success_fidelity` row), not here.
+A word w gives the uniform (w >> 11) * 2**-53, as `stream.uniforms` does.
+The `random` policy decodes qubit 1 + (w & 1) of the decode word, a bit that
+its uniform drops. The kernel only counts: outcomes and successes, from real
+products of the exact per-qubit weights 1 - u and u, so no azimuth is drawn.
+Whether a successful decode reconstructs the qubit is checked on the scalar
+codec (`verify`'s `scalar_min_success_fidelity` row), not here.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ import numpy as np
 from .codec import intact_block
 from .stream import MAX_SEED, TARGET_POLICIES
 
-UNIFORMS_PER_TRIAL = 8
-_BLOCKS_PER_TRIAL = UNIFORMS_PER_TRIAL // 4  # Philox yields 4 values per block
+WORDS_PER_TRIAL = 4  # one Philox4x64 block
 
 # trials per kernel call: its arrays stay few enough KiB that glibc reuses
-# them from the heap, in cache. At 2^13 the ~1.5 MB freed at each return was
-# trimmed and faulted in anew: 11343 page faults per 2.5 x 10^5 trials, not
-# 168, and 35 ms, not 23 (2-vCPU Xeon, glibc 2.36, numpy 2.4.6)
+# them from the heap, in cache. Larger blocks free more at each return, and
+# glibc trims it and faults it in anew: serial 10^6 trials took 102 minor
+# faults at 2^11, 28678 at 2^12 and 32635 at 2^13 (2-vCPU Xeon, glibc 2.36,
+# numpy 2.4.6)
 _KERNEL_TRIALS = 1 << 11
 # batches of this many blocks or more are split over two processes: below
 # 2^18 trials, fork and waitpid (about 2.5 ms in a 50 MB process) eat the gain
@@ -63,26 +63,22 @@ class TrialStats(NamedTuple):
         return self.success_count / self.trials
 
 
-def _philox(master_seed: int, start: int) -> np.random.Generator:
-    """Generator positioned at trial `start`'s first counter block.
-
-    Every trial takes whole Philox blocks, so consecutive draws continue at
-    the next trial's counter and fill consecutive slabs.
-    """
-    bit_generator = np.random.Philox(
-        key=master_seed, counter=[_BLOCKS_PER_TRIAL * start, 0, 0, 0]
-    )
-    return np.random.Generator(bit_generator)
+def _philox(master_seed: int, start: int) -> np.random.Philox:
+    """Philox whose next block is trial `start`'s; each trial takes one whole
+    block, so consecutive draws continue at the next trial's words."""
+    return np.random.Philox(key=master_seed, counter=[start, 0, 0, 0])
 
 
-def _targets(policy: str, start: int, count: int, u_target: np.ndarray) -> np.ndarray:
+def _targets(policy: str, start: int, decode_words: np.ndarray) -> np.ndarray:
+    """The qubit each trial from `start` on decodes, as int64."""
+    count = decode_words.shape[0]
     if policy == "always-1":
         return np.ones(count, dtype=np.int64)
     if policy == "always-2":
         return np.full(count, 2, dtype=np.int64)
     if policy == "alternate":
         return 1 + (start + np.arange(count, dtype=np.int64)) % 2
-    return np.where(u_target < 0.5, 1, 2)
+    return 1 + (decode_words & 1).astype(np.int64)  # a bit the decode uniform drops
 
 
 # [outcome, target - 1] -> the intact block, whose weight decides success; the
@@ -90,12 +86,13 @@ def _targets(policy: str, start: int, count: int, u_target: np.ndarray) -> np.nd
 _INTACT = np.array([[intact_block(j, a) for a in (1, 2)] for j in range(4)], dtype=np.int64)
 
 
-def _run_chunk(u: np.ndarray, start: int, policy: str) -> np.ndarray:
-    """Vectorized encode/decode for one slab of trial uniforms: the four
-    outcome counts, then the success count, as one int64 array."""
+def _run_chunk(u: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Vectorized encode/decode for one block of trials, given each trial's
+    four uniforms and the qubit it decodes: the four outcome counts, then
+    the success count, as one int64 array."""
     count = u.shape[0]
     factors = np.empty((2, 2, count))  # [qubit - 1, bit]: (1 - u, u)
-    factors[:, 1] = u[:, 0:3:2].T
+    factors[:, 1] = u[:, :2].T
     np.subtract(1.0, factors[:, 1], out=factors[:, 0])
     # |c_k|^2 for k = b1 + 2*b2, laid out [b2, b1]
     weights = factors[1][:, None] * factors[0]
@@ -108,10 +105,8 @@ def _run_chunk(u: np.ndarray, start: int, policy: str) -> np.ndarray:
     cumulative[2] += cumulative[1]
     # the first outcome whose cumulative weight exceeds u is the count of those
     # at or below u; an outcome with no surviving weight is never chosen
-    outcome = np.add(cumulative[0] <= u[:, 4], cumulative[1] <= u[:, 4], dtype=np.intp)
-    outcome += cumulative[2] <= u[:, 4]
-
-    target = _targets(policy, start, count, u[:, 5])
+    outcome = np.add(cumulative[0] <= u[:, 2], cumulative[1] <= u[:, 2], dtype=np.intp)
+    outcome += cumulative[2] <= u[:, 2]
 
     # a table's [outcome, target - 1] is row `key` of its (8, 2) reshape;
     # register index k of trial t sits at k * count + t in weights and survivors
@@ -120,7 +115,7 @@ def _run_chunk(u: np.ndarray, start: int, policy: str) -> np.ndarray:
     flat_w = weights.ravel()
     lo, hi = np.take(_INTACT.reshape(8, 2), key, axis=0).T
     block_weight = flat_w[lo * count + rows] + flat_w[hi * count + rows]
-    success = u[:, 6] < block_weight / survivors.ravel()[outcome * count + rows]
+    success = u[:, 3] < block_weight / survivors.ravel()[outcome * count + rows]
 
     return np.append(np.bincount(outcome, minlength=4), np.count_nonzero(success))
 
@@ -129,12 +124,11 @@ def _run_range(master_seed: int, policy: str, begin: int, end: int) -> np.ndarra
     """Trials [begin, end) in ascending blocks, as one record: the four
     outcome counts, then the success count."""
     record = np.zeros(5, dtype=np.int64)
-    generator = _philox(master_seed, begin)
-    # one slab for every block, so its pages are faulted in once per call
-    slab = np.empty((min(_KERNEL_TRIALS, end - begin), UNIFORMS_PER_TRIAL))
+    bit_generator = _philox(master_seed, begin)
     for start in range(begin, end, _KERNEL_TRIALS):
-        u = generator.random(out=slab[: min(_KERNEL_TRIALS, end - start)])
-        record += _run_chunk(u, start, policy)
+        words = bit_generator.random_raw((min(_KERNEL_TRIALS, end - start), WORDS_PER_TRIAL))
+        u = (words >> 11) * 2.0**-53  # as `stream.uniforms` converts
+        record += _run_chunk(u, _targets(policy, start, words[:, 3]))
     return record
 
 

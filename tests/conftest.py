@@ -235,8 +235,8 @@ def conditional_success_probability(
 
 
 def sample_bloch(u1: float, u2: float) -> BlochAngles:
-    """Angles of a uniformly random qubit by inverse CDF, as the Monte Carlo
-    kernel draws them from the uniforms of slots (0, 1) and (2, 3).
+    """Angles of a uniformly random qubit by inverse CDF. The Monte Carlo
+    kernel reads each qubit's polar uniform u1 alone and draws no azimuth.
 
     sin^2(theta/2) = u1 gives the (1/2) sin(theta) polar density, and the
     half-angle arctangent keeps it to rounding at both poles; phi = 2 pi u2.

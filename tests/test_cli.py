@@ -661,10 +661,11 @@ class TestVerify:
             quarter_turns = qubit.phi / (math.pi / 2)
             assert abs(quarter_turns - round(quarter_turns)) > 0.1
 
-    # one trial may fail to decode (seed 5) or succeed (seed 0); its row set
-    # is the default's and its rows still pass
+    # one trial may fail to decode or succeed; its row set is the default's
+    # and its rows still pass. Scanning seeds up from 0, seed 0 is the first
+    # whose one trial fails and seed 1 the first whose trial succeeds
     @pytest.mark.parametrize("command", ["mc", "verify"])
-    @pytest.mark.parametrize("seed, rate", [(5, 0.0), (0, 1.0)], ids=["fails", "succeeds"])
+    @pytest.mark.parametrize("seed, rate", [(0, 0.0), (1, 1.0)], ids=["fails", "succeeds"])
     def test_a_single_trial_batch(self, command, seed, rate):
         result = invoke([command, "--trials", "1", "--seed", str(seed)])
         assert result.exit_code == 0
@@ -690,13 +691,16 @@ def default_row_names() -> dict[str, list[str]]:
     *(["mc", "--target-policy", policy] for policy in montecarlo.TARGET_POLICIES), ["verify"],
 ], ids=" ".join)
 def test_row_names_do_not_depend_on_the_batch(default_row_names, args):
-    # one or two trials may all fail to decode, or all succeed
+    # one or two trials may all fail to decode, or all succeed; 64 trials may
+    # miss a statistical band by chance, and the command then rightly exits 1
     for trials in (1, 2, 64):
         for seed in range(24):
             result = invoke([*args, "--trials", str(trials), "--seed", str(seed)])
-            assert result.exit_code == 0, (trials, seed)
-            names = [row["name"] for row in json.loads(result.output)["rows"]]
+            assert result.output, (trials, seed)
+            doc = json.loads(result.output)
+            names = [row["name"] for row in doc["rows"]]
             assert names == default_row_names[args[0]], (trials, seed)
+            assert result.exit_code == (0 if doc["overall_pass"] else 1), (trials, seed)
 
 
 class TestFormatsAndOutput:
@@ -914,8 +918,9 @@ def test_an_interrupt_exits_130_with_one_error_line(monkeypatch, capsys, command
     assert capsys.readouterr() == ("", "Error: interrupted\n")
 
 
-# none of seed 166's first five trials decodes, so the success-rate row fails
-_FAILING = ["--trials", "5", "--seed", "166"]
+# none of seed 158's first five trials decodes, so the success-rate row fails;
+# scanning seeds up from 0, 158 is the first of which that holds
+_FAILING = ["--trials", "5", "--seed", "158"]
 
 
 FIVE_COMMANDS = [["demo"], ["encode"], ["decode", "--outcome", "1", "--target", "1"],

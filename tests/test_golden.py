@@ -32,7 +32,10 @@ The four `verify 16` pins were re-recorded when the encode posterior's joint
 entropy became a closed-form integral over qubit 2 at each qubit-1 node: the
 `computed` value of `encoding_gain` and `exact_encoding_gain` went from
 0.0735362586735 to 0.0735362586521, 2.6e-11 and 4.4e-12 from the exact
-0.0735362586477, and no other byte changed.
+0.0735362586477, and no other byte changed. The ten `mc` and `verify` pins
+were re-recorded when each Monte Carlo trial came to read one Philox block
+as four raw words in place of eight uniforms from numpy's `Generator`: only
+the `computed` values of `mc_*` rows moved, and every row kept its `pass`.
 `demo_generic.json` also pins `python -m qutritcodec`, the entry point the
 README advertises.
 

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from qutritcodec import TrialStats, decode, encode, run_trials
 from qutritcodec.codec import decode_levels, intact_block, qubit_bit, survivors
-from qutritcodec import montecarlo
-from qutritcodec.montecarlo import UNIFORMS_PER_TRIAL, _philox, _run_chunk
+from qutritcodec import montecarlo, stream
+from qutritcodec.montecarlo import WORDS_PER_TRIAL, _philox, _run_chunk
 from conftest import intact_pair, invoke, sample_bloch, unit_interval
 from test_golden import CASES, _assert_pinned, _printed
 
@@ -44,31 +44,33 @@ class TestSampleBloch:
             assert math.sin(half) ** 2 == pytest.approx(u, rel=4 * sys.float_info.epsilon, abs=0)
 
 
-class TestTrialUniforms:
-    def test_offset_slabs_tile_the_stream(self):
-        whole = _philox(123, 0).random((1000, UNIFORMS_PER_TRIAL))
+class TestTrialWords:
+    def test_offset_ranges_tile_the_stream(self):
+        whole = _philox(123, 0).random_raw((1000, WORDS_PER_TRIAL))
         parts = np.vstack(
-            [_philox(123, start).random((250, UNIFORMS_PER_TRIAL)) for start in (0, 250, 500, 750)]
+            [_philox(123, start).random_raw((250, WORDS_PER_TRIAL)) for start in (0, 250, 500, 750)]
         )
         np.testing.assert_array_equal(whole, parts)
 
-    def test_rows_are_per_trial_streams(self):
-        row = _philox(7, 41).random(UNIFORMS_PER_TRIAL)
-        np.testing.assert_array_equal(row, _philox(7, 40).random((2, UNIFORMS_PER_TRIAL))[1])
+    @pytest.mark.parametrize("seed", [0, 123, 2**64 - 1])
+    def test_trial_words_are_the_plain_python_blocks(self, seed):
+        # trial t reads block t + 1: the counter is incremented before each block
+        for start in (0, 1, 2047, 2048):
+            words = _philox(seed, start).random_raw((2, WORDS_PER_TRIAL)).tolist()
+            assert words == [list(stream._block(start + t + 1, seed)) for t in (0, 1)]
 
     def test_seed_changes_the_stream(self):
-        assert not np.array_equal(_philox(0, 0).random(4), _philox(1, 0).random(4))
+        assert not np.array_equal(_philox(0, 0).random_raw(4), _philox(1, 0).random_raw(4))
 
-    def test_one_generator_fills_consecutive_slabs_into_one_buffer(self):
-        # run_trials draws every block from one generator into one buffer
+    def test_one_bit_generator_draws_consecutive_blocks(self):
+        # run_trials draws every block of a range from one bit generator
         for seed in (0, 123, 2**64 - 1):
-            generator = _philox(seed, 0)
-            slab = np.empty((300, UNIFORMS_PER_TRIAL))
+            bit_generator = _philox(seed, 0)
             start = 0
             for count in (300, 7, 300, 61):
-                u = generator.random(out=slab[:count])
-                expected = _philox(seed, start).random((count, UNIFORMS_PER_TRIAL))
-                np.testing.assert_array_equal(u, expected)
+                words = bit_generator.random_raw((count, WORDS_PER_TRIAL))
+                expected = _philox(seed, start).random_raw((count, WORDS_PER_TRIAL))
+                np.testing.assert_array_equal(words, expected)
                 start += count
 
 
@@ -91,6 +93,28 @@ class TestDeterminism:
         assert stats.success_count in (0, 1)
 
 
+def scalar_trials(seed: int, policy: str, begin: int, end: int) -> list[int]:
+    """Trials [begin, end) rebuilt from the plain-Python Philox blocks through
+    the scalar codec, as a record: the four outcome counts, then successes."""
+    record = [0, 0, 0, 0, 0]
+    for t in range(begin, end):
+        words = stream._block(t + 1, seed)
+        polar1, polar2, u_encode, u_decode = ((word >> 11) * 2.0**-53 for word in words)
+        # no azimuth is drawn, and none changes a count
+        pair = sample_bloch(polar1, 0.0), sample_bloch(polar2, 0.0)
+        encoded = encode(pair, u_encode)
+        record[encoded.outcome] += 1
+        target = {
+            "always-1": 1,
+            "always-2": 2,
+            "alternate": 1 + t % 2,
+            "random": 1 + (words[3] & 1),
+        }[policy]
+        _, reconstructed = decode(encoded.qutrit, encoded.outcome, target, u_decode)
+        record[4] += reconstructed is not None
+    return record
+
+
 class TestAgainstScalarPipeline:
     @pytest.mark.parametrize(
         "trials, seed, policy",
@@ -101,28 +125,16 @@ class TestAgainstScalarPipeline:
         ],
     )
     def test_vectorized_trials_match_scalar_codec(self, trials, seed, policy):
-        stats = run_trials(trials, seed, policy)
+        record = scalar_trials(seed, policy, 0, trials)
+        assert run_trials(trials, seed, policy) == TrialStats(trials, tuple(record[:4]), record[4])
 
-        u = _philox(seed, 0).random((trials, UNIFORMS_PER_TRIAL))
-        counts = [0, 0, 0, 0]
-        successes = 0
-        for t in range(trials):
-            pair = sample_bloch(u[t, 0], u[t, 1]), sample_bloch(u[t, 2], u[t, 3])
-            record = encode(pair, u[t, 4])
-            counts[record.outcome] += 1
-            if policy == "always-1":
-                target = 1
-            elif policy == "always-2":
-                target = 2
-            elif policy == "alternate":
-                target = 1 + t % 2
-            else:
-                target = 1 if u[t, 5] < 0.5 else 2
-            _, reconstructed = decode(record.qutrit, record.outcome, target, u[t, 6])
-            successes += reconstructed is not None
-
-        assert stats.outcome_counts == tuple(counts)
-        assert stats.success_count == successes
+    @pytest.mark.parametrize("policy", montecarlo.TARGET_POLICIES)
+    def test_a_range_across_a_block_boundary_matches_scalar_codec(self, monkeypatch, policy):
+        # an odd start, so that `alternate` begins at qubit 2, and blocks of
+        # 64 trials, so that the range's second block starts at trial 1065
+        monkeypatch.setattr(montecarlo, "_KERNEL_TRIALS", 64)
+        record = montecarlo._run_range(2**64 - 1, policy, 1001, 1101)
+        assert record.tolist() == scalar_trials(2**64 - 1, policy, 1001, 1101)
 
 
 def exact_weights(polar1: float, polar2: float) -> list[Fraction]:
@@ -132,7 +144,7 @@ def exact_weights(polar1: float, polar2: float) -> list[Fraction]:
     return [qubit1[k & 1] * qubit2[k >> 1] for k in range(4)]
 
 
-# the generator's uniforms are multiples of 2**-53, so register weights
+# the stream's uniforms are multiples of 2**-53, so register weights
 # never fall below the normal range, where products would lose digits
 generated_uniform = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
 _ULPS = st.integers(1, 64).map(lambda k: k * 2.0**-53)
@@ -150,20 +162,20 @@ near_pole_uniform = st.one_of(
 @given(
     polar1=near_pole_uniform,
     polar2=st.one_of(near_pole_uniform, generated_uniform),
-    phases=st.tuples(unit_interval, unit_interval),
     # 0 selects the lowest-index outcome with nonzero weight, which near a
     # pole is the branch whose survivors are all tiny
     u_encode=st.one_of(st.just(0.0), unit_interval),
-    u_target=unit_interval,
+    target=st.sampled_from([1, 2]),
     below=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
 def test_kernel_decodes_near_pole_trials_like_the_closed_form(
-    polar1, polar2, phases, u_encode, u_target, below
+    polar1, polar2, u_encode, target, below
 ):
-    u = np.array([[polar1, phases[0], polar2, phases[1], u_encode, u_target, 0.0, 0.0]])
-    (outcome,) = np.flatnonzero(_run_chunk(u, 0, "random")[:4])
-    target = 1 if u_target < 0.5 else 2
+    # the kernel takes uniforms, so inputs off the 2**-53 grid reach it unchanged
+    u = np.array([[polar1, polar2, u_encode, 0.0]])
+    targets = np.array([target])
+    (outcome,) = np.flatnonzero(_run_chunk(u, targets)[:4])
     weights = exact_weights(polar1, polar2)
     survivors = sum(weights[k] for k in range(4) if k != outcome)
     # sampling from the survivors' weights never realizes an empty branch
@@ -172,16 +184,16 @@ def test_kernel_decodes_near_pole_trials_like_the_closed_form(
 
     # decode just below or just above the closed-form success probability
     above = p_success * (1 + 1e-9)
-    u[0, 6] = p_success * (1 - 1e-9) if below or above >= 1.0 else above
-    assert _run_chunk(u, 0, "random")[4] == (u[0, 6] < p_success)
+    u[0, 3] = p_success * (1 - 1e-9) if below or above >= 1.0 else above
+    assert _run_chunk(u, targets)[4] == (u[0, 3] < p_success)
 
 
 def kernel_weights(u: np.ndarray):
     """The kernel's register weights, survivor sums and cumulative outcome
-    weights of a slab, as it computes them."""
+    weights of a block of trial uniforms, as it computes them."""
     count = u.shape[0]
     factors = np.empty((2, 2, count))
-    factors[:, 1] = u[:, 0:3:2].T
+    factors[:, 1] = u[:, :2].T
     np.subtract(1.0, factors[:, 1], out=factors[:, 0])
     weights = factors[1][:, None] * factors[0]
     survivors = (weights[:, ::-1] + weights.sum(axis=1)[::-1, None]).reshape(4, count)
@@ -191,35 +203,36 @@ def kernel_weights(u: np.ndarray):
     return weights, survivors, cumulative
 
 
-def reference_chunk(u: np.ndarray, start: int, policy: str) -> list[int]:
+def reference_chunk(u: np.ndarray, target: np.ndarray) -> list[int]:
     """Reference kernel: outcomes counted with `count_nonzero`, and each
     trial's intact block found from the codec's `intact_block`."""
     count = u.shape[0]
     weights, survivors, cumulative = kernel_weights(u)
-    outcome = np.count_nonzero(cumulative <= u[:, 4], axis=0)
-    target = montecarlo._targets(policy, start, count, u[:, 5])
+    outcome = np.count_nonzero(cumulative <= u[:, 2], axis=0)
     flat_w, flat_s = weights.ravel(), survivors.ravel()
     successes = 0
     for t in range(count):
         lo, hi = intact_block(int(outcome[t]), int(target[t]))
         block_weight = flat_w[lo * count + t] + flat_w[hi * count + t]
-        successes += bool(u[t, 6] < block_weight / flat_s[outcome[t] * count + t])
+        successes += bool(u[t, 3] < block_weight / flat_s[outcome[t] * count + t])
     return [*np.bincount(outcome, minlength=4).tolist(), successes]
 
 
 @pytest.mark.parametrize("policy", montecarlo.TARGET_POLICIES)
 @pytest.mark.parametrize("seed", [0, 1, 5, 20260, 2**64 - 1])
 def test_the_kernel_counts_like_the_reference(seed, policy):
-    # slabs of a whole block, of a short one at an odd start and of one
-    # trial, and one whose encoding uniforms tie with a cumulative weight
-    slabs = ((0, 8192, False), (8191, 999, False), (3, 1, False), (5, 999, True))
-    for start, trials, ties in slabs:
-        u = _philox(seed, start).random((trials, UNIFORMS_PER_TRIAL))
+    # a block of 8192 trials, a short one at an odd start, one of one trial,
+    # and one whose encoding uniforms tie with a cumulative weight
+    blocks = ((0, 8192, False), (8191, 999, False), (3, 1, False), (5, 999, True))
+    for start, trials, ties in blocks:
+        words = _philox(seed, start).random_raw((trials, WORDS_PER_TRIAL))
+        u = (words >> 11) * 2.0**-53
         if ties:
-            u[:, 4] = kernel_weights(u)[2][np.arange(trials) % 3, np.arange(trials)]
-        record = _run_chunk(u, start, policy)
+            u[:, 2] = kernel_weights(u)[2][np.arange(trials) % 3, np.arange(trials)]
+        target = montecarlo._targets(policy, start, words[:, 3])
+        record = _run_chunk(u, target)
         assert record.dtype == np.int64
-        assert record.tolist() == reference_chunk(u, start, policy)
+        assert record.tolist() == reference_chunk(u, target)
 
 
 def test_an_intact_pair_differs_in_the_target_bit_alone():
@@ -528,22 +541,22 @@ def test_the_child_branch_sends_the_upper_half_and_exits_0(monkeypatch):
     assert montecarlo._RECORD.unpack(page) == tuple(montecarlo._run_range(3, "random", 1998, 4000))
 
 
-# run_trials(10**6) counts recorded with a complex-amplitude kernel that
-# built every trial's register state; outcome counts do not depend on the
-# target, success counts do
+# run_trials(10**6) counts, which the scalar codec also gave when fed every
+# trial from the plain-Python Philox blocks as `scalar_trials` feeds it;
+# outcome counts do not depend on the target, success counts do
 PINNED_OUTCOMES = {
-    0: (249088, 251049, 249952, 249911),
-    20260: (249578, 250372, 250163, 249887),
+    0: (250510, 250240, 249337, 249913),
+    20260: (250543, 248919, 250649, 249889),
 }
 PINNED_SUCCESSES = {
-    (0, "always-1"): 666293,
-    (0, "always-2"): 665966,
-    (0, "alternate"): 665904,
-    (0, "random"): 666271,
-    (20260, "always-1"): 666825,
-    (20260, "always-2"): 667014,
-    (20260, "alternate"): 666648,
-    (20260, "random"): 667024,
+    (0, "always-1"): 666373,
+    (0, "always-2"): 665838,
+    (0, "alternate"): 666196,
+    (0, "random"): 666617,
+    (20260, "always-1"): 666172,
+    (20260, "always-2"): 666936,
+    (20260, "alternate"): 666371,
+    (20260, "random"): 666938,
 }
 
 

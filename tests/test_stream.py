@@ -41,7 +41,8 @@ def test_trace_commands_draw_the_first_uniforms_of_mc(monkeypatch, command, seed
         monkeypatch.setattr(codec, name, spy)
     args = [*command, "--theta1", "1.2", "--phi2", "0.3", "--seed", str(seed)]
     assert invoke(args).exit_code == 0
-    # the stream that mc's trial 0 reads: demo takes three uniforms, the others one
-    assert drawn == montecarlo._philox(seed, 0).random(len(drawn)).tolist()
+    # the words that mc's trial 0 reads: demo takes three uniforms, the others one
+    words = montecarlo._philox(seed, 0).random_raw(len(drawn))
+    assert drawn == ((words >> 11) * 2.0**-53).tolist()
     assert len(drawn) == (3 if command == ["demo"] else 1)
 
